@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .align import align_correlations, align_to_reference
-from .estimators import heldout_loglik
+from .diffkernel import DomainError
+from .estimators import DegeneratePosteriorError, heldout_loglik
 from .fitting import ConfigError, FitConfig, FitResult, fit, split_holdout
 from .grm import GrmParams, GrmValues, ResponseMatrix
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder
@@ -41,6 +42,9 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# Checked before the input-error clauses: DomainError is a ValueError.
+NUMERICAL_ERRORS = (NumericalError, DomainError, DegeneratePosteriorError)
 
 
 def _sha256_file(path: Path) -> str:
@@ -213,12 +217,12 @@ def cmd_fit(args) -> int:
         return EXIT_INPUT
     try:
         fit_path, result = run_fit(responses_path, config, Path(args.out))
+    except NUMERICAL_ERRORS as err:
+        print(f"error: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as err:
-        print(f"error: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     print(f"{config.estimator}: {result.status} after {result.iterations} iterations "
           f"({result.wall_time:.1f}s); wrote {fit_path}")
     return EXIT_OK
@@ -308,11 +312,15 @@ def cmd_heldout(args) -> int:
     r_eval = args.r_eval if args.r_eval is not None else config.r_eval
     from .rngutil import substream
     rng = substream(config.seed, "heldout-eval")
-    report = heldout_loglik(responses.subset(ids), params, encoder, rng,
-                            R_eval=r_eval, disc=disc,
-                            adaptive_contrast=bool(config.estimator == "IWAVB"
-                                                   or (config.estimator == "AVB"
-                                                       and config.adaptive_contrast)))
+    try:
+        report = heldout_loglik(responses.subset(ids), params, encoder, rng,
+                                R_eval=r_eval, disc=disc,
+                                adaptive_contrast=bool(config.estimator == "IWAVB"
+                                                       or (config.estimator == "AVB"
+                                                           and config.adaptive_contrast)))
+    except NUMERICAL_ERRORS as err:
+        print(f"error: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     out_doc = {"schema_version": SCHEMA_VERSION,
                "estimator": config.estimator,
                "n_holdout": report.n_respondents,

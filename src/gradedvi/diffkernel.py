@@ -4,8 +4,8 @@ Forward evaluation records operation nodes on a Tape; Tape.backward walks the
 record once in reverse and accumulates exact gradients into every leaf tensor
 that requires them.  The op set is exactly what the variational estimators
 need: dense matrix algebra, stable elementwise nonlinearities, row reductions,
-and a handful of structural helpers (concat, reshape, stop_gradient,
-triangular inverse).
+a handful of structural helpers (concat, reshape, repeat_rows, stop_gradient,
+triangular inverse), and one fused cumulative-logit likelihood.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.
@@ -446,6 +446,76 @@ def concat_cols(tape: Tape | None, a: Tensor2, b: Tensor2) -> Tensor2:
         _accum(b, g[:, na:], own=False)
 
     return _make(tape, "concat_cols", (a, b), np.hstack([a.data, b.data]), backward)
+
+
+def repeat_rows(tape: Tape | None, x: Tensor2, times: int) -> Tensor2:
+    """Repeat every row `times` times back to back, (B, k) -> (B*times, k);
+    backward sums each group of repeated rows."""
+    if times < 1:
+        raise ShapeError(f"repeat_rows: repeat count must be >= 1, got {times}")
+    if times == 1:
+        return x
+    B, k = x.shape
+
+    def backward(g):
+        _accum(x, g.reshape(B, times, k).sum(axis=1))
+
+    return _make(tape, "repeat_rows", (x,), np.repeat(x.data, times, axis=0), backward)
+
+
+def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: list[Tensor2],
+                   levels: np.ndarray, missing: np.ndarray, categories: np.ndarray,
+                   floor: float, tile: int = 1) -> Tensor2:
+    """Per-row sum over items of log P(y_j = levels_j) under cumulative logits.
+
+    P(y_j >= k) = sigmoid(logit_j + cut_k[j]) for k = 1..C_j-1, with level 0
+    at probability 1 and level C_j at 0; the category probability is the
+    difference of the two boundaries around it, floored at `floor` before
+    the log.  logits is (B*tile, M), respondent-major with `tile` rows per
+    respondent; cuts holds one (M, 1) column per boundary level; levels and
+    missing are (B, M), and missing entries contribute 0.
+
+    The two boundary intercepts of each observed category are gathered once
+    per respondent from a padded (M, K+2) table (+inf at level 0, -inf from
+    level C_j on) and broadcast over the tile rows.  Entries whose
+    probability sits at the floor get zero gradient.
+    """
+    B, M = levels.shape
+    if logits.shape != (B * tile, M):
+        raise ShapeError(f"ordinal_loglik: logits {logits.shape} vs {B} respondents "
+                         f"x {tile} rows and {M} items")
+    K = len(cuts)
+    table = np.empty((M, K + 2))
+    table[:, 0] = np.inf
+    for k, c in enumerate(cuts, start=1):
+        table[:, k] = c.data[:, 0]
+    table[np.arange(K + 2)[None, :] >= np.asarray(categories)[:, None]] = -np.inf
+    observed = ~np.asarray(missing, dtype=bool)
+    upper = np.where(observed, levels, 0)
+    items = np.arange(M)[None, :]
+    t = logits.data.reshape(B, tile, M)
+    s_hi = _sigmoid_values(t + table[items, upper][:, None, :])
+    s_lo = _sigmoid_values(t + table[items, upper + 1][:, None, :])
+    p = np.where(observed[:, None, :], s_hi - s_lo, 1.0)
+    out_data = np.log(np.maximum(p, floor)).reshape(B * tile, M).sum(axis=1, keepdims=True)
+
+    def backward(g):
+        live = observed[:, None, :] & (p > floor)
+        scale = np.divide(g.reshape(B, tile, 1), p, out=np.zeros_like(p), where=live)
+        d_hi = s_hi * (1.0 - s_hi) * scale       # d log p / d(upper boundary logit)
+        d_lo = s_lo * (1.0 - s_lo) * scale       # -d log p / d(lower boundary logit)
+        _accum(logits, (d_hi - d_lo).reshape(B * tile, M))
+        if not any(c.requires_grad for c in cuts):
+            return
+        cells = (np.arange(M) * (K + 2))[None, :] + upper
+        size = M * (K + 2)
+        grad = (np.bincount(cells.ravel(), weights=d_hi.sum(axis=1).ravel(), minlength=size)
+                - np.bincount((cells + 1).ravel(), weights=d_lo.sum(axis=1).ravel(),
+                              minlength=size)).reshape(M, K + 2)
+        for k, c in enumerate(cuts, start=1):
+            _accum(c, grad[:, k:k + 1].copy())
+
+    return _make(tape, "ordinal_loglik", (logits, *cuts), out_data, backward)
 
 
 def stop_gradient(tape: Tape | None, x: Tensor2) -> Tensor2:

@@ -12,7 +12,12 @@ Four estimators share one decoder:
 
 Row layout is respondent-major everywhere: sample (i, s, r) lives at row
 (i*S + s)*R + r, so reshaping to (B*S, R) lines importance samples up per
-respondent/MC draw.
+respondent/MC draw.  Work that depends only on the respondent runs on the B
+distinct rows: the Gaussian encoder's trunk and heads see the B feature rows
+and repeat mu and sigma to the draws, and the decoder gathers each
+respondent's category boundaries once for all of its draws.  The implicit
+encoder and the discriminator still take tiled feature rows, because their
+inputs mix features with per-draw noise.
 
 Gradient routing relies on two facts: stop_gradient() detaches values, and
 every network/decoder can run "frozen" (parameters wrapped as constants), so
@@ -139,8 +144,7 @@ def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     """
     B = x.shape[0]
     tile = S * R
-    feats_t = dk.const(tile_rows(feats, tile))
-    z, mu, sigma = encoder.encode(tape, feats_t, dk.const(u), frozen=frozen_encoder)
+    z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u), frozen=frozen_encoder)
     logq = gaussian_logq(tape, z, mu, sigma, stop_params=stop_q_params)
     eff = params.effective(tape, frozen=frozen_decoder)
     sel = response_selectors(x, params.categories)
@@ -165,8 +169,7 @@ def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
         bundle = gaussian_log_weights(tape, x, feats, encoder, params, 1, S, u,
                                       frozen_decoder=frozen_decoder)
         return iw_elbo_from_log_w(tape, bundle["log_w"], B, 1, S)
-    feats_t = dk.const(tile_rows(feats, S))
-    z, mu, sigma = encoder.encode(tape, feats_t, dk.const(u))
+    z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
     eff = params.effective(tape, frozen=frozen_decoder)
     sel = response_selectors(x, params.categories)
     recon = grm_mod.conditional_loglik(tape, eff, z, sel, tile=S)

@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .grm import GrmParams, ResponseMatrix, init_params, response_selectors, simple_structure_mask
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder, encode_responses
-from .optim import AdamW, ClrSchedule, ConvergenceMonitor, NumericalError
+from .optim import AdamW, ClrSchedule, ConvergenceMonitor, NumericalError, step_all
 from .rngutil import substream
 
 
@@ -306,10 +306,10 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
         tape2.backward(dk.add(tape2, obj, dloss))
         diag = {"iw_elbo": float(per.data.mean()), "disc_loss": float(dloss.item())}
 
-    state.opt_theta.step(lr_gen)
-    state.opt_phi.step(lr_gen)
+    updates = [(state.opt_theta, lr_gen), (state.opt_phi, lr_gen)]
     if state.opt_psi is not None:
-        state.opt_psi.step(lr_disc)
+        updates.append((state.opt_psi, lr_disc))
+    step_all(updates)
     state.t += 1
     diag["lr_encoder"] = lr_gen
     diag["lr_disc"] = lr_disc if state.opt_psi is not None else math.nan

@@ -3,7 +3,10 @@ joint log-likelihoods, and the constrained trainable parameterization.
 
 Two evaluation paths exist on purpose.  The tape-based builders
 (`conditional_loglik`, `joint_logprob`) are used inside training so gradients
-flow to the raw parameters.  The plain-array twins (`*_values` functions plus
+flow to the raw parameters; after the logit matmul the conditional
+likelihood is one fused `diffkernel.ordinal_loglik` node that gathers each
+respondent's category boundaries once and broadcasts them over that
+respondent's latent draws.  The plain-array twins (`*_values` functions plus
 `category_probs`/`category_logprob`) back data generation, quadrature oracles
 and heldout evaluation, where no tape is needed.  A parity test keeps the two
 paths identical.
@@ -383,63 +386,33 @@ def joint_logprob_values(x: np.ndarray, z: np.ndarray, values: GrmValues) -> np.
 
 
 def response_selectors(x: np.ndarray, categories: np.ndarray) -> dict:
-    """One-hot selection masks per category plus the missingness indicator.
+    """Per-respondent constants of the likelihood graph, computed once per batch.
 
-    Returns arrays keyed by category level; each is (n, M) float64.  These
-    are constants of the graph, computed once per batch.
+    Returns "levels", the (n, M) observed category indices (0 where the
+    entry is MISSING), "missing", the (n, M) boolean missingness mask, and
+    the per-item category counts.  The masks stay at one row per respondent
+    however many latent draws the likelihood sees.
     """
     x = np.asarray(x, dtype=np.int64)
-    maxc = int(categories.max())
-    onehots = [(x == k).astype(np.float64) for k in range(maxc)]
-    miss = (x == MISSING).astype(np.float64)
-    # valid_rows[k-1, j] = 1 iff boundary k exists for item j
-    valid_rows = (np.arange(1, maxc)[:, None] <= (categories - 1)[None, :]).astype(np.float64)
-    return {"onehots": onehots, "missing": miss, "valid_rows": valid_rows, "maxc": maxc}
+    missing = x == MISSING
+    return {"levels": np.where(missing, 0, x), "missing": missing,
+            "categories": np.asarray(categories, dtype=np.int64)}
 
 
 def conditional_loglik(tape: Tape | None, eff: dict, z: Tensor2,
                        selectors: dict, tile: int = 1) -> Tensor2:
     """Per-row conditional log-likelihood (n, 1) on the tape.
 
-    `selectors` comes from response_selectors on the batch; when z holds
-    `tile` rows per respondent (importance/MC samples, respondent-major),
-    the selection constants are repeated to match.
+    `selectors` comes from response_selectors on the batch; z holds `tile`
+    rows per respondent (importance/MC samples, respondent-major).  After
+    the logit matmul the whole likelihood is one fused `ordinal_loglik`
+    node, which gathers each respondent's boundary intercepts once and
+    broadcasts them over that respondent's draws.
     """
-    maxc = selectors["maxc"]
-    beta = eff["beta"]
-    alpha_cols = eff["alpha_cols"]
-
-    def tiled(a: np.ndarray) -> np.ndarray:
-        return np.repeat(a, tile, axis=0) if tile > 1 else a
-
-    n = z.rows
-    M = beta.rows
-    logits = dk.matmul(tape, z, dk.transpose(tape, beta))  # (n, M)
-
-    boundaries: list = [dk.const(np.ones((n, M)))]
-    for k in range(1, maxc):
-        row = dk.transpose(tape, alpha_cols[k - 1])  # (1, M)
-        bk = dk.sigmoid(tape, dk.broadcast_add_rowvec(tape, logits, row))
-        vmask = selectors["valid_rows"][k - 1][None, :]
-        if not np.all(vmask == 1.0):
-            bk = dk.mul(tape, bk, dk.const(np.broadcast_to(vmask, (n, M))))
-        boundaries.append(bk)
-    boundaries.append(dk.const(np.zeros((n, M))))
-
-    picked = None
-    for k in range(maxc):
-        sel = tiled(selectors["onehots"][k])
-        if not sel.any():
-            continue
-        pk = dk.sub(tape, boundaries[k], boundaries[k + 1])
-        term = dk.mul(tape, pk, dk.const(sel))
-        picked = term if picked is None else dk.add(tape, picked, term)
-
-    miss = tiled(selectors["missing"])
-    if miss.any():
-        picked = dk.add(tape, picked, dk.const(miss))  # log 1 = 0 for missing
-    logp = dk.log(tape, dk.clamp_min(tape, picked, _PROB_FLOOR))
-    return dk.sum_rows(tape, logp)
+    logits = dk.matmul(tape, z, dk.transpose(tape, eff["beta"]))  # (n, M)
+    return dk.ordinal_loglik(tape, logits, eff["alpha_cols"], selectors["levels"],
+                             selectors["missing"], selectors["categories"], _PROB_FLOOR,
+                             tile=tile)
 
 
 def prior_logpdf(tape: Tape | None, eff: dict, z: Tensor2) -> Tensor2:

@@ -159,10 +159,21 @@ class GaussianEncoder:
         return mu, sigma
 
     def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2, frozen: bool = False):
-        """Reparameterized draw z = mu(x) + sigma(x) * u; returns (z, mu, sigma)."""
+        """Reparameterized draw z = mu(x) + sigma(x) * u; returns (z, mu, sigma).
+
+        u may hold several draws per row of x (respondent-major, the same
+        count for every row): the heads run once per row of x, and mu and
+        sigma are repeated to the rows of u.
+        """
         if u.cols != self.latent_dim:
             raise dk.ShapeError(f"noise has {u.cols} columns, latent dim is {self.latent_dim}")
+        if u.rows % x.rows:
+            raise dk.ShapeError(f"noise has {u.rows} rows, not a multiple of the "
+                                f"{x.rows} input rows")
         mu, sigma = self.heads(tape, x, frozen=frozen)
+        draws = u.rows // x.rows
+        mu = dk.repeat_rows(tape, mu, draws)
+        sigma = dk.repeat_rows(tape, sigma, draws)
         z = dk.add(tape, mu, dk.mul(tape, sigma, u))
         return z, mu, sigma
 

@@ -35,9 +35,16 @@ class AdamW:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
+    def check_finite(self) -> None:
+        """Raise NumericalError if any gradient holds a non-finite entry."""
+        for p in self.params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericalError(f"non-finite gradient in parameter {p.name or '<unnamed>'}")
+
     def step(self, lr: float) -> None:
-        if lr < 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {lr}")
+        """One update of every parameter; all checks run before anything moves."""
+        _check_lr(lr)
+        self.check_finite()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
@@ -46,8 +53,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient in parameter {p.name or '<unnamed>'}")
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -59,6 +64,25 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def _check_lr(lr: float) -> None:
+    if lr < 0.0:
+        raise ValueError(f"learning rate must be >= 0, got {lr}")
+
+
+def step_all(updates: list[tuple[AdamW, float]]) -> None:
+    """Step several optimizers as one update.
+
+    Every learning rate and every gradient of every optimizer is checked
+    before any of them moves, so a failure leaves all steps, moments and
+    parameters as they were.
+    """
+    for opt, lr in updates:
+        _check_lr(lr)
+        opt.check_finite()
+    for opt, lr in updates:
+        opt.step(lr)
 
 
 @dataclass

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradedvi import cli
 from gradedvi import diffkernel as dk
 from gradedvi.cli import main
+from gradedvi.estimators import DegeneratePosteriorError
 from gradedvi.fitting import FitConfig, init_state
 from gradedvi.grm import GrmParams, GrmValues, softplus_inv
+from gradedvi.optim import NumericalError
 from gradedvi.simlab import SimDesign, read_responses_csv, simulate, write_responses_csv
 
 
@@ -188,6 +191,31 @@ class TestFit:
         assert code == 2
 
 
+# the failure classes training and evaluation can raise on bad numerics;
+# DomainError is a ValueError and DegeneratePosteriorError a RuntimeError
+NUMERICAL_FAILURES = [NumericalError, dk.DomainError, DegeneratePosteriorError]
+
+
+def _raise(cls):
+    def fail(*args, **kwargs):
+        raise cls("injected")
+    return fail
+
+
+@pytest.mark.parametrize("cls", NUMERICAL_FAILURES, ids=lambda c: c.__name__)
+def test_fit_numerical_failure_exits_3(cls, dataset, tmp_path, monkeypatch, capsys):
+    resp_path, _ = dataset
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    monkeypatch.setattr(cli, "fit", _raise(cls))
+    code = main(["fit", "--config", str(cfg), "--responses", str(resp_path),
+                 "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: numerical failure: injected")
+    assert "Traceback" not in err
+
+
 class TestEval:
     def _fake_fit_doc(self, values, mask, categories, structure="simple"):
         params = params_from_values(values, mask, categories)
@@ -304,6 +332,17 @@ class TestHeldout:
         a = json.loads(out1.read_text())["holdout_ids"]
         b = json.loads(out2.read_text())["holdout_ids"]
         assert a == b
+
+    @pytest.mark.parametrize("cls", NUMERICAL_FAILURES, ids=lambda c: c.__name__)
+    def test_numerical_failure_exits_3(self, cls, big_fit, monkeypatch, capsys):
+        resp_path, fit_path = big_fit
+        monkeypatch.setattr(cli, "heldout_loglik", _raise(cls))
+        code = main(["heldout", "--fit", str(fit_path), "--responses", str(resp_path),
+                     "--fraction", "0.25", "--r-eval", "4"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: numerical failure: injected")
+        assert "Traceback" not in err
 
     def test_bad_fraction_exits_2(self, big_fit, tmp_path):
         resp_path, fit_path = big_fit

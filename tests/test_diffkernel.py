@@ -63,7 +63,15 @@ OPS = {
     "concat_cols": (2, lambda tape, a, b: dk.concat_cols(tape, a, b), None),
     "clamp_min": (1, lambda tape, a: dk.clamp_min(tape, a, -0.25), None),
     "tril_inverse": (1, None, None),
+    "repeat_rows": (1, lambda tape, a: dk.repeat_rows(tape, a, 3), None),
+    "ordinal_loglik": (3, None, None),
 }
+
+# ordinal_loglik fixture: 3 respondents x 2 rows each, 3 items with 3, 2 and
+# 3 categories (the second boundary of item 1 is padding), one entry missing
+ORD_LEVELS = np.array([[0, 1, 2], [2, 0, 1], [1, 1, 0]])
+ORD_MISSING = np.array([[False, False, False], [False, True, False], [False, False, False]])
+ORD_CATEGORIES = np.array([3, 2, 3])
 
 
 def _build_inputs(name, rng):
@@ -84,6 +92,10 @@ def _build_inputs(name, rng):
         a = np.tril(rng.uniform(-1.0, 1.0, size=(4, 4)))
         np.fill_diagonal(a, rng.uniform(0.5, 1.5, size=4))
         return [a]
+    if name == "ordinal_loglik":
+        # logits, then strictly decreasing boundary intercepts per item
+        cut1 = rng.uniform(0.2, 1.0, size=(3, 1))
+        return [draw((6, 3)), cut1, cut1 - rng.uniform(0.5, 1.5, size=(3, 1))]
     n_in = OPS[name][0]
     return [draw((3, 4)) for _ in range(n_in)]
 
@@ -95,6 +107,9 @@ def _apply(name, tape, tensors):
         return dk.mul_colvec(tape, tensors[0], tensors[1])
     if name == "tril_inverse":
         return dk.tril_inverse(tape, tensors[0])
+    if name == "ordinal_loglik":
+        return dk.ordinal_loglik(tape, tensors[0], tensors[1:], ORD_LEVELS, ORD_MISSING,
+                                 ORD_CATEGORIES, 1e-300, tile=2)
     return OPS[name][1](tape, *tensors)
 
 
@@ -298,3 +313,43 @@ class TestTape:
         x = dk.parameter(np.ones((3, 4)))
         tape.backward(dk.tsum(tape, dk.gelu(tape, x)))
         assert x.grad.shape == x.shape
+
+
+class TestRepeatRows:
+    def test_rows_repeat_back_to_back(self):
+        out = dk.repeat_rows(None, dk.const([[1.0, 2.0], [3.0, 4.0]]), 2)
+        np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [3, 4], [3, 4]])
+
+    def test_backward_sums_each_group(self):
+        tape = dk.Tape()
+        x = dk.parameter([[1.0], [2.0]])
+        out = dk.repeat_rows(tape, x, 3)
+        w = dk.const(np.arange(6.0).reshape(6, 1))
+        tape.backward(dk.tsum(tape, dk.mul(tape, out, w)))
+        np.testing.assert_array_equal(x.grad, [[0 + 1 + 2], [3 + 4 + 5]])
+
+    def test_single_repeat_is_identity(self):
+        x = dk.parameter([[1.0, 2.0]])
+        assert dk.repeat_rows(dk.Tape(), x, 1) is x
+
+    def test_nonpositive_count_rejected(self):
+        with pytest.raises(dk.ShapeError):
+            dk.repeat_rows(None, dk.const([[1.0]]), 0)
+
+
+class TestOrdinalLoglik:
+    def test_logits_must_match_respondents_times_tile(self):
+        with pytest.raises(dk.ShapeError):
+            dk.ordinal_loglik(None, dk.const(np.zeros((5, 3))), [dk.const(np.zeros((3, 1)))],
+                              np.zeros((3, 3), dtype=int), np.zeros((3, 3), dtype=bool),
+                              np.array([2, 2, 2]), 1e-300, tile=2)
+
+    def test_two_categories_is_bernoulli(self):
+        # one boundary: P(y=1) = sigmoid(t + a), P(y=0) = 1 - sigmoid(t + a)
+        t, a = 0.3, -0.1
+        s = 1.0 / (1.0 + math.exp(-(t + a)))
+        for level, expected in ((0, math.log(1.0 - s)), (1, math.log(s))):
+            out = dk.ordinal_loglik(None, dk.const([[t]]), [dk.const([[a]])],
+                                    np.array([[level]]), np.array([[False]]), np.array([2]),
+                                    1e-300)
+            assert abs(out.item() - expected) < 1e-15

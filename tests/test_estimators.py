@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradedvi import diffkernel as dk
+from gradedvi import fitting as fitting_mod
 from gradedvi import grm as G
 from gradedvi.estimators import (
     DegeneratePosteriorError,
@@ -38,6 +39,7 @@ from gradedvi.nets import (
     GaussianEncoder,
     encode_responses,
 )
+from gradedvi.optim import NumericalError
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -495,6 +497,27 @@ class TestTrainingStep:
                  + (state.disc.parameters() if state.disc else []))
         for p, b in zip(after, before):
             np.testing.assert_array_equal(p.data, b)
+
+    def test_nonfinite_discriminator_gradient_moves_no_group(self, monkeypatch):
+        # psi steps last; a NaN there must not leave theta and phi half-updated
+        state, resp, feats = self._state("IWAVB")
+        original = fitting_mod.avb_discriminator_loss
+
+        def nan_loss(tape, *args, **kwargs):
+            return dk.mul(tape, original(tape, *args, **kwargs), math.nan)
+
+        monkeypatch.setattr(fitting_mod, "avb_discriminator_loss", nan_loss)
+        opts = (state.opt_theta, state.opt_phi, state.opt_psi)
+        before = [(opt.t, [p.data.copy() for p in opt.params], [m.copy() for m in opt._m])
+                  for opt in opts]
+        with pytest.raises(NumericalError, match="disc"):
+            training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        assert state.t == 0
+        for opt, (t, data, moments) in zip(opts, before):
+            assert opt.t == t
+            for p, d, m_now, m in zip(opt.params, data, opt._m, moments):
+                np.testing.assert_array_equal(p.data, d)
+                np.testing.assert_array_equal(m_now, m)
 
     def test_smoke_train_improves_moving_average(self):
         rng = np.random.default_rng(24)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedvi import diffkernel as dk
 from gradedvi import grm
@@ -275,6 +277,90 @@ class TestGraphPath:
                 fd[idx] = (fp - fm) / (2 * h)
             leaf.data = base
             assert np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
+
+
+def _fd(f, x0, h=1e-5):
+    g = np.zeros_like(x0)
+    for idx in np.ndindex(*x0.shape):
+        xp, xm = x0.copy(), x0.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        g[idx] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+class TestFusedLikelihoodOp:
+    """dk.ordinal_loglik, the training-path likelihood, against the array
+    twin and against central differences."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cats=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+           n_resp=st.integers(1, 3), tile=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_array_path_and_finite_differences(self, cats, n_resp, tile, seed):
+        rng = np.random.default_rng(seed)
+        cats = np.asarray(cats)
+        M, P = len(cats), 2
+        maxc = int(cats.max())
+        intercepts = [np.sort(rng.normal(0.0, 1.0, size=c - 1))[::-1] - np.arange(c - 1) * 1e-2
+                      for c in cats]
+        values = GrmValues(loadings=rng.normal(0.0, 1.0, size=(M, P)),
+                           intercepts=intercepts, factor_corr=np.eye(P))
+        x = np.stack([rng.integers(0, c, size=n_resp + 1) for c in cats], axis=1)
+        x[rng.random(x.shape) < 0.2] = MISSING
+        # respondent 0, item 0: the lowest category at a huge logit, so its
+        # probability 1 - sigmoid(800 + a) underflows to exactly 0
+        x[0, 0] = 0
+        z = rng.normal(0.0, 1.5, size=((n_resp + 1) * tile, P))
+        logits0 = z @ values.loadings.T
+        logits0[:tile, 0] = 800.0
+        # padded boundary columns hold finite junk the op must ignore
+        table = values.intercept_matrix(maxc)
+        cuts0 = [np.where(np.isfinite(table[:, k:k + 1]), table[:, k:k + 1], 7.0)
+                 for k in range(maxc - 1)]
+        sel = response_selectors(x, cats)
+        weights = np.linspace(0.5, 1.5, logits0.shape[0]).reshape(-1, 1)
+
+        def forward(tape, logits, cuts, selectors=sel):
+            out = dk.ordinal_loglik(tape, logits, cuts, selectors["levels"],
+                                    selectors["missing"], selectors["categories"],
+                                    grm._PROB_FLOOR, tile=tile)
+            return dk.tsum(tape, dk.mul(tape, out, dk.const(weights)))
+
+        def objective(logits, cuts):
+            return forward(None, dk.const(logits), [dk.const(c) for c in cuts]).item()
+
+        def gradients(selectors):
+            tape = dk.Tape()
+            logits = dk.parameter(logits0)
+            cuts = [dk.parameter(c) for c in cuts0]
+            tape.backward(forward(tape, logits, cuts, selectors))
+            return logits.grad, [c.grad for c in cuts]
+
+        # forward: equal to the array twin on explicitly repeated rows
+        got = grm.conditional_loglik(None, {"beta": dk.const(values.loadings),
+                                            "alpha_cols": [dk.const(c) for c in cuts0]},
+                                     dk.const(z), sel, tile=tile).data[:, 0]
+        expected = conditional_loglik_values(np.repeat(x, tile, axis=0), z, values)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+        g_logits, g_cuts = gradients(sel)
+        # the floored entry contributes exactly zero gradient
+        assert np.all(g_logits[:tile, 0] == 0.0)
+        fd = _fd(lambda a: objective(a, cuts0), logits0)
+        np.testing.assert_allclose(g_logits, fd, rtol=1e-5, atol=1e-6)
+        for k, g in enumerate(g_cuts):
+            fd = _fd(lambda a, k=k: objective(logits0, cuts0[:k] + [a] + cuts0[k + 1:]),
+                     cuts0[k])
+            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6)
+
+        # ... and the same zero to the intercepts: marking it missing changes no gradient
+        sel_m = dict(sel, missing=sel["missing"].copy())
+        sel_m["missing"][0, 0] = True
+        g_logits_m, g_cuts_m = gradients(sel_m)
+        np.testing.assert_array_equal(g_logits_m, g_logits)
+        for a, b in zip(g_cuts_m, g_cuts):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestInitParams:

@@ -150,6 +150,39 @@ class TestGaussianEncoder:
         with pytest.raises(dk.ShapeError):
             enc.encode(None, dk.const(np.zeros((2, 6))), dk.const(np.zeros((2, 3))))
 
+    def test_per_respondent_heads_match_tiled_rows(self):
+        # B rows with R draws each against the same rows repeated R times
+        enc = self._encoder()
+        rng = np.random.default_rng(6)
+        B, R = 4, 5
+        x = rng.normal(size=(B, 6))
+        u = dk.const(rng.normal(size=(B * R, 2)))
+        w = dk.const(rng.normal(size=(B * R, 2)))
+
+        def run(rows):
+            tape = dk.Tape()
+            z, mu, sigma = enc.encode(tape, dk.const(rows), u)
+            loss = dk.add(tape, dk.tsum(tape, dk.mul(tape, z, w)),
+                          dk.tsum(tape, dk.mul(tape, sigma, mu)))
+            tape.backward(loss)
+            grads = [p.grad.copy() for p in enc.parameters()]
+            for p in enc.parameters():
+                p.zero_grad()
+            return (z.data, mu.data, sigma.data), grads
+
+        vals, grads = run(x)
+        vals_t, grads_t = run(np.repeat(x, R, axis=0))
+        for a, b in zip(vals, vals_t):
+            assert a.shape == (B * R, 2)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_t):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_noise_rows_must_be_a_multiple_of_input_rows(self):
+        enc = self._encoder()
+        with pytest.raises(dk.ShapeError, match="multiple"):
+            enc.encode(None, dk.const(np.zeros((3, 6))), dk.const(np.zeros((7, 2))))
+
 
 class TestBlackBoxEncoder:
     def _encoder(self, seed=20):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gradedvi.diffkernel import parameter
-from gradedvi.optim import AdamW, ClrSchedule, ConvergenceMonitor, NumericalError, clr_lr
+from gradedvi.optim import (AdamW, ClrSchedule, ConvergenceMonitor, NumericalError, clr_lr,
+                            step_all)
 
 
 class TestAdamW:
@@ -75,6 +76,69 @@ class TestAdamW:
         opt = AdamW([p])
         with pytest.raises(NumericalError, match="loadings_raw"):
             opt.step(0.001)
+
+    @staticmethod
+    def _snapshot(opts):
+        return [(opt.t, [p.data.copy() for p in opt.params],
+                 [m.copy() for m in opt._m], [v.copy() for v in opt._v]) for opt in opts]
+
+    @staticmethod
+    def _warm_groups(rng):
+        """Three optimizers, as theta/phi/psi in training, one step in."""
+        opts = [AdamW([parameter(rng.normal(size=(2, 3)), name=f"g{i}.p{j}")
+                       for j in range(3)]) for i in range(3)]
+        for opt in opts:
+            for p in opt.params:
+                p.grad = rng.normal(size=p.data.shape)
+        step_all([(opt, 0.01) for opt in opts])
+        for opt in opts:
+            for p in opt.params:
+                p.grad = rng.normal(size=p.data.shape)
+        return opts
+
+    def test_nonfinite_last_gradient_moves_no_group(self):
+        opts = self._warm_groups(np.random.default_rng(3))
+        opts[-1].params[-1].grad[1, 2] = np.inf
+        before = self._snapshot(opts)
+        with pytest.raises(NumericalError, match="g2.p2"):
+            step_all([(opts[0], 0.01), (opts[1], 0.01), (opts[2], 0.1)])
+        after = self._snapshot(opts)
+        for (t0, d0, m0, v0), (t1, d1, m1, v1) in zip(before, after):
+            assert t0 == t1 == 1
+            for a, b in zip(d0 + m0 + v0, d1 + m1 + v1):
+                np.testing.assert_array_equal(a, b)
+
+    def test_nonfinite_last_gradient_moves_no_parameter_of_its_group(self):
+        opt = self._warm_groups(np.random.default_rng(4))[0]
+        opt.params[-1].grad[0, 0] = np.nan
+        before = self._snapshot([opt])
+        with pytest.raises(NumericalError):
+            opt.step(0.01)
+        (t0, d0, m0, v0), = before
+        (t1, d1, m1, v1), = self._snapshot([opt])
+        assert t0 == t1
+        for a, b in zip(d0 + m0 + v0, d1 + m1 + v1):
+            np.testing.assert_array_equal(a, b)
+
+    def test_step_all_matches_separate_steps(self):
+        a = self._warm_groups(np.random.default_rng(5))
+        b = self._warm_groups(np.random.default_rng(5))
+        step_all([(opt, 0.02) for opt in a])
+        for opt in b:
+            opt.step(0.02)
+        for oa, ob in zip(a, b):
+            for pa, pb in zip(oa.params, ob.params):
+                np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_negative_rate_anywhere_moves_no_group(self):
+        opts = self._warm_groups(np.random.default_rng(6))
+        before = self._snapshot(opts)
+        with pytest.raises(ValueError):
+            step_all([(opts[0], 0.01), (opts[1], 0.01), (opts[2], -1.0)])
+        for (t0, d0, _, _), (t1, d1, _, _) in zip(before, self._snapshot(opts)):
+            assert t0 == t1
+            for x, y in zip(d0, d1):
+                np.testing.assert_array_equal(x, y)
 
 
 class TestClr:
