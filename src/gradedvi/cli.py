@@ -14,6 +14,8 @@ import hashlib
 import json
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .fitting import ConfigError, FitConfig, FitResult, fit, split_holdout
 from .grm import GrmParams, GrmValues, ResponseMatrix
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder
 from .optim import NumericalError
+from .rngutil import substream
 from .simlab import (
     DesignError,
     SimDesign,
@@ -162,27 +165,20 @@ def _load_config_with_overrides(args) -> FitConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """Mirror every flat FitConfig key as an optional override flag."""
-    int_fields = {"n_factors", "R", "S", "batch_size", "clr_step_size", "window",
-                  "patience", "max_iterations", "noise_dim", "seed", "r_eval"}
-    float_fields = {"base_lr", "disc_base_lr", "max_lr_factor", "min_delta",
-                    "weight_decay", "beta1", "beta2", "eps_stab", "holdout_fraction"}
-    bool_fields = {"dreg", "adaptive_contrast", "loading_positivity"}
-    list_fields = {"encoder_hidden", "disc_hidden"}
-    for name in FitConfig.__dataclass_fields__:
+    """Mirror every flat FitConfig key as an optional override flag, parsed
+    by the field's type (`int | None` parses as int)."""
+    for name, hint in typing.get_type_hints(FitConfig).items():
         flag = "--" + name.replace("_", "-")
-        if name in int_fields:
-            parser.add_argument(flag, type=int, default=None)
-        elif name in float_fields:
-            parser.add_argument(flag, type=float, default=None)
-        elif name in bool_fields:
+        if isinstance(hint, types.UnionType):
+            hint = next(h for h in typing.get_args(hint) if h is not type(None))
+        if hint is bool:
             parser.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"),
                                 default=None, metavar="BOOL")
-        elif name in list_fields:
+        elif typing.get_origin(hint) is list:
             parser.add_argument(flag, type=lambda s: [int(v) for v in s.split(",")],
                                 default=None, metavar="N,N,...")
         else:
-            parser.add_argument(flag, type=str, default=None)
+            parser.add_argument(flag, type=hint, default=None)
 
 
 def run_fit(responses_path: Path, config: FitConfig, out_dir: Path,
@@ -289,35 +285,51 @@ def cmd_eval(args) -> int:
 # heldout
 
 
+def _read_ids(path: Path, n: int) -> np.ndarray:
+    """Holdout ids from a whitespace-separated file: distinct, in [0, n)."""
+    try:
+        ids = np.asarray([int(v) for v in path.read_text().split()], dtype=np.int64)
+    except (OSError, ValueError) as err:
+        raise ValueError(f"bad ids file: {err}") from err
+    if ids.size == 0:
+        raise ValueError(f"bad ids file: {path} lists no ids")
+    if np.unique(ids).size != ids.size:
+        raise ValueError(f"bad ids file: {path} repeats an id")
+    outside = ids[(ids < 0) | (ids >= n)]
+    if outside.size:
+        raise ValueError(f"bad ids file: id {outside[0]} outside 0..{n - 1}")
+    return ids
+
+
+def _holdout_ids(args, config: FitConfig, n: int) -> np.ndarray:
+    if args.ids:
+        return _read_ids(Path(args.ids), n)
+    fraction = args.fraction if args.fraction is not None else config.holdout_fraction
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    _, ids = split_holdout(n, fraction, config.seed)
+    if ids.size == 0:
+        raise ValueError(f"fraction {fraction} of {n} respondents holds out no one")
+    return ids
+
+
 def cmd_heldout(args) -> int:
     try:
         params, encoder, disc, config, doc = load_fit_bundle(Path(args.fit))
         responses = read_responses_csv(Path(args.responses))
+        ids = _holdout_ids(args, config, responses.n_respondents)
+        r_eval = args.r_eval if args.r_eval is not None else config.r_eval
+        if r_eval < 1:
+            raise ValueError(f"r-eval must be >= 1, got {r_eval}")
+        adaptive_contrast = config.estimator_config().adaptive_contrast
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    if args.ids:
-        try:
-            ids = np.asarray(
-                [int(line) for line in Path(args.ids).read_text().split()], dtype=np.int64)
-        except (OSError, ValueError) as err:
-            print(f"error: bad ids file: {err}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        fraction = args.fraction if args.fraction is not None else config.holdout_fraction
-        if not 0.0 < fraction < 1.0:
-            print(f"error: fraction must be in (0, 1), got {fraction}", file=sys.stderr)
-            return EXIT_INPUT
-        _, ids = split_holdout(responses.n_respondents, fraction, config.seed)
-    r_eval = args.r_eval if args.r_eval is not None else config.r_eval
-    from .rngutil import substream
     rng = substream(config.seed, "heldout-eval")
     try:
         report = heldout_loglik(responses.subset(ids), params, encoder, rng,
                                 R_eval=r_eval, disc=disc,
-                                adaptive_contrast=bool(config.estimator == "IWAVB"
-                                                       or (config.estimator == "AVB"
-                                                           and config.adaptive_contrast)))
+                                adaptive_contrast=adaptive_contrast)
     except NUMERICAL_ERRORS as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -350,13 +362,11 @@ def _scree_one(packed):
     train_idx, hold_idx = split_holdout(responses.n_respondents,
                                         config.holdout_fraction, config.seed)
     result = fit(responses.subset(train_idx), config)
-    from .rngutil import substream
     rng = substream(config.seed, "heldout-eval")
     report = heldout_loglik(
         responses.subset(hold_idx), result.params, result.encoder, rng,
         R_eval=config.r_eval, disc=result.disc,
-        adaptive_contrast=result.config.estimator_config().adaptive_contrast
-        if result.disc is not None else False)
+        adaptive_contrast=config.estimator_config().adaptive_contrast)
     fit_dir = Path(out_dir) / f"P{p}"
     fit_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(fit_dir / "fit.json", result.to_json_dict())

@@ -8,7 +8,9 @@ a handful of structural helpers (concat, reshape, repeat_rows, stop_gradient,
 triangular inverse), and one fused cumulative-logit likelihood.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
-training step; they are never shared between workers.
+training step; they are never shared between workers.  Every op also runs
+with tape=None: it computes its value and records nothing, which is how
+evaluation runs the training code.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _make(tape: Tape | None, op: str, inputs, out_data, backward) -> Tensor2:
     return out
 
 
-def _as_pair(a: Tensor2, b) -> tuple[Tensor2, bool]:
+def _as_pair(b) -> tuple[Tensor2 | None, bool]:
     """Return (b_tensor_or_none, is_scalar)."""
     if isinstance(b, Tensor2):
         return b, False
@@ -209,7 +211,7 @@ def tril_inverse(tape: Tape | None, x: Tensor2) -> Tensor2:
 
 
 def add(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(a, b)
+    bt, is_scalar = _as_pair(b)
     if is_scalar:
         def backward(g):
             _accum(a, g, own=False)
@@ -228,7 +230,7 @@ def add(tape: Tape | None, a: Tensor2, b) -> Tensor2:
 
 
 def sub(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(a, b)
+    bt, is_scalar = _as_pair(b)
     if is_scalar:
         def backward(g):
             _accum(a, g, own=False)
@@ -244,7 +246,7 @@ def sub(tape: Tape | None, a: Tensor2, b) -> Tensor2:
 
 
 def mul(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(a, b)
+    bt, is_scalar = _as_pair(b)
     if is_scalar:
         c = float(b)
 
@@ -328,15 +330,6 @@ def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
     return np.where(xd >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(tape: Tape | None, x: Tensor2) -> Tensor2:
-    out_data = _sigmoid_values(x.data)
-
-    def backward(g):
-        _accum(x, out_data * (1.0 - out_data) * g)
-
-    return _make(tape, "sigmoid", (x,), out_data, backward)
-
-
 def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
     """Exact x * Phi(x) with Phi the standard normal CDF (erf form)."""
     xd = x.data
@@ -348,16 +341,6 @@ def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
         _accum(x, (cdf + xd * pdf) * g)
 
     return _make(tape, "gelu", (x,), out_data, backward)
-
-
-def clamp_min(tape: Tape | None, x: Tensor2, floor: float) -> Tensor2:
-    out_data = np.maximum(x.data, floor)
-    mask = x.data > floor
-
-    def backward(g):
-        _accum(x, g * mask)
-
-    return _make(tape, "clamp_min", (x,), out_data, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,15 @@ encoder and the discriminator still take tiled feature rows, because their
 inputs mix features with per-draw noise.
 
 Gradient routing relies on two facts: stop_gradient() detaches values, and
-every network/decoder can run "frozen" (parameters wrapped as constants), so
-a single backward pass per tape yields exactly the gradients one parameter
-group should receive.
+the decoder and the discriminator can run "frozen" (parameters wrapped as
+constants), so a single backward pass per tape yields exactly the gradients
+one parameter group should receive.  The discriminator is always frozen in
+the weight path: it trains on its classification loss only.
+
+Evaluation runs the same code without a tape: `heldout_loglik` takes its
+encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
+functions the training objectives use.  Only the GRM likelihood has a
+separate plain-array form there (`grm.joint_logprob_values`).
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ from . import diffkernel as dk
 from . import grm as grm_mod
 from .diffkernel import Tape, Tensor2
 from .grm import GrmParams, GrmValues, ResponseMatrix, response_selectors
-from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder
+from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder, encode_responses
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_HELDOUT_BLOCK_ROWS = 200_000  # latent draws per heldout block; bounds peak memory
 
 VALID_KINDS = ("VAE", "IWAE", "AVB", "IWAVB")
 
@@ -136,15 +143,14 @@ def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                          encoder: GaussianEncoder, params: GrmParams,
                          R: int, S: int, u: np.ndarray,
                          stop_q_params: bool = False,
-                         frozen_decoder: bool = False,
-                         frozen_encoder: bool = False) -> dict:
+                         frozen_decoder: bool = False) -> dict:
     """log w = log p(x, z) - log q(z | x) for reparameterized draws.
 
     u has B*S*R rows; returns graph tensors plus the batch size triple.
     """
     B = x.shape[0]
     tile = S * R
-    z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u), frozen=frozen_encoder)
+    z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
     logq = gaussian_logq(tape, z, mu, sigma, stop_params=stop_q_params)
     eff = params.effective(tape, frozen=frozen_decoder)
     sel = response_selectors(x, params.categories)
@@ -156,21 +162,11 @@ def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
 
 def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                   encoder: GaussianEncoder, params: GrmParams,
-                  u: np.ndarray, S: int = 1, kl: str = "closed",
-                  frozen_decoder: bool = False) -> Tensor2:
-    """Per-respondent ELBO (B, 1).
-
-    kl="closed" uses the analytic KL against N(0, I); kl="mc" evaluates
-    log p(x, z) - log q(z | x) at the drawn z, which is the R=1 importance
-    weight on the same draws.
-    """
+                  u: np.ndarray, S: int = 1) -> Tensor2:
+    """Per-respondent ELBO (B, 1) with the analytic KL against N(0, I)."""
     B = x.shape[0]
-    if kl == "mc":
-        bundle = gaussian_log_weights(tape, x, feats, encoder, params, 1, S, u,
-                                      frozen_decoder=frozen_decoder)
-        return iw_elbo_from_log_w(tape, bundle["log_w"], B, 1, S)
     z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
-    eff = params.effective(tape, frozen=frozen_decoder)
+    eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
     recon = grm_mod.conditional_loglik(tape, eff, z, sel, tile=S)
     # KL(N(mu, sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - 1 - 2 log sigma)
@@ -186,25 +182,35 @@ def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
 # adversarial path
 
 
+def contrast_logq(tape: Tape | None, t_out: Tensor2, z_std: Tensor2,
+                  sigma_hat: np.ndarray, tile: int) -> Tensor2:
+    """Adaptive-contrast surrogate log q(z|x) per row,
+        T(x, z_std) - 0.5 ||z_std||^2 - (P/2) log 2pi - sum_p log sigma_hat_p,
+    from the discriminator logits t_out = T(x, z_std) and the (B, P) moment
+    estimates, whose rows repeat over `tile` draws per respondent."""
+    P = z_std.cols
+    norm2 = dk.sum_rows(tape, dk.square(tape, z_std))
+    logq = dk.sub(tape, t_out, dk.mul(tape, norm2, 0.5))
+    logq = dk.add(tape, logq, -0.5 * P * _LOG_2PI)
+    log_sig = np.log(sigma_hat).sum(axis=1, keepdims=True)
+    return dk.sub(tape, logq, dk.const(tile_rows(log_sig, tile)))
+
+
 def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                     encoder: BlackBoxEncoder, disc: Discriminator,
                     params: GrmParams, config: EstimatorConfig,
                     eps: np.ndarray, moment_eps: np.ndarray | None = None,
                     moments: tuple[np.ndarray, np.ndarray] | None = None,
-                    frozen_disc: bool = True,
-                    frozen_decoder: bool = False,
-                    frozen_encoder: bool = False) -> tuple[dict, WeightBundle]:
+                    frozen_decoder: bool = False) -> tuple[dict, WeightBundle]:
     """Importance weights with the discriminator standing in for log q.
 
-    Adaptive contrast: log q(z|x) is estimated as
-        T(x, z_std) - 0.5 ||z_std||^2 - (P/2) log 2pi - sum_p log sigma_hat_p
-    with z_std = (z - mu_hat) / sigma_hat and the moment estimates treated as
+    Adaptive contrast: log q(z|x) is `contrast_logq` at
+    z_std = (z - mu_hat) / sigma_hat, with the moment estimates treated as
     constants.  Plain mode contrasts against the prior instead:
         log q(z|x) = T(x, z) + log p(z).
 
-    The discriminator runs frozen by default: its parameters must not
-    receive gradients from the weight path (they train on the
-    classification loss only).
+    The discriminator runs frozen: its parameters must not receive gradients
+    from the weight path (they train on the classification loss only).
     """
     B = x.shape[0]
     R, S = config.R, config.S
@@ -212,7 +218,7 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     P = encoder.latent_dim
     feats_t_arr = tile_rows(feats, tile)
     feats_t = dk.const(feats_t_arr)
-    z = encoder.encode(tape, feats_t, dk.const(eps), frozen=frozen_encoder)
+    z = encoder.encode(tape, feats_t, dk.const(eps))
     eff = params.effective(tape, frozen=frozen_decoder)
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
@@ -231,18 +237,14 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
         mu_t = dk.const(tile_rows(mu_hat, tile))
         sig_t = dk.const(tile_rows(sigma_hat, tile))
         z_std = dk.div(tape, dk.sub(tape, z, mu_t), sig_t)
-        t_out = disc.forward(tape, feats_t, z_std, frozen=frozen_disc)
-        norm2 = dk.sum_rows(tape, dk.square(tape, z_std))
-        logq = dk.sub(tape, t_out, dk.mul(tape, norm2, 0.5))
-        logq = dk.add(tape, logq, -0.5 * P * _LOG_2PI)
-        log_sig = np.log(sigma_hat).sum(axis=1, keepdims=True)
-        logq = dk.sub(tape, logq, dk.const(tile_rows(log_sig, tile)))
+        t_out = disc.forward(tape, feats_t, z_std, frozen=True)
+        logq = contrast_logq(tape, t_out, z_std, sigma_hat, tile)
         z_std_vals = z_std.data
     else:
         mu_hat = sigma_hat = None
         z_std = z
         z_std_vals = z.data
-        t_out = disc.forward(tape, feats_t, z, frozen=frozen_disc)
+        t_out = disc.forward(tape, feats_t, z, frozen=True)
         prior = grm_mod.prior_logpdf(tape, eff, z)
         logq = dk.add(tape, t_out, prior)
 
@@ -298,27 +300,6 @@ def dreg_phi_surrogate(tape: Tape | None, log_w: Tensor2,
     return dk.mul(tape, dk.tsum(tape, weighted), 1.0 / (B * S))
 
 
-def iw_elbo(tape: Tape | None, x: np.ndarray, feats: np.ndarray, encoder,
-            params: GrmParams, config: EstimatorConfig, noise: np.ndarray,
-            disc: Discriminator | None = None,
-            moment_eps: np.ndarray | None = None,
-            moments: tuple[np.ndarray, np.ndarray] | None = None,
-            frozen_decoder: bool = False) -> Tensor2:
-    """Per-respondent IW-ELBO (B, 1) for either encoder family."""
-    B = x.shape[0]
-    if isinstance(encoder, GaussianEncoder):
-        bundle = gaussian_log_weights(tape, x, feats, encoder, params,
-                                      config.R, config.S, noise,
-                                      frozen_decoder=frozen_decoder)
-        return iw_elbo_from_log_w(tape, bundle["log_w"], B, config.R, config.S)
-    if disc is None:
-        raise ValueError("adversarial estimators need a discriminator")
-    graph, _ = avb_log_weights(tape, x, feats, encoder, disc, params, config,
-                               noise, moment_eps=moment_eps, moments=moments,
-                               frozen_decoder=frozen_decoder)
-    return iw_elbo_from_log_w(tape, graph["log_w"], B, config.R, config.S)
-
-
 # ---------------------------------------------------------------------------
 # oracles and evaluation
 
@@ -328,36 +309,6 @@ def logmeanexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.exp(a - m).mean(axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
-
-
-def gaussian_log_weight_values(x: ResponseMatrix, params: GrmParams,
-                               encoder: GaussianEncoder, rng: np.random.Generator,
-                               n_draws: int, block_rows: int = 500_000) -> np.ndarray:
-    """(N, n_draws) log importance weights on the plain-array path.
-
-    Used by evaluation-style checks where the tape would only add overhead.
-    """
-    from .nets import encode_responses
-
-    values = params.values()
-    data = x.data
-    N = data.shape[0]
-    feats, _ = encode_responses(data, params.categories)
-    mu, sigma = encoder.heads_values(feats)
-    P = values.n_factors
-    out = np.empty((N, n_draws))
-    block = max(1, block_rows // n_draws)
-    for s in range(0, N, block):
-        e = min(N, s + block)
-        nb = e - s
-        u = rng.standard_normal((nb * n_draws, P))
-        z = np.repeat(mu[s:e], n_draws, axis=0) + np.repeat(sigma[s:e], n_draws, axis=0) * u
-        logq = (-0.5 * (u * u).sum(axis=1)
-                - np.repeat(np.log(sigma[s:e]).sum(axis=1), n_draws)
-                - 0.5 * P * _LOG_2PI)
-        logp = grm_mod.joint_logprob_values(np.repeat(data[s:e], n_draws, axis=0), z, values)
-        out[s:e] = (logp - logq).reshape(nb, n_draws)
-    return out
 
 
 def marginal_loglik_quadrature(x: ResponseMatrix | np.ndarray, values: GrmValues,
@@ -402,55 +353,48 @@ class HeldoutReport:
 def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
                    rng: np.random.Generator, R_eval: int = 5000,
                    disc: Discriminator | None = None,
-                   adaptive_contrast: bool = True,
-                   feats: np.ndarray | None = None,
-                   block_rows: int = 200_000) -> HeldoutReport:
+                   adaptive_contrast: bool = True) -> HeldoutReport:
     """Importance-sampled marginal log-likelihood of withheld respondents.
 
     Gaussian encoders use their exact density; adversarial fits use the
     trained discriminator's density surrogate (an estimate, not a bound,
-    flagged in the report).
+    flagged in the report).  The log-weights are those of
+    `gaussian_log_weights` and `avb_log_weights` at R = R_eval, computed
+    block by block without a tape.
     """
-    from .nets import encode_responses  # local import to avoid cycle at module load
-
     values = params.values()
     x = x_holdout.data
     H = x.shape[0]
-    if feats is None:
-        feats, _ = encode_responses(x, params.categories)
+    feats, _ = encode_responses(x, params.categories)
     P = values.n_factors
     gaussian = isinstance(encoder, GaussianEncoder)
-    block = max(1, block_rows // R_eval)
+    block = max(1, _HELDOUT_BLOCK_ROWS // R_eval)
     per_resp = np.empty(H)
     for start in range(0, H, block):
         stop = min(H, start + block)
         nb = stop - start
-        fb = np.repeat(feats[start:stop], R_eval, axis=0)
         if gaussian:
             mu, sigma = encoder.heads_values(feats[start:stop])
             u = rng.standard_normal((nb * R_eval, P))
-            z = np.repeat(mu, R_eval, axis=0) + np.repeat(sigma, R_eval, axis=0) * u
-            logq = (-0.5 * (u * u).sum(axis=1)
-                    - np.repeat(np.log(sigma).sum(axis=1), R_eval)
-                    - 0.5 * P * _LOG_2PI)
+            mu = dk.const(tile_rows(mu, R_eval))
+            sigma = dk.const(tile_rows(sigma, R_eval))
+            z = dk.add(None, mu, dk.mul(None, sigma, dk.const(u)))
+            logq = gaussian_logq(None, z, mu, sigma).data[:, 0]
+            z = z.data
         else:
+            fb = tile_rows(feats[start:stop], R_eval)
             eps = rng.standard_normal((nb * R_eval, encoder.noise_dim))
             z = encoder.encode_values(fb, eps)
             if adaptive_contrast:
-                draws = z.reshape(nb, R_eval, P)
-                mu_hat, sigma_hat = moment_estimates(draws)
-                z_std = (z - np.repeat(mu_hat, R_eval, axis=0)) / np.repeat(sigma_hat, R_eval, axis=0)
-                t_vals = disc.forward_values(fb, z_std)[:, 0]
-                logq = (t_vals - 0.5 * (z_std * z_std).sum(axis=1)
-                        - 0.5 * P * _LOG_2PI
-                        - np.repeat(np.log(sigma_hat).sum(axis=1), R_eval))
+                mu_hat, sigma_hat = moment_estimates(z.reshape(nb, R_eval, P))
+                z_std = (z - tile_rows(mu_hat, R_eval)) / tile_rows(sigma_hat, R_eval)
+                t_out = disc.forward_values(fb, z_std)
+                logq = contrast_logq(None, dk.const(t_out), dk.const(z_std),
+                                     sigma_hat, R_eval).data[:, 0]
             else:
-                t_vals = disc.forward_values(fb, z)[:, 0]
-                logq = t_vals + grm_mod.prior_logpdf_values(z, values)
-        logp = grm_mod.joint_logprob_values(np.repeat(x[start:stop], R_eval, axis=0), z, values)
-        log_w = (logp - logq).reshape(nb, R_eval)
-        m = log_w.max(axis=1)
-        per_resp[start:stop] = m + np.log(np.exp(log_w - m[:, None]).mean(axis=1))
+                logq = disc.forward_values(fb, z)[:, 0] + grm_mod.prior_logpdf_values(z, values)
+        logp = grm_mod.joint_logprob_values(tile_rows(x[start:stop], R_eval), z, values)
+        per_resp[start:stop] = logmeanexp((logp - logq).reshape(nb, R_eval), axis=1)
     return HeldoutReport(total=float(per_resp.sum()),
                          per_respondent_mean=float(per_resp.mean()),
                          n_respondents=H, r_eval=R_eval,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import time
+import types
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -98,6 +100,14 @@ class FitConfig:
             raise ConfigError("holdout_fraction: must be in (0, 1)")
         if self.r_eval < 1:
             raise ConfigError("r_eval: must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps_stab > 0:
+            raise ConfigError("eps_stab: must be > 0")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay: must be >= 0")
+        if self.noise_dim is not None and self.noise_dim < 1:
+            raise ConfigError("noise_dim: must be >= 1 when set")
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(kind=self.estimator, R=self.R, S=self.S,
@@ -118,7 +128,24 @@ class FitConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in doc.items():
+            if not _has_type(value, hints[name]):
+                raise ConfigError(f"{name}: expected {hints[name]}, got {value!r}")
         return cls(**doc)
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a FitConfig field hint.  An int is a float here;
+    a bool is neither an int nor a float."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -240,7 +267,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     if est.kind == "VAE":
         u = rng.standard_normal((b * S, P))
         tape = Tape()
-        per = elbo_gaussian(tape, x_batch, feats_batch, encoder, params, u, S=S, kl="closed")
+        per = elbo_gaussian(tape, x_batch, feats_batch, encoder, params, u, S=S)
         root = dk.mul(tape, dk.tmean(tape, per), -1.0)
         tape.backward(root)
         diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
@@ -278,7 +305,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
         tape1 = Tape()
         graph1, bundle = avb_log_weights(
             tape1, x_batch, feats_batch, encoder, state.disc, params, est, eps,
-            moment_eps=moment_eps, frozen_disc=True, frozen_decoder=True)
+            moment_eps=moment_eps, frozen_decoder=True)
         if est.dreg:
             sur = dreg_phi_surrogate(tape1, graph1["log_w"], bundle.w_tilde, b, S)
         else:
@@ -326,8 +353,7 @@ def fit(responses: ResponseMatrix, config: FitConfig, step_callback=None) -> Fit
                             config.clr_step_size)
     sched_disc = ClrSchedule(config.disc_base_lr, config.disc_base_lr * config.max_lr_factor,
                              config.clr_step_size)
-    monitor = ConvergenceMonitor(patience=config.patience, min_delta=config.min_delta,
-                                 window=config.window)
+    monitor = ConvergenceMonitor(patience=config.patience, min_delta=config.min_delta)
     batch_rng = substream(config.seed, "batches")
 
     trace = {"iteration": [], "batch_iw_elbo": [], "disc_loss": [],

@@ -1,15 +1,16 @@
 """Graded response decoder: ordered-category probabilities, conditional and
 joint log-likelihoods, and the constrained trainable parameterization.
 
-Two evaluation paths exist on purpose.  The tape-based builders
-(`conditional_loglik`, `joint_logprob`) are used inside training so gradients
-flow to the raw parameters; after the logit matmul the conditional
-likelihood is one fused `diffkernel.ordinal_loglik` node that gathers each
-respondent's category boundaries once and broadcasts them over that
-respondent's latent draws.  The plain-array twins (`*_values` functions plus
-`category_probs`/`category_logprob`) back data generation, quadrature oracles
-and heldout evaluation, where no tape is needed.  A parity test keeps the two
-paths identical.
+The constrained map from raw leaves to loadings, intercepts and the factor
+correlation exists once, as `GrmParams.effective` on the tape;
+`GrmParams.values` runs it without a tape.  The training likelihood
+(`conditional_loglik`, `joint_logprob`) is a logit matmul plus one fused
+`diffkernel.ordinal_loglik` node that gathers each respondent's category
+boundaries once and broadcasts them over that respondent's latent draws.
+The plain-array likelihood (`*_values` functions plus
+`category_probs`/`category_logprob`) backs data generation, quadrature
+oracles and heldout evaluation; a parity test keeps it equal to the fused
+op.
 """
 
 from __future__ import annotations
@@ -35,13 +36,8 @@ class DataError(ValueError):
     """Invalid response data."""
 
 
-def softplus(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
-
-
 def softplus_inv(y):
-    """Inverse of softplus for strictly positive y."""
+    """Inverse of softplus (`diffkernel.log1p_exp`) for strictly positive y."""
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0.0):
         raise ValueError("softplus_inv requires strictly positive input")
@@ -158,22 +154,17 @@ class GrmParams:
     def parameters(self) -> list[Tensor2]:
         return [self.loadings_raw, self.intercept_base, *self.intercept_incr_raw, self.chol_raw]
 
-    # -- effective values, array path ------------------------------------
+    # -- effective values ------------------------------------------------
 
     def values(self) -> GrmValues:
-        raw = self.loadings_raw.data
-        beta = softplus(raw) if self.loading_positivity else raw.copy()
-        beta = beta * self.loading_mask
-        base = self.intercept_base.data[:, 0]
-        cols = [base.copy()]
-        for t in self.intercept_incr_raw:
-            cols.append(cols[-1] - softplus(t.data[:, 0]) - _GAP)
-        intercepts = [np.array([cols[k][j] for k in range(self.categories[j] - 1)])
+        """`effective` without a tape, as plain arrays."""
+        eff = self.effective(None)
+        cols = [c.data[:, 0] for c in eff["alpha_cols"]]
+        intercepts = [np.array([c[j] for c in cols[:self.categories[j] - 1]])
                       for j in range(self.n_items)]
-        chol = chol_values(self.chol_raw.data)
-        return GrmValues(loadings=beta, intercepts=intercepts, factor_corr=chol @ chol.T)
-
-    # -- effective values, tape path -------------------------------------
+        chol = eff["chol"].data
+        return GrmValues(loadings=eff["beta"].data, intercepts=intercepts,
+                         factor_corr=chol @ chol.T)
 
     def effective(self, tape: Tape | None, frozen: bool = False) -> dict:
         """Build effective tensors on the tape.
@@ -247,14 +238,6 @@ class GrmParams:
     @classmethod
     def from_json(cls, text: str) -> "GrmParams":
         return cls.from_dict(json.loads(text))
-
-
-def chol_values(chol_raw: np.ndarray) -> np.ndarray:
-    """Row-normalized lower-triangular factor from raw entries."""
-    P = chol_raw.shape[0]
-    unnorm = np.tril(chol_raw, -1) + np.diag(softplus(np.diag(chol_raw)))
-    norms = np.sqrt((unnorm * unnorm).sum(axis=1, keepdims=True))
-    return unnorm / norms
 
 
 def init_params(n_items: int, n_factors: int, categories, seed: int,

@@ -1,12 +1,12 @@
 """Feed-forward networks for the three amortized roles: Gaussian encoder
 (VAE/IWAE), implicit noise-injecting encoder (AVB/IWAVB), and the
 density-ratio discriminator.  Hidden activations are exact GELU, outputs are
-linear, and weights start from uniform Kaiming draws."""
+linear, and weights start from uniform Kaiming draws.  The `*_values`
+methods run the same forward code without a tape, on plain arrays."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from . import diffkernel as dk
 from .diffkernel import Tape, Tensor2
@@ -14,8 +14,6 @@ from .grm import MISSING
 
 ACT_GELU = "gelu"
 ACT_IDENTITY = "identity"
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def kaiming_init(fan_in: int, fan_out: int, rng: np.random.Generator):
@@ -52,12 +50,6 @@ class Layer:
         out = dk.broadcast_add_rowvec(tape, dk.matmul(tape, h, w), b)
         if self.activation == ACT_GELU:
             out = dk.gelu(tape, out)
-        return out
-
-    def forward_values(self, h: np.ndarray) -> np.ndarray:
-        out = h @ self.weight.data + self.bias.data
-        if self.activation == ACT_GELU:
-            out = out * 0.5 * (1.0 + erf(out * _INV_SQRT2))
         return out
 
     def to_dict(self) -> dict:
@@ -107,12 +99,6 @@ class FeedForwardNet:
             h = layer.forward(tape, h, frozen=frozen)
         return h
 
-    def forward_values(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            h = layer.forward_values(h)
-        return h
-
     def parameters(self) -> list[Tensor2]:
         out = []
         for layer in self.layers:
@@ -152,13 +138,13 @@ class GaussianEncoder:
     def latent_dim(self) -> int:
         return self.mean_head.fan_out
 
-    def heads(self, tape: Tape | None, x: Tensor2, frozen: bool = False):
-        h = dk.gelu(tape, self.trunk.forward(tape, x, frozen=frozen))
-        mu = self.mean_head.forward(tape, h, frozen=frozen)
-        sigma = dk.exp(tape, self.log_std_head.forward(tape, h, frozen=frozen))
+    def heads(self, tape: Tape | None, x: Tensor2):
+        h = dk.gelu(tape, self.trunk.forward(tape, x))
+        mu = self.mean_head.forward(tape, h)
+        sigma = dk.exp(tape, self.log_std_head.forward(tape, h))
         return mu, sigma
 
-    def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2, frozen: bool = False):
+    def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2):
         """Reparameterized draw z = mu(x) + sigma(x) * u; returns (z, mu, sigma).
 
         u may hold several draws per row of x (respondent-major, the same
@@ -170,17 +156,17 @@ class GaussianEncoder:
         if u.rows % x.rows:
             raise dk.ShapeError(f"noise has {u.rows} rows, not a multiple of the "
                                 f"{x.rows} input rows")
-        mu, sigma = self.heads(tape, x, frozen=frozen)
+        mu, sigma = self.heads(tape, x)
         draws = u.rows // x.rows
         mu = dk.repeat_rows(tape, mu, draws)
         sigma = dk.repeat_rows(tape, sigma, draws)
         z = dk.add(tape, mu, dk.mul(tape, sigma, u))
         return z, mu, sigma
 
-    def heads_values(self, x: np.ndarray):
-        h = self.trunk.forward_values(x)
-        h = h * 0.5 * (1.0 + erf(h * _INV_SQRT2))
-        return self.mean_head.forward_values(h), np.exp(self.log_std_head.forward_values(h))
+    def heads_values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`heads` without a tape, on plain arrays."""
+        mu, sigma = self.heads(None, dk.const(x))
+        return mu.data, sigma.data
 
     def parameters(self) -> list[Tensor2]:
         return (self.trunk.parameters()
@@ -217,14 +203,14 @@ class BlackBoxEncoder:
     def latent_dim(self) -> int:
         return self.net.output_dim
 
-    def encode(self, tape: Tape | None, x: Tensor2, eps: Tensor2, frozen: bool = False) -> Tensor2:
+    def encode(self, tape: Tape | None, x: Tensor2, eps: Tensor2) -> Tensor2:
         if eps.cols != self.noise_dim:
             raise dk.ShapeError(f"noise has {eps.cols} columns, expected {self.noise_dim}")
-        joint = dk.concat_cols(tape, x, eps)
-        return self.net.forward(tape, joint, frozen=frozen)
+        return self.net.forward(tape, dk.concat_cols(tape, x, eps))
 
     def encode_values(self, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        return self.net.forward_values(np.hstack([x, eps]))
+        """`encode` without a tape, on plain arrays."""
+        return self.net.forward(None, dk.concat_cols(None, dk.const(x), dk.const(eps))).data
 
     def parameters(self) -> list[Tensor2]:
         return self.net.parameters()
@@ -251,20 +237,19 @@ class Discriminator:
                                    rng, name="disc")
         return cls(net, response_dim)
 
+    def _joint(self, tape: Tape | None, x: Tensor2 | None, z: Tensor2) -> Tensor2:
+        if self.response_dim == 0 or x is None:
+            return z
+        return dk.concat_cols(tape, x, z)
+
     def forward(self, tape: Tape | None, x: Tensor2 | None, z: Tensor2,
                 frozen: bool = False) -> Tensor2:
-        if self.response_dim == 0 or x is None:
-            joint = z
-        else:
-            joint = dk.concat_cols(tape, x, z)
-        return self.net.forward(tape, joint, frozen=frozen)
+        return self.net.forward(tape, self._joint(tape, x, z), frozen=frozen)
 
     def forward_values(self, x: np.ndarray | None, z: np.ndarray) -> np.ndarray:
-        if self.response_dim == 0 or x is None:
-            joint = np.asarray(z, dtype=np.float64)
-        else:
-            joint = np.hstack([x, z])
-        return self.net.forward_values(joint)
+        """`forward` without a tape, on plain arrays."""
+        x = None if x is None else dk.const(x)
+        return self.net.forward(None, self._joint(None, x, dk.const(z))).data
 
     def parameters(self) -> list[Tensor2]:
         return self.net.parameters()

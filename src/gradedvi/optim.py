@@ -111,10 +111,6 @@ class ClrSchedule:
         return self.base_lr + (self.max_lr - self.base_lr) * frac
 
 
-def clr_lr(t: int, schedule: ClrSchedule) -> float:
-    return schedule.lr(t)
-
-
 @dataclass
 class ConvergenceMonitor:
     """Stop when the windowed objective average has not improved for
@@ -122,7 +118,6 @@ class ConvergenceMonitor:
 
     patience: int = 500
     min_delta: float = 1e-3
-    window: int = 100
     best_avg: float | None = None
     windows_since_improvement: int = field(default=0)
 

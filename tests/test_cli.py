@@ -11,7 +11,7 @@ from gradedvi import cli
 from gradedvi import diffkernel as dk
 from gradedvi.cli import main
 from gradedvi.estimators import DegeneratePosteriorError
-from gradedvi.fitting import FitConfig, init_state
+from gradedvi.fitting import ConfigError, FitConfig, init_state
 from gradedvi.grm import GrmParams, GrmValues, softplus_inv
 from gradedvi.optim import NumericalError
 from gradedvi.simlab import SimDesign, read_responses_csv, simulate, write_responses_csv
@@ -190,6 +190,80 @@ class TestFit:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ({}, ["--beta1", "1.5"], "beta1"),
+        ({}, ["--beta2", "1.0"], "beta2"),
+        ({}, ["--beta1", "-0.1"], "beta1"),
+        ({}, ["--eps-stab", "-1"], "eps_stab"),
+        ({}, ["--eps-stab", "0"], "eps_stab"),
+        ({}, ["--weight-decay", "-0.01"], "weight_decay"),
+        ({"estimator": "IWAVB"}, ["--noise-dim", "0"], "noise_dim"),
+        ({"S": "2"}, [], "S: expected"),
+        ({"dreg": 1}, [], "dreg: expected"),
+        ({"encoder_hidden": [8.5]}, [], "encoder_hidden: expected"),
+    ], ids=["beta1-high", "beta2-one", "beta1-negative", "eps-negative", "eps-zero",
+            "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "hidden-float"])
+    def test_bad_setting_exits_2(self, config, flags, message, dataset, tmp_path, capsys):
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **config)
+        code = main(["fit", "--config", str(cfg), "--responses", str(resp_path),
+                     "--out", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and "numerical" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestFitConfig:
+    def test_flags_parse_by_field_type(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o",
+                                  "--noise-dim", "3", "--beta1", "0.5", "--dreg", "false",
+                                  "--encoder-hidden", "8,4", "--estimator", "AVB",
+                                  "--adaptive-contrast", "yes"])
+        assert args.noise_dim == 3 and isinstance(args.noise_dim, int)
+        assert args.beta1 == 0.5 and isinstance(args.beta1, float)
+        assert args.dreg is False and args.adaptive_contrast is True
+        assert args.encoder_hidden == [8, 4]
+        assert args.estimator == "AVB"
+        bare = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o"])
+        assert all(getattr(bare, name) is None for name in FitConfig.__dataclass_fields__)
+
+    def test_from_dict_accepts_every_declared_type(self):
+        doc = {"R": 4, "base_lr": 1, "noise_dim": None, "encoder_hidden": [8, 4],
+               "adaptive_contrast": None, "dreg": False, "estimator": "IWAE",
+               "min_delta": 0.5}
+        config = FitConfig.from_dict(doc)
+        config.validate()
+        assert config.base_lr == 1 and config.encoder_hidden == [8, 4]
+        assert FitConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("key, value", [
+        ("R", 2.0), ("R", True), ("base_lr", "0.1"), ("noise_dim", 1.5),
+        ("encoder_hidden", [True]), ("encoder_hidden", 8), ("estimator", 3),
+        ("adaptive_contrast", "yes"),
+    ])
+    def test_from_dict_rejects_wrong_type(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            FitConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 1.0), ("beta1", -1e-9), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps_stab", 0.0), ("weight_decay", -1e-3), ("noise_dim", 0),
+    ])
+    def test_validate_rejects_out_of_range(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            FitConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 0.0), ("beta2", 0.0), ("weight_decay", 0.0), ("noise_dim", 1),
+        ("eps_stab", 1e-300),
+    ])
+    def test_validate_accepts_edges(self, key, value):
+        FitConfig(**{key: value}).validate()
+
 
 # the failure classes training and evaluation can raise on bad numerics;
 # DomainError is a ValueError and DegeneratePosteriorError a RuntimeError
@@ -349,6 +423,41 @@ class TestHeldout:
         code = main(["heldout", "--fit", str(fit_path), "--responses", str(resp_path),
                      "--fraction", "1.5", "--r-eval", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("ids, flags, message", [
+        ("-1 -2", [], "id -1 outside 0..499"),
+        ("3 500", [], "id 500 outside 0..499"),
+        ("", [], "lists no ids"),
+        ("4 7 4", [], "repeats an id"),
+        ("1 x", [], "bad ids file"),
+        (None, ["--fraction", "0.001"], "holds out no one"),
+        (None, ["--fraction", "0.25", "--r-eval", "0"], "r-eval must be >= 1"),
+        ("0 1", ["--r-eval", "-3"], "r-eval must be >= 1"),
+    ], ids=["negative", "past-end", "empty", "duplicate", "not-int", "empty-split",
+            "r-eval-zero", "r-eval-negative"])
+    def test_bad_holdout_input_exits_2(self, ids, flags, message, big_fit, tmp_path,
+                                       capsys):
+        resp_path, fit_path = big_fit
+        argv = ["heldout", "--fit", str(fit_path), "--responses", str(resp_path), *flags]
+        if ids is not None:
+            (tmp_path / "ids.txt").write_text(ids)
+            argv += ["--ids", str(tmp_path / "ids.txt")]
+        out = tmp_path / "heldout.json"
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_ids_file_selects_those_respondents(self, big_fit, tmp_path):
+        resp_path, fit_path = big_fit
+        (tmp_path / "ids.txt").write_text("499 0\n17")
+        out = tmp_path / "heldout.json"
+        assert main(["heldout", "--fit", str(fit_path), "--responses", str(resp_path),
+                     "--ids", str(tmp_path / "ids.txt"), "--r-eval", "4",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["holdout_ids"] == [499, 0, 17]
 
 
 class TestScree:

@@ -1,7 +1,7 @@
-"""Objective correctness: closed-form KL values, R=1 identity, weight
-normalization and shift invariance, the analytic-discriminator substitution,
-DReG against a conjugate linear-Gaussian oracle, quadrature self-checks, and
-training-step mechanics."""
+"""Objective correctness: closed-form KL values, IW bounds against quadrature,
+weight normalization and shift invariance, the analytic-discriminator
+substitution, DReG against a conjugate linear-Gaussian oracle, quadrature
+self-checks, heldout/objective parity, and training-step mechanics."""
 
 import math
 
@@ -20,10 +20,8 @@ from gradedvi.estimators import (
     avb_log_weights,
     dreg_phi_surrogate,
     elbo_gaussian,
-    gaussian_log_weight_values,
     gaussian_log_weights,
     heldout_loglik,
-    iw_elbo,
     iw_elbo_from_log_w,
     logmeanexp,
     marginal_loglik_quadrature,
@@ -125,19 +123,6 @@ class TestElboGaussian:
 
 
 class TestIwElbo:
-    def test_r1_identity_with_mc_elbo(self):
-        rng = np.random.default_rng(4)
-        resp, _ = sample_toy_data(rng, N=10, M=5, P=2, C=3)
-        params = init_params(5, 2, 3, seed=2)
-        feats, _ = encode_responses(resp.data, resp.categories)
-        enc = GaussianEncoder.build(feats.shape[1], [12], 2, np.random.default_rng(6))
-        S = 3
-        u = rng.standard_normal((10 * S, 2))
-        cfg = EstimatorConfig(kind="IWAE", R=1, S=S)
-        a = iw_elbo(None, resp.data, feats, enc, params, cfg, u).data
-        b = elbo_gaussian(None, resp.data, feats, enc, params, u, S=S, kl="mc").data
-        np.testing.assert_allclose(a, b, atol=1e-10)
-
     def test_monotone_in_r_and_bounded_by_quadrature(self):
         # At the trained optimum the Jensen gap collapses below Monte Carlo
         # resolution, so the bound is checked with an overdispersed proposal
@@ -152,7 +137,14 @@ class TestIwElbo:
         result = fit(resp, cfg)
         params, enc = result.params, result.encoder
         enc.log_std_head.bias.data = enc.log_std_head.bias.data + math.log(3.0)
-        log_w = gaussian_log_weight_values(resp, params, enc, rng, n_draws=2048 * 16)
+        feats, _ = encode_responses(resp.data, resp.categories)
+        n_draws, block = 2048 * 16, 10
+        log_w = np.empty((30, n_draws))
+        for s in range(0, 30, block):
+            u = rng.standard_normal((block * n_draws, 1))
+            g = gaussian_log_weights(None, resp.data[s:s + block], feats[s:s + block],
+                                     enc, params, n_draws, 1, u)
+            log_w[s:s + block] = g["log_w"].data.reshape(block, n_draws)
         iw_r = logmeanexp(log_w.reshape(30, 2048, 16)).mean(axis=1)
         iw_1 = log_w.mean(axis=1)  # same draws, R = 1
         assert (iw_1 <= iw_r + 1e-12).all()
@@ -457,6 +449,48 @@ class TestHeldout:
                                  np.random.default_rng(2), R_eval=r_eval)
             gaps.append(abs(rep.total - quad))
         assert gaps[1] < gaps[0]
+
+
+@pytest.fixture(scope="module", params=["IWAVB", "AVB"])
+def trained_adversarial(request):
+    rng = np.random.default_rng(25)
+    resp, _ = sample_toy_data(rng, N=40, M=5, P=2, C=3)
+    cfg = FitConfig(estimator=request.param, n_factors=2, R=4, batch_size=20,
+                    max_iterations=30, encoder_hidden=[8], disc_hidden=[8], seed=12)
+    return resp, fit(resp, cfg)
+
+
+class TestHeldoutParity:
+    """heldout_loglik is logmeanexp of the training objectives' log-weights
+    at R = R_eval on the same draws."""
+
+    def test_gaussian_matches_gaussian_log_weights(self, trained):
+        resp, result = trained
+        hold = resp.subset(np.arange(12))
+        R = 20_000  # two heldout blocks: 10 respondents, then 2
+        rep = heldout_loglik(hold, result.params, result.encoder,
+                             np.random.default_rng(3), R_eval=R)
+        feats, _ = encode_responses(hold.data, hold.categories)
+        u = np.random.default_rng(3).standard_normal((12 * R, 1))
+        g = gaussian_log_weights(None, hold.data, feats, result.encoder, result.params, R, 1, u)
+        expected = logmeanexp(g["log_w"].data.reshape(12, R))
+        np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
+
+    def test_surrogate_matches_avb_log_weights(self, trained_adversarial):
+        resp, result = trained_adversarial
+        hold = resp.subset(np.arange(10))
+        R = 300
+        cfg = result.config.estimator_config()
+        rep = heldout_loglik(hold, result.params, result.encoder, np.random.default_rng(4),
+                             R_eval=R, disc=result.disc,
+                             adaptive_contrast=cfg.adaptive_contrast)
+        feats, _ = encode_responses(hold.data, hold.categories)
+        eps = np.random.default_rng(4).standard_normal((10 * R, result.encoder.noise_dim))
+        graph, _ = avb_log_weights(None, hold.data, feats, result.encoder, result.disc,
+                                   result.params, EstimatorConfig(kind=cfg.kind, R=R), eps)
+        expected = logmeanexp(graph["log_w"].data.reshape(10, R))
+        assert rep.surrogate_density
+        np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
 
 
 class TestTrainingStep:

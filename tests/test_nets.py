@@ -60,7 +60,6 @@ class TestFeedForwardNet:
         expected = gelu_np(x @ w0 + b0) @ w1 + b1
         got = net.forward(None, dk.const(x)).data
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        np.testing.assert_allclose(net.forward_values(x), expected, atol=1e-12)
 
     def test_final_activation_is_identity(self):
         net = FeedForwardNet.build([4, 8, 8, 2], np.random.default_rng(4))
@@ -73,13 +72,6 @@ class TestFeedForwardNet:
         with pytest.raises(ValueError, match="chain"):
             FeedForwardNet(
                 [type(a)(a.weight, a.bias, ACT_GELU), b])
-
-    def test_graph_and_value_paths_agree(self):
-        rng = np.random.default_rng(6)
-        net = FeedForwardNet.build([4, 16, 8, 3], rng)
-        x = rng.normal(size=(7, 4))
-        np.testing.assert_allclose(net.forward(None, dk.const(x)).data,
-                                   net.forward_values(x), atol=1e-12)
 
     def test_frozen_forward_blocks_gradients(self):
         rng = np.random.default_rng(7)
@@ -94,7 +86,8 @@ class TestFeedForwardNet:
         net = FeedForwardNet.build([3, 4, 2], np.random.default_rng(8))
         clone = FeedForwardNet.from_dict(net.to_dict())
         x = np.random.default_rng(9).normal(size=(2, 3))
-        np.testing.assert_array_equal(net.forward_values(x), clone.forward_values(x))
+        np.testing.assert_array_equal(net.forward(None, dk.const(x)).data,
+                                      clone.forward(None, dk.const(x)).data)
 
 
 class TestGaussianEncoder:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradedvi.diffkernel import parameter
-from gradedvi.optim import (AdamW, ClrSchedule, ConvergenceMonitor, NumericalError, clr_lr,
+from gradedvi.optim import (AdamW, ClrSchedule, ConvergenceMonitor, NumericalError,
                             step_all)
 
 
@@ -144,11 +144,11 @@ class TestAdamW:
 class TestClr:
     def test_cycle_start_is_base(self):
         s = ClrSchedule(base_lr=0.001, step_size=100)
-        assert clr_lr(0, s) == 0.001
+        assert s.lr(0) == 0.001
 
     def test_cycle_peak_is_max(self):
         s = ClrSchedule(base_lr=0.001, step_size=100)
-        assert clr_lr(100, s) == pytest.approx(0.005)
+        assert s.lr(100) == pytest.approx(0.005)
 
     def test_default_max_is_five_times_base(self):
         s = ClrSchedule(base_lr=0.002)
@@ -157,7 +157,7 @@ class TestClr:
     def test_periodicity(self):
         s = ClrSchedule(base_lr=0.001, step_size=37)
         for t in range(300):
-            assert clr_lr(t, s) == pytest.approx(clr_lr(t + 2 * 37, s))
+            assert s.lr(t) == pytest.approx(s.lr(t + 2 * 37))
 
     def test_bounds_over_many_steps(self):
         s = ClrSchedule(base_lr=0.003, step_size=111)
@@ -169,7 +169,7 @@ class TestClr:
         assert lrs.max() <= s.max_lr + 1e-15
         # spot-check the vectorized reference against the implementation
         for probe in (0, 1, 110, 111, 112, 221, 222, 999_999):
-            assert clr_lr(int(probe), s) == pytest.approx(lrs[probe])
+            assert s.lr(int(probe)) == pytest.approx(lrs[probe])
 
 
 class TestConvergenceMonitor:
