@@ -164,6 +164,17 @@ def _load_config_with_overrides(args) -> FitConfig:
     return config
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {'/'.join(_BOOL_WORDS)}, got {text!r}") from None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Mirror every flat FitConfig key as an optional override flag, parsed
     by the field's type (`int | None` parses as int)."""
@@ -172,8 +183,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         if isinstance(hint, types.UnionType):
             hint = next(h for h in typing.get_args(hint) if h is not type(None))
         if hint is bool:
-            parser.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"),
-                                default=None, metavar="BOOL")
+            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
         elif typing.get_origin(hint) is list:
             parser.add_argument(flag, type=lambda s: [int(v) for v in s.split(",")],
                                 default=None, metavar="N,N,...")

@@ -3,9 +3,11 @@
 Forward evaluation records operation nodes on a Tape; Tape.backward walks the
 record once in reverse and accumulates exact gradients into every leaf tensor
 that requires them.  The op set is exactly what the variational estimators
-need: dense matrix algebra, stable elementwise nonlinearities, row reductions,
-a handful of structural helpers (concat, reshape, repeat_rows, stop_gradient,
-triangular inverse), and one fused cumulative-logit likelihood.
+need: dense matrix algebra (including matmul_repeat, a first layer whose
+input repeats per-respondent rows next to per-draw rows), stable elementwise
+nonlinearities, row reductions, a handful of structural helpers (reshape,
+repeat_rows, stop_gradient, triangular inverse), and one fused
+cumulative-logit likelihood.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -18,9 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -185,6 +186,33 @@ def matmul(tape: Tape | None, a: Tensor2, b: Tensor2) -> Tensor2:
     return _make(tape, "matmul", (a, b), out_data, backward)
 
 
+def matmul_repeat(tape: Tape | None, x: Tensor2, z: Tensor2, w: Tensor2) -> Tensor2:
+    """[repeat_rows(x, t), z] @ w with t = z.rows // x.rows, without building
+    the repeat: x @ w[:F] is computed once per row of x and added to each of
+    its t rows of z @ w[F:], and backward sums the t rows' gradients once."""
+    B, F = x.shape
+    if B == 0 or z.rows % B:
+        raise ShapeError(f"matmul_repeat: {z.rows} rows are not a multiple of {B}")
+    if w.rows != F + z.cols:
+        raise ShapeError(f"matmul_repeat: weight {w.shape} vs inputs {x.shape} and {z.shape}")
+    t = z.rows // B
+    w_x, w_z = w.data[:F], w.data[F:]
+    out_data = z.data @ w_z
+    view = out_data.reshape(B, t, -1)
+    view += (x.data @ w_x)[:, None, :]
+
+    def backward(g):
+        g_sum = g.reshape(B, t, -1).sum(axis=1)
+        if w.requires_grad:
+            _accum(w, np.vstack([x.data.T @ g_sum, z.data.T @ g]))
+        if x.requires_grad:
+            _accum(x, g_sum @ w_x.T)
+        if z.requires_grad:
+            _accum(z, g @ w_z.T)
+
+    return _make(tape, "matmul_repeat", (x, z, w), out_data, backward)
+
+
 def transpose(tape: Tape | None, x: Tensor2) -> Tensor2:
     out_data = np.ascontiguousarray(x.data.T)
 
@@ -331,9 +359,9 @@ def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
 
 
 def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
-    """Exact x * Phi(x) with Phi the standard normal CDF (erf form)."""
+    """Exact x * Phi(x) with Phi the standard normal CDF."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf = ndtr(xd)
     out_data = xd * cdf
 
     def backward(g):
@@ -417,18 +445,6 @@ def reshape(tape: Tape | None, x: Tensor2, rows: int, cols: int) -> Tensor2:
         _accum(x, g.reshape(x.shape), own=False)
 
     return _make(tape, "reshape", (x,), out_data, backward)
-
-
-def concat_cols(tape: Tape | None, a: Tensor2, b: Tensor2) -> Tensor2:
-    if a.rows != b.rows:
-        raise ShapeError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
-    na = a.cols
-
-    def backward(g):
-        _accum(a, g[:, :na], own=False)
-        _accum(b, g[:, na:], own=False)
-
-    return _make(tape, "concat_cols", (a, b), np.hstack([a.data, b.data]), backward)
 
 
 def repeat_rows(tape: Tape | None, x: Tensor2, times: int) -> Tensor2:

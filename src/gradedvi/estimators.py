@@ -12,12 +12,12 @@ Four estimators share one decoder:
 
 Row layout is respondent-major everywhere: sample (i, s, r) lives at row
 (i*S + s)*R + r, so reshaping to (B*S, R) lines importance samples up per
-respondent/MC draw.  Work that depends only on the respondent runs on the B
-distinct rows: the Gaussian encoder's trunk and heads see the B feature rows
-and repeat mu and sigma to the draws, and the decoder gathers each
-respondent's category boundaries once for all of its draws.  The implicit
-encoder and the discriminator still take tiled feature rows, because their
-inputs mix features with per-draw noise.
+respondent/MC draw.  Every network takes the B distinct feature rows, one
+per respondent, and never a tiled copy: the Gaussian encoder's trunk and
+heads run on them and repeat mu and sigma to the draws; the implicit encoder
+and the discriminator compute the feature part of their first layer once per
+respondent and add it to each draw's noise or latent part; and the decoder
+gathers each respondent's category boundaries once for all of its draws.
 
 Gradient routing relies on two facts: stop_gradient() detaches values, and
 the decoder and the discriminator can run "frozen" (parameters wrapped as
@@ -45,7 +45,11 @@ from .grm import GrmParams, GrmValues, ResponseMatrix, response_selectors
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder, encode_responses
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_HELDOUT_BLOCK_ROWS = 200_000  # latent draws per heldout block; bounds peak memory
+# Latent draws per heldout block; a block holds at least one respondent's
+# R_eval draws.  At the study size, 5,000 draws keep each of the block's
+# (draws, hidden) and (draws, items, categories) temporaries near 10 MB
+# instead of hundreds of MB.
+_HELDOUT_BLOCK_ROWS = 5_000
 
 VALID_KINDS = ("VAE", "IWAE", "AVB", "IWAVB")
 
@@ -216,9 +220,8 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     R, S = config.R, config.S
     tile = S * R
     P = encoder.latent_dim
-    feats_t_arr = tile_rows(feats, tile)
-    feats_t = dk.const(feats_t_arr)
-    z = encoder.encode(tape, feats_t, dk.const(eps))
+    x_feats = dk.const(feats)
+    z = encoder.encode(tape, x_feats, dk.const(eps))
     eff = params.effective(tape, frozen=frozen_decoder)
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
@@ -230,21 +233,20 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
             z_draws = z.data.reshape(B, tile, P)
             if moment_eps is not None:
                 extra_per = moment_eps.shape[0] // B
-                z_extra = encoder.encode_values(
-                    tile_rows(feats, extra_per), moment_eps).reshape(B, extra_per, P)
+                z_extra = encoder.encode_values(feats, moment_eps).reshape(B, extra_per, P)
                 z_draws = np.concatenate([z_draws, z_extra], axis=1)
             mu_hat, sigma_hat = moment_estimates(z_draws)
         mu_t = dk.const(tile_rows(mu_hat, tile))
         sig_t = dk.const(tile_rows(sigma_hat, tile))
         z_std = dk.div(tape, dk.sub(tape, z, mu_t), sig_t)
-        t_out = disc.forward(tape, feats_t, z_std, frozen=True)
+        t_out = disc.forward(tape, x_feats, z_std, frozen=True)
         logq = contrast_logq(tape, t_out, z_std, sigma_hat, tile)
         z_std_vals = z_std.data
     else:
         mu_hat = sigma_hat = None
         z_std = z
         z_std_vals = z.data
-        t_out = disc.forward(tape, feats_t, z, frozen=True)
+        t_out = disc.forward(tape, x_feats, z, frozen=True)
         prior = grm_mod.prior_logpdf(tape, eff, z)
         logq = dk.add(tape, t_out, prior)
 
@@ -254,7 +256,7 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                           z=z.data, z_std=z_std_vals,
                           mu_hat=mu_hat, sigma_hat=sigma_hat)
     graph = {"z": z, "z_std": z_std, "log_w": log_w, "logp": logp, "logq": logq,
-             "t_out": t_out, "feats_t": feats_t_arr, "B": B, "R": R, "S": S}
+             "t_out": t_out, "B": B, "R": R, "S": S}
     return graph, bundle
 
 
@@ -264,8 +266,10 @@ def avb_discriminator_loss(tape: Tape | None, disc: Discriminator,
     """Binary-classification loss (to minimize) on encoder vs prior samples.
 
     Encoder samples arrive as plain arrays: the discriminator step must not
-    move the encoder.  Per pair the loss is softplus(-T_q) + softplus(T_p),
-    which is log 4 at T = 0 and tends to 0 under perfect separation.
+    move the encoder.  feats holds one row per respondent; z_q and zeta hold
+    the same whole number of rows per respondent.  Per pair the loss is
+    softplus(-T_q) + softplus(T_p), which is log 4 at T = 0 and tends to 0
+    under perfect separation.
     """
     x_t = dk.const(feats) if feats is not None and disc.response_dim > 0 else None
     t_q = disc.forward(tape, x_t, dk.const(z_q))
@@ -360,7 +364,10 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
     trained discriminator's density surrogate (an estimate, not a bound,
     flagged in the report).  The log-weights are those of
     `gaussian_log_weights` and `avb_log_weights` at R = R_eval, computed
-    block by block without a tape.
+    without a tape in blocks of about `_HELDOUT_BLOCK_ROWS` draws (whole
+    respondents, at least one per block); the networks see each block's
+    feature rows once per respondent.  Noise is drawn block by block in
+    respondent order, so the estimates do not depend on the block size.
     """
     values = params.values()
     x = x_holdout.data
@@ -382,7 +389,7 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
             logq = gaussian_logq(None, z, mu, sigma).data[:, 0]
             z = z.data
         else:
-            fb = tile_rows(feats[start:stop], R_eval)
+            fb = feats[start:stop]
             eps = rng.standard_normal((nb * R_eval, encoder.noise_dim))
             z = encoder.encode_values(fb, eps)
             if adaptive_contrast:

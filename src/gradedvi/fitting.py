@@ -132,7 +132,10 @@ class FitConfig:
         for name, value in doc.items():
             if not _has_type(value, hints[name]):
                 raise ConfigError(f"{name}: expected {hints[name]}, got {value!r}")
-        return cls(**doc)
+        # an int in a float field becomes a float, so equal configs serialize
+        # (and hash) the same
+        return cls(**{name: float(value) if hints[name] is float else value
+                      for name, value in doc.items()})
 
 
 def _has_type(value, hint) -> bool:
@@ -328,7 +331,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
             log_w2 = dk.sub(tape2, cond2, dk.const(graph1["t_out"].data))
         per = iw_elbo_from_log_w(tape2, log_w2, b, R, S)
         obj = dk.mul(tape2, dk.tmean(tape2, per), -1.0)
-        dloss = avb_discriminator_loss(tape2, state.disc, graph1["feats_t"],
+        dloss = avb_discriminator_loss(tape2, state.disc, feats_batch,
                                        bundle.z_std, zeta)
         tape2.backward(dk.add(tape2, obj, dloss))
         diag = {"iw_elbo": float(per.data.mean()), "disc_loss": float(dloss.item())}

@@ -2,7 +2,11 @@
 (VAE/IWAE), implicit noise-injecting encoder (AVB/IWAVB), and the
 density-ratio discriminator.  Hidden activations are exact GELU, outputs are
 linear, and weights start from uniform Kaiming draws.  The `*_values`
-methods run the same forward code without a tape, on plain arrays."""
+methods run the same forward code without a tape, on plain arrays.
+
+The implicit encoder and the discriminator take one feature row per
+respondent; their first layer (`dk.matmul_repeat`) computes its feature part
+once per respondent, and its weight stays one matrix, as serialized."""
 
 from __future__ import annotations
 
@@ -44,10 +48,14 @@ class Layer:
     def fan_out(self) -> int:
         return self.weight.cols
 
-    def forward(self, tape: Tape | None, h: Tensor2, frozen: bool = False) -> Tensor2:
+    def forward(self, tape: Tape | None, h: Tensor2, frozen: bool = False,
+                x: Tensor2 | None = None) -> Tensor2:
+        """Affine map and activation of h; with x, of [repeat_rows(x, t), h]
+        for t = h.rows // x.rows."""
         w = dk.const(self.weight.data) if frozen else self.weight
         b = dk.const(self.bias.data) if frozen else self.bias
-        out = dk.broadcast_add_rowvec(tape, dk.matmul(tape, h, w), b)
+        hw = dk.matmul(tape, h, w) if x is None else dk.matmul_repeat(tape, x, h, w)
+        out = dk.broadcast_add_rowvec(tape, hw, b)
         if self.activation == ACT_GELU:
             out = dk.gelu(tape, out)
         return out
@@ -93,9 +101,11 @@ class FeedForwardNet:
     def output_dim(self) -> int:
         return self.layers[-1].fan_out
 
-    def forward(self, tape: Tape | None, x: Tensor2, frozen: bool = False) -> Tensor2:
-        h = x
-        for layer in self.layers:
+    def forward(self, tape: Tape | None, h: Tensor2, frozen: bool = False,
+                x: Tensor2 | None = None) -> Tensor2:
+        """The net at h, or at [repeat_rows(x, t), h] when x is given."""
+        h = self.layers[0].forward(tape, h, frozen=frozen, x=x)
+        for layer in self.layers[1:]:
             h = layer.forward(tape, h, frozen=frozen)
         return h
 
@@ -186,7 +196,10 @@ class GaussianEncoder:
 
 
 class BlackBoxEncoder:
-    """Implicit inference network z = f(x, eps); noise joins the input."""
+    """Implicit inference network z = f(x, eps); noise joins the input.
+
+    x has one row per respondent and eps a multiple of that, respondent-major
+    (x may also repeat each row once per noise row)."""
 
     def __init__(self, net: FeedForwardNet, noise_dim: int):
         self.net = net
@@ -206,11 +219,11 @@ class BlackBoxEncoder:
     def encode(self, tape: Tape | None, x: Tensor2, eps: Tensor2) -> Tensor2:
         if eps.cols != self.noise_dim:
             raise dk.ShapeError(f"noise has {eps.cols} columns, expected {self.noise_dim}")
-        return self.net.forward(tape, dk.concat_cols(tape, x, eps))
+        return self.net.forward(tape, eps, x=x)
 
     def encode_values(self, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """`encode` without a tape, on plain arrays."""
-        return self.net.forward(None, dk.concat_cols(None, dk.const(x), dk.const(eps))).data
+        return self.net.forward(None, dk.const(eps), x=dk.const(x)).data
 
     def parameters(self) -> list[Tensor2]:
         return self.net.parameters()
@@ -224,7 +237,10 @@ class BlackBoxEncoder:
 
 
 class Discriminator:
-    """T(x, z): raw logit of the density-ratio classifier (no sigmoid)."""
+    """T(x, z): raw logit of the density-ratio classifier (no sigmoid).
+
+    x has one row per respondent and z a multiple of that, respondent-major;
+    x is ignored (and may be None) when response_dim is 0."""
 
     def __init__(self, net: FeedForwardNet, response_dim: int):
         self.net = net
@@ -237,19 +253,14 @@ class Discriminator:
                                    rng, name="disc")
         return cls(net, response_dim)
 
-    def _joint(self, tape: Tape | None, x: Tensor2 | None, z: Tensor2) -> Tensor2:
-        if self.response_dim == 0 or x is None:
-            return z
-        return dk.concat_cols(tape, x, z)
-
     def forward(self, tape: Tape | None, x: Tensor2 | None, z: Tensor2,
                 frozen: bool = False) -> Tensor2:
-        return self.net.forward(tape, self._joint(tape, x, z), frozen=frozen)
+        return self.net.forward(tape, z, frozen=frozen, x=x if self.response_dim else None)
 
     def forward_values(self, x: np.ndarray | None, z: np.ndarray) -> np.ndarray:
         """`forward` without a tape, on plain arrays."""
-        x = None if x is None else dk.const(x)
-        return self.net.forward(None, self._joint(None, x, dk.const(z))).data
+        x = dk.const(x) if x is not None and self.response_dim else None
+        return self.net.forward(None, dk.const(z), x=x).data
 
     def parameters(self) -> list[Tensor2]:
         return self.net.parameters()

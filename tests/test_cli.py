@@ -166,6 +166,23 @@ class TestFit:
         np.testing.assert_array_equal(
             np.asarray(fit_doc["params"]["raw"]["loadings_raw"]), init_raw)
 
+    def test_int_and_float_spellings_share_config_hash(self, dataset, tmp_path):
+        resp_path, _ = dataset
+        hashes = []
+        for name, config, flags in (("int", {"base_lr": 1}, []),
+                                    ("float", {"base_lr": 1.0}, []),
+                                    ("flag", {}, ["--base-lr", "1"])):
+            cfg = tmp_path / f"{name}.json"
+            write_config(cfg, max_iterations=2, **config)
+            out = tmp_path / name
+            assert main(["fit", "--config", str(cfg), "--responses", str(resp_path),
+                         "--out", str(out), *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["base_lr"] == 1.0
+            assert isinstance(manifest["config"]["base_lr"], float)
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1] == hashes[2]
+
     def test_unreadable_csv_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -230,6 +247,31 @@ class TestFitConfig:
         assert args.estimator == "AVB"
         bare = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o"])
         assert all(getattr(bare, name) is None for name in FitConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("0", False), ("true", True), ("FALSE", False), ("Yes", True), ("no", False),
+    ])
+    def test_bool_flag_spellings(self, text, value):
+        args = cli.build_parser().parse_args(["fit", "--responses", "r.csv", "--out", "o",
+                                              "--dreg", text, "--loading-positivity", text])
+        assert args.dreg is value and args.loading_positivity is value
+
+    @pytest.mark.parametrize("flag", ["--dreg", "--loading-positivity", "--adaptive-contrast"])
+    @pytest.mark.parametrize("text", ["banana", "on", "off", "y", "2", ""])
+    def test_bad_bool_flag_exits_2(self, flag, text, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--responses", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o"),
+                  flag, text])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_from_dict_makes_ints_in_float_fields_floats(self):
+        config = FitConfig.from_dict({"base_lr": 1, "weight_decay": 0, "R": 4})
+        assert type(config.base_lr) is float and type(config.weight_decay) is float
+        assert type(config.R) is int
+        assert config.to_dict() == FitConfig.from_dict({"base_lr": 1.0, "weight_decay": 0.0,
+                                                        "R": 4}).to_dict()
 
     def test_from_dict_accepts_every_declared_type(self):
         doc = {"R": 4, "base_lr": 1, "noise_dim": None, "encoder_hidden": [8, 4],

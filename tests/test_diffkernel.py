@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gradedvi import diffkernel as dk
 
@@ -41,6 +42,7 @@ def _shift_pos(x):
 
 OPS = {
     "matmul": (2, lambda tape, a, b: dk.matmul(tape, a, b), None),
+    "matmul_repeat": (3, lambda tape, x, z, w: dk.matmul_repeat(tape, x, z, w), None),
     "transpose": (1, lambda tape, a: dk.transpose(tape, a), None),
     "add": (2, lambda tape, a, b: dk.add(tape, a, b), None),
     "sub": (2, lambda tape, a, b: dk.sub(tape, a, b), None),
@@ -59,7 +61,6 @@ OPS = {
     "broadcast_add_rowvec": (2, None, None),
     "mul_colvec": (2, None, None),
     "reshape": (1, lambda tape, a: dk.reshape(tape, a, 6, 2), None),
-    "concat_cols": (2, lambda tape, a, b: dk.concat_cols(tape, a, b), None),
     "tril_inverse": (1, None, None),
     "repeat_rows": (1, lambda tape, a: dk.repeat_rows(tape, a, 3), None),
     "ordinal_loglik": (3, None, None),
@@ -82,6 +83,9 @@ def _build_inputs(name, rng):
 
     if name == "matmul":
         return [draw((3, 4)), draw((4, 2))]
+    if name == "matmul_repeat":
+        # 2 respondents with 3 rows each; weight rows cover x's 3 and z's 2 columns
+        return [draw((2, 3)), draw((6, 2)), draw((5, 4))]
     if name == "broadcast_add_rowvec":
         return [draw((3, 4)), draw((1, 4))]
     if name == "mul_colvec":
@@ -173,6 +177,51 @@ class TestMatmul:
         assert rel_err(a.grad, num) < 1e-6
 
 
+class TestMatmulRepeat:
+    def _arrays(self, B, t, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(B, 3)), rng.normal(size=(B * t, 2)), rng.normal(size=(5, 4))
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_matches_repeat_then_matmul(self, t):
+        x, z, w = self._arrays(3, t)
+        got = dk.matmul_repeat(None, dk.const(x), dk.const(z), dk.const(w)).data
+        expected = np.hstack([np.repeat(x, t, axis=0), z]) @ w
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_gradients_match_repeat_then_matmul(self, t):
+        x_arr, z_arr, w_arr = self._arrays(3, t, seed=1)
+        g = np.random.default_rng(2).normal(size=(3 * t, 4))
+        x, z, w = (dk.parameter(a) for a in (x_arr, z_arr, w_arr))
+        tape = dk.Tape()
+        out = dk.matmul_repeat(tape, x, z, w)
+        tape.backward(dk.tsum(tape, dk.mul(tape, out, dk.const(g))))
+        np.testing.assert_allclose(w.grad, np.hstack([np.repeat(x_arr, t, 0), z_arr]).T @ g,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, (g @ w_arr[:3].T).reshape(3, t, 3).sum(axis=1),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z.grad, g @ w_arr[3:].T, rtol=0, atol=1e-12)
+
+    def test_frozen_weight_gets_no_gradient(self):
+        x_arr, z_arr, w_arr = self._arrays(2, 3, seed=3)
+        x, z, w = dk.parameter(x_arr), dk.parameter(z_arr), dk.const(w_arr)
+        tape = dk.Tape()
+        tape.backward(dk.tsum(tape, dk.matmul_repeat(tape, x, z, w)))
+        assert w.grad is None
+        assert x.grad.shape == x.shape and z.grad.shape == z.shape
+
+    @pytest.mark.parametrize("x_shape, z_shape, w_shape", [
+        ((2, 3), (5, 2), (5, 4)),     # 5 rows are not a multiple of 2
+        ((2, 3), (4, 2), (6, 4)),     # weight rows != 3 + 2
+        ((0, 3), (4, 2), (5, 4)),
+    ], ids=["rows", "weight", "no-respondents"])
+    def test_shape_errors(self, x_shape, z_shape, w_shape):
+        with pytest.raises(dk.ShapeError, match="matmul_repeat"):
+            dk.matmul_repeat(None, dk.const(np.zeros(x_shape)), dk.const(np.zeros(z_shape)),
+                             dk.const(np.zeros(w_shape)))
+
+
 class TestGelu:
     def test_zero(self):
         assert dk.gelu(None, dk.const([[0.0]])).item() == 0.0
@@ -186,6 +235,13 @@ class TestGelu:
 
     def test_deep_negative_tail(self):
         assert abs(dk.gelu(None, dk.const([[-10.0]])).item()) < 1e-8
+
+    def test_matches_erf_form(self):
+        # the two Phi agree to about an ulp; multiplying by x scales that by |x|
+        x = np.linspace(-40.0, 40.0, 400_001).reshape(1, -1)
+        erf_form = x * 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+        diff = np.abs(dk.gelu(None, dk.const(x)).data - erf_form)
+        assert np.all(diff <= 1e-15 * np.maximum(1.0, np.abs(x)))
 
 
 class TestElementwise:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradedvi import diffkernel as dk
+from gradedvi import estimators as estimators_mod
 from gradedvi import fitting as fitting_mod
 from gradedvi import grm as G
 from gradedvi.estimators import (
@@ -467,7 +468,7 @@ class TestHeldoutParity:
     def test_gaussian_matches_gaussian_log_weights(self, trained):
         resp, result = trained
         hold = resp.subset(np.arange(12))
-        R = 20_000  # two heldout blocks: 10 respondents, then 2
+        R = 20_000  # twelve heldout blocks of one respondent each
         rep = heldout_loglik(hold, result.params, result.encoder,
                              np.random.default_rng(3), R_eval=R)
         feats, _ = encode_responses(hold.data, hold.categories)
@@ -491,6 +492,30 @@ class TestHeldoutParity:
         expected = logmeanexp(graph["log_w"].data.reshape(10, R))
         assert rep.surrogate_density
         np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
+
+
+class TestHeldoutBlocks:
+    """The per-respondent estimates do not depend on how many respondents a
+    heldout block holds: noise is drawn block by block in respondent order."""
+
+    def _per_respondent(self, monkeypatch, block_rows, result, hold, **kw):
+        monkeypatch.setattr(estimators_mod, "_HELDOUT_BLOCK_ROWS", block_rows)
+        return heldout_loglik(hold, result.params, result.encoder, np.random.default_rng(6),
+                              R_eval=5000, **kw).per_respondent
+
+    def _compare(self, monkeypatch, result, hold, **kw):
+        whole = self._per_respondent(monkeypatch, 200_000, result, hold, **kw)
+        blocked = self._per_respondent(monkeypatch, 5_000, result, hold, **kw)
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+    def test_gaussian(self, monkeypatch, trained):
+        resp, result = trained
+        self._compare(monkeypatch, result, resp.subset(np.arange(12)))
+
+    def test_surrogate(self, monkeypatch, trained_adversarial):
+        resp, result = trained_adversarial
+        self._compare(monkeypatch, result, resp.subset(np.arange(12)), disc=result.disc,
+                      adaptive_contrast=result.config.estimator_config().adaptive_contrast)
 
 
 class TestTrainingStep:

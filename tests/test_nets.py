@@ -244,10 +244,91 @@ class TestDiscriminator:
                                   rng.normal(size=(100, 2)) * 10)
         assert np.isfinite(out).all()
 
+    def test_frozen_forward_passes_gradient_to_z_only(self):
+        disc = Discriminator.build(4, 2, [8], np.random.default_rng(33))
+        rng = np.random.default_rng(3)
+        z = dk.parameter(rng.normal(size=(15, 2)))
+        tape = dk.Tape()
+        out = disc.forward(tape, dk.const(rng.normal(size=(3, 4))), z, frozen=True)
+        tape.backward(dk.tsum(tape, out))
+        assert all(p.grad is None for p in disc.parameters())
+        assert z.grad.shape == z.shape and np.abs(z.grad).max() > 0
+
     def test_latent_only_mode(self):
         disc = Discriminator.build(0, 1, [8], np.random.default_rng(32))
         out = disc.forward(None, None, dk.const(np.zeros((3, 1))))
         assert out.shape == (3, 1)
+
+
+def _net_by_hand(net, inp):
+    h = inp
+    for layer in net.layers:
+        h = h @ layer.weight.data + layer.bias.data
+        if layer.activation == ACT_GELU:
+            h = gelu_np(h)
+    return h
+
+
+def _model(kind):
+    rng = np.random.default_rng(40)
+    if kind == "encoder":
+        enc = BlackBoxEncoder.build(6, [16, 8], 2, noise_dim=3, rng=rng)
+        return enc, enc.encode, enc.encode_values, 3
+    disc = Discriminator.build(6, 2, [16, 8], rng)
+    return disc, disc.forward, disc.forward_values, 2
+
+
+@pytest.mark.parametrize("t", [1, 5])
+@pytest.mark.parametrize("kind", ["encoder", "discriminator"])
+class TestPerRespondentFeatures:
+    """One feature row per respondent gives what the hand-built tiled input
+    [repeat(x, t), noise] gives, values and gradients."""
+
+    B = 4
+
+    def _inputs(self, kind, t):
+        model, call, values, width = _model(kind)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(self.B, 6))
+        noise = rng.normal(size=(self.B * t, width))
+        return model, call, values, x, noise
+
+    def test_values(self, kind, t):
+        model, call, values, x, noise = self._inputs(kind, t)
+        expected = _net_by_hand(model.net, np.hstack([np.repeat(x, t, 0), noise]))
+        np.testing.assert_allclose(call(None, dk.const(x), dk.const(noise)).data, expected,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(values(x, noise), expected, rtol=0, atol=1e-12)
+
+    def test_gradients(self, kind, t):
+        model, call, _, x, noise = self._inputs(kind, t)
+        F = x.shape[1]
+        g = dk.const(np.random.default_rng(42).normal(size=(self.B * t, model.net.output_dim)))
+
+        def grads(build):
+            tape = dk.Tape()
+            out, noise_grad = build(tape)
+            tape.backward(dk.tsum(tape, dk.mul(tape, out, g)))
+            found = [p.grad.copy() for p in model.parameters()] + [noise_grad()]
+            for p in model.parameters():
+                p.zero_grad()
+            return found
+
+        def ours(tape):
+            n = dk.parameter(noise)
+            return call(tape, dk.const(x), n), lambda: n.grad
+
+        def reference(tape):
+            inp = dk.parameter(np.hstack([np.repeat(x, t, 0), noise]))
+            return model.net.forward(tape, inp), lambda: inp.grad[:, F:]
+
+        for a, b in zip(grads(ours), grads(reference)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_rows_must_be_a_multiple_of_respondents(self, kind, t):
+        _, call, _, x, noise = self._inputs(kind, t)
+        with pytest.raises(dk.ShapeError, match="multiple"):
+            call(None, dk.const(x[:3]), dk.const(noise))
 
 
 class TestEncodeResponses:
