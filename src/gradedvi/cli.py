@@ -109,9 +109,7 @@ def load_fit_bundle(path: Path):
 
 def _simulate_one(args):
     design_doc, rep, out_dir = args
-    design = SimDesign.from_dict(design_doc)
-    design.seed = design.seed + rep
-    truth = simulate(design)
+    truth = simulate(SimDesign.from_dict(design_doc), replication=rep)
     resp_path = Path(out_dir) / f"responses_rep{rep:03d}.csv"
     truth_path = Path(out_dir) / f"truth_rep{rep:03d}.json"
     write_responses_csv(resp_path, truth.responses)
@@ -243,7 +241,16 @@ def _fit_values(doc: dict) -> GrmValues:
     return params.values()
 
 
+def _same_values(a: GrmValues, b: GrmValues) -> bool:
+    return (np.array_equal(a.loadings, b.loadings)
+            and np.array_equal(a.factor_corr, b.factor_corr)
+            and len(a.intercepts) == len(b.intercepts)
+            and all(np.array_equal(x, y) for x, y in zip(a.intercepts, b.intercepts)))
+
+
 def cmd_eval(args) -> int:
+    """MSE and bias of the fits against the one truth their replications
+    share; exits 2 when the truth files disagree on the parameters."""
     fits_dir = Path(args.fits)
     truth_dir = Path(args.truths)
     fit_files = sorted(fits_dir.glob("**/fit*.json"))
@@ -266,6 +273,10 @@ def cmd_eval(args) -> int:
             return EXIT_INPUT
         if truth_values is None:
             truth_values = t_values
+        elif not _same_values(t_values, truth_values):
+            print(f"error: {truth_path} holds other true parameters than "
+                  f"{truth_files[0]}; replications must share one truth", file=sys.stderr)
+            return EXIT_INPUT
         if values.loadings.shape != truth_values.loadings.shape:
             print(f"error: shape mismatch: fit {values.loadings.shape} vs "
                   f"truth {truth_values.loadings.shape}", file=sys.stderr)

@@ -111,23 +111,38 @@ class Tape:
     def record(self, op: str, output: Tensor2, backward) -> None:
         self._nodes.append(_Node(op, output, backward))
 
-    def backward(self, root: Tensor2) -> None:
+    def backward(self, root: Tensor2,
+                 row_scale: tuple[Tensor2, np.ndarray] | None = None) -> None:
         """Accumulate gradients of the scalar `root` into all live leaves.
 
         Each recorded node is visited exactly once, in reverse creation
         order.  A tape can back-propagate only once; rebuild the graph for
         another pass.
+
+        row_scale=(t, c) multiplies row i of t's finished gradient by
+        c[i, 0] before the node that produced t runs its backward, so
+        everything upstream of t sees the scaled gradient and nothing else
+        changes.  t must be the output of a node on this tape.
         """
         if self._spent:
             raise TapeError("tape already consumed by backward(); rebuild the graph")
-        self._spent = True
         if root.data.size != 1:
             raise ShapeError(f"backward root must be 1x1, got {root.shape}")
+        scaled = None
+        if row_scale is not None:
+            scaled, scale = row_scale
+            if np.shape(scale) != (scaled.rows, 1):
+                raise ShapeError(f"row_scale: column {np.shape(scale)} vs tensor {scaled.shape}")
+            if not any(node.output is scaled for node in self._nodes):
+                raise TapeError("row_scale: tensor was not produced on this tape")
+        self._spent = True
         root.grad = np.ones((1, 1))
         for node in reversed(self._nodes):
             g = node.output.grad
             if g is None:
                 continue
+            if node.output is scaled:
+                g = node.output.grad = g * scale
             node.backward(g)
 
 

@@ -19,11 +19,15 @@ and the discriminator compute the feature part of their first layer once per
 respondent and add it to each draw's noise or latent part; and the decoder
 gathers each respondent's category boundaries once for all of its draws.
 
-Gradient routing relies on two facts: stop_gradient() detaches values, and
-the decoder and the discriminator can run "frozen" (parameters wrapped as
-constants), so a single backward pass per tape yields exactly the gradients
-one parameter group should receive.  The discriminator is always frozen in
-the weight path: it trains on its classification loss only.
+Training builds one tape per step.  The root is -mean(IW-ELBO) (for
+AVB/IWAVB plus the discriminator's classification loss), so the decoder
+receives sum_r w_tilde dlog w/dtheta and the encoder the plain
+reparameterized gradient.  DReG (`dreg_phi_surrogate`) stops the explicit
+q-parameter paths and scales each row of dL/dz by its w_tilde inside
+`Tape.backward`, which turns the encoder's share into
+sum_r w_tilde^2 dlog w/dz dz/dphi and leaves theta's untouched.  The
+discriminator always runs frozen in the weight path: it trains on its
+classification loss only, whose encoder draws enter as constants.
 
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
@@ -146,22 +150,18 @@ def gaussian_logq(tape: Tape | None, z: Tensor2, mu: Tensor2, sigma: Tensor2,
 def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                          encoder: GaussianEncoder, params: GrmParams,
                          R: int, S: int, u: np.ndarray,
-                         stop_q_params: bool = False,
-                         frozen_decoder: bool = False) -> dict:
+                         stop_q_params: bool = False) -> dict:
     """log w = log p(x, z) - log q(z | x) for reparameterized draws.
 
-    u has B*S*R rows; returns graph tensors plus the batch size triple.
+    u has B*S*R rows; returns the graph tensors "z" and "log_w".
     """
-    B = x.shape[0]
     tile = S * R
     z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
     logq = gaussian_logq(tape, z, mu, sigma, stop_params=stop_q_params)
-    eff = params.effective(tape, frozen=frozen_decoder)
+    eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
-    log_w = dk.sub(tape, logp, logq)
-    return {"z": z, "mu": mu, "sigma": sigma, "logq": logq, "logp": logp,
-            "log_w": log_w, "B": B, "R": R, "S": S}
+    return {"z": z, "log_w": dk.sub(tape, logp, logq)}
 
 
 def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
@@ -204,8 +204,8 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                     encoder: BlackBoxEncoder, disc: Discriminator,
                     params: GrmParams, config: EstimatorConfig,
                     eps: np.ndarray, moment_eps: np.ndarray | None = None,
-                    moments: tuple[np.ndarray, np.ndarray] | None = None,
-                    frozen_decoder: bool = False) -> tuple[dict, WeightBundle]:
+                    moments: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[dict, WeightBundle]:
     """Importance weights with the discriminator standing in for log q.
 
     Adaptive contrast: log q(z|x) is `contrast_logq` at
@@ -222,7 +222,7 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     P = encoder.latent_dim
     x_feats = dk.const(feats)
     z = encoder.encode(tape, x_feats, dk.const(eps))
-    eff = params.effective(tape, frozen=frozen_decoder)
+    eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
 
@@ -241,23 +241,18 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
         z_std = dk.div(tape, dk.sub(tape, z, mu_t), sig_t)
         t_out = disc.forward(tape, x_feats, z_std, frozen=True)
         logq = contrast_logq(tape, t_out, z_std, sigma_hat, tile)
-        z_std_vals = z_std.data
     else:
         mu_hat = sigma_hat = None
         z_std = z
-        z_std_vals = z.data
         t_out = disc.forward(tape, x_feats, z, frozen=True)
-        prior = grm_mod.prior_logpdf(tape, eff, z)
-        logq = dk.add(tape, t_out, prior)
+        logq = dk.add(tape, t_out, grm_mod.prior_logpdf(tape, eff, z))
 
     log_w = dk.sub(tape, logp, logq)
     rows = log_w.data.reshape(B * S, R)
     bundle = WeightBundle(log_w=rows, w_tilde=normalized_weights(rows),
-                          z=z.data, z_std=z_std_vals,
+                          z=z.data, z_std=z_std.data,
                           mu_hat=mu_hat, sigma_hat=sigma_hat)
-    graph = {"z": z, "z_std": z_std, "log_w": log_w, "logp": logp, "logq": logq,
-             "t_out": t_out, "B": B, "R": R, "S": S}
-    return graph, bundle
+    return {"z": z, "log_w": log_w}, bundle
 
 
 def avb_discriminator_loss(tape: Tape | None, disc: Discriminator,
@@ -291,17 +286,20 @@ def iw_elbo_from_log_w(tape: Tape | None, log_w: Tensor2, B: int, R: int, S: int
     return dk.mul(tape, dk.sum_rows(tape, per), 1.0 / S)
 
 
-def dreg_phi_surrogate(tape: Tape | None, log_w: Tensor2,
-                       w_tilde: np.ndarray, B: int, S: int) -> Tensor2:
-    """Scalar whose encoder gradient is sum_r w_tilde^2 dlog w/dz dz/dphi.
+def dreg_phi_surrogate(log_w: Tensor2, R: int) -> np.ndarray:
+    """DReG's (B*S*R, 1) row scale at z: each draw's normalized weight
+    w_tilde, a softmax over its respondent/MC draw's R log-weights.
 
-    log_w must be built with the explicit q-parameter paths stopped (and the
-    decoder frozen when decoder gradients come from another pass); w_tilde is
-    treated as a constant.
+    Back-propagating -mean(IW-ELBO) gives log w the gradient
+    -w_tilde / (B*S).  `Tape.backward(root, row_scale=(z, column))`
+    multiplies z's rows by w_tilde once more before the encoder runs, so
+    with the explicit q-parameter paths stopped
+        dL/dphi = -(1/(B*S)) sum w_tilde^2 dlog w/dz dz/dphi,
+    the gradient of the DReG surrogate -sum w_tilde^2 log w / (B*S) with
+    w_tilde held constant, while dL/dtheta stays -(1/(B*S)) sum w_tilde
+    dlog w/dtheta: theta's paths into log w do not pass through z.
     """
-    w2 = np.ascontiguousarray((w_tilde ** 2).reshape(-1, 1))
-    weighted = dk.mul(tape, log_w, dk.const(w2))
-    return dk.mul(tape, dk.tsum(tape, weighted), 1.0 / (B * S))
+    return normalized_weights(log_w.data.reshape(-1, R)).reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------

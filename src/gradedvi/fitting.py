@@ -2,12 +2,13 @@
 cyclical learning rates, windowed convergence monitoring, and the FitResult
 artifact.
 
-Each step runs one or two tapes.  The encoder pass freezes the decoder (and
-discriminator) so only phi gradients flow; the decoder/discriminator pass
-reuses the same latent draws as constants, so theta gets the
-importance-weighted path and psi gets the classification loss.  This keeps
-every parameter group's gradient exactly as the update rules prescribe while
-sharing one set of noise draws per iteration.
+Each step builds one tape and runs the encoder, the decoder and (for AVB and
+IWAVB) the discriminator once.  Its root is the negated batch objective plus,
+for the adversarial estimators, the discriminator's classification loss:
+theta gets the importance-weighted decoder gradient, phi the encoder
+gradient (DReG's squared weights through a row scale at z when enabled), and
+psi only its classification loss, because the discriminator runs frozen in
+the weight path and its loss takes the draws as constants.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import diffkernel as dk
-from . import grm as grm_mod
 from .diffkernel import Tape
 from .estimators import (
     EstimatorConfig,
@@ -31,9 +31,8 @@ from .estimators import (
     elbo_gaussian,
     gaussian_log_weights,
     iw_elbo_from_log_w,
-    normalized_weights,
 )
-from .grm import GrmParams, ResponseMatrix, init_params, response_selectors, simple_structure_mask
+from .grm import GrmParams, ResponseMatrix, init_params, simple_structure_mask
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder, encode_responses
 from .optim import AdamW, ClrSchedule, ConvergenceMonitor, NumericalError, step_all
 from .rngutil import substream
@@ -248,10 +247,10 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
                   lr_gen: float, lr_disc: float) -> dict:
     """One optimizer step on a mini-batch; returns diagnostics.
 
-    Gradients: theta and phi ascend the estimator objective (IW-ELBO or
-    ELBO, DReG surrogate for phi when enabled); psi descends the
-    discriminator classification loss.  With zero learning rates the state
-    is a fixed point.
+    One tape per step: theta and phi ascend the estimator objective (IW-ELBO
+    or ELBO; with DReG, phi's gradient comes from the row scale at z), and
+    psi descends the discriminator classification loss on the same tape.
+    With zero learning rates the state is a fixed point.
     """
     est = state.est
     params = state.params
@@ -267,74 +266,35 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     if state.opt_psi is not None:
         state.opt_psi.zero_grad()
 
+    tape = Tape()
+    row_scale = None
     if est.kind == "VAE":
         u = rng.standard_normal((b * S, P))
-        tape = Tape()
         per = elbo_gaussian(tape, x_batch, feats_batch, encoder, params, u, S=S)
-        root = dk.mul(tape, dk.tmean(tape, per), -1.0)
-        tape.backward(root)
-        diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
-    elif est.kind == "IWAE":
-        u = rng.standard_normal((b * tile, P))
+    else:
+        if est.kind == "IWAE":
+            u = rng.standard_normal((b * tile, P))
+            graph = gaussian_log_weights(tape, x_batch, feats_batch, encoder, params,
+                                         R, S, u, stop_q_params=est.dreg)
+        else:  # AVB / IWAVB
+            eps = rng.standard_normal((b * tile, encoder.noise_dim))
+            zeta = rng.standard_normal((b * tile, P))
+            moment_eps = None
+            if est.adaptive_contrast and tile < 8:
+                moment_eps = rng.standard_normal((b * (8 - tile), encoder.noise_dim))
+            graph, bundle = avb_log_weights(tape, x_batch, feats_batch, encoder, state.disc,
+                                            params, est, eps, moment_eps=moment_eps)
+        per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
         if est.dreg:
-            tape1 = Tape()
-            g1 = gaussian_log_weights(tape1, x_batch, feats_batch, encoder, params,
-                                      R, S, u, stop_q_params=True, frozen_decoder=True)
-            w_tilde = normalized_weights(g1["log_w"].data.reshape(b * S, R))
-            sur = dreg_phi_surrogate(tape1, g1["log_w"], w_tilde, b, S)
-            tape1.backward(dk.mul(tape1, sur, -1.0))
-
-            tape2 = Tape()
-            eff = params.effective(tape2)
-            sel = response_selectors(x_batch, params.categories)
-            logp = grm_mod.joint_logprob(tape2, eff, dk.const(g1["z"].data), sel, tile=tile)
-            log_w = dk.sub(tape2, logp, dk.const(g1["logq"].data))
-            per = iw_elbo_from_log_w(tape2, log_w, b, R, S)
-            tape2.backward(dk.mul(tape2, dk.tmean(tape2, per), -1.0))
-        else:
-            tape = Tape()
-            g1 = gaussian_log_weights(tape, x_batch, feats_batch, encoder, params, R, S, u)
-            per = iw_elbo_from_log_w(tape, g1["log_w"], b, R, S)
-            tape.backward(dk.mul(tape, dk.tmean(tape, per), -1.0))
-        diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
-    else:  # AVB / IWAVB
-        eps = rng.standard_normal((b * tile, encoder.noise_dim))
-        zeta = rng.standard_normal((b * tile, P))
-        moment_eps = None
-        if est.adaptive_contrast and tile < 8:
-            moment_eps = rng.standard_normal((b * (8 - tile), encoder.noise_dim))
-
-        # pass 1: encoder gradients only (decoder and discriminator frozen)
-        tape1 = Tape()
-        graph1, bundle = avb_log_weights(
-            tape1, x_batch, feats_batch, encoder, state.disc, params, est, eps,
-            moment_eps=moment_eps, frozen_decoder=True)
-        if est.dreg:
-            sur = dreg_phi_surrogate(tape1, graph1["log_w"], bundle.w_tilde, b, S)
-        else:
-            sur = dk.tmean(tape1, iw_elbo_from_log_w(tape1, graph1["log_w"], b, R, S))
-        tape1.backward(dk.mul(tape1, sur, -1.0))
-
-        # pass 2: decoder + discriminator on the same draws, held constant
-        tape2 = Tape()
-        eff2 = params.effective(tape2)
-        sel = response_selectors(x_batch, params.categories)
-        z_const = dk.const(bundle.z)
-        if est.adaptive_contrast:
-            # the surrogate log q is entirely constant w.r.t. theta
-            logp2 = grm_mod.joint_logprob(tape2, eff2, z_const, sel, tile=tile)
-            log_w2 = dk.sub(tape2, logp2, dk.const(graph1["logq"].data))
-        else:
-            # prior terms cancel between log p(x,z) and the q surrogate,
-            # so build log w = conditional - T directly (Sigma gets no pull)
-            cond2 = grm_mod.conditional_loglik(tape2, eff2, z_const, sel, tile=tile)
-            log_w2 = dk.sub(tape2, cond2, dk.const(graph1["t_out"].data))
-        per = iw_elbo_from_log_w(tape2, log_w2, b, R, S)
-        obj = dk.mul(tape2, dk.tmean(tape2, per), -1.0)
-        dloss = avb_discriminator_loss(tape2, state.disc, feats_batch,
-                                       bundle.z_std, zeta)
-        tape2.backward(dk.add(tape2, obj, dloss))
-        diag = {"iw_elbo": float(per.data.mean()), "disc_loss": float(dloss.item())}
+            row_scale = (graph["z"], dreg_phi_surrogate(graph["log_w"], R))
+    root = dk.mul(tape, dk.tmean(tape, per), -1.0)
+    diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
+    if est.adversarial:
+        # the draws enter psi's loss as constants, so it moves only psi
+        dloss = avb_discriminator_loss(tape, state.disc, feats_batch, bundle.z_std, zeta)
+        root = dk.add(tape, root, dloss)
+        diag["disc_loss"] = float(dloss.item())
+    tape.backward(root, row_scale=row_scale)
 
     updates = [(state.opt_theta, lr_gen), (state.opt_phi, lr_gen)]
     if state.opt_psi is not None:

@@ -166,29 +166,20 @@ class GrmParams:
         return GrmValues(loadings=eff["beta"].data, intercepts=intercepts,
                          factor_corr=chol @ chol.T)
 
-    def effective(self, tape: Tape | None, frozen: bool = False) -> dict:
-        """Build effective tensors on the tape.
-
-        frozen=True evaluates from detached copies of the raw leaves, so a
-        graph can use the decoder without routing gradients into it.
-        """
-        def leaf(t: Tensor2) -> Tensor2:
-            return dk.const(t.data) if frozen else t
-
-        raw = leaf(self.loadings_raw)
-        mask = dk.const(self.loading_mask)
+    def effective(self, tape: Tape | None) -> dict:
+        """Build effective tensors on the tape."""
+        raw = self.loadings_raw
         if self.loading_positivity:
-            beta = dk.mul(tape, dk.log1p_exp(tape, raw), mask)
-        else:
-            beta = dk.mul(tape, raw, mask)
+            raw = dk.log1p_exp(tape, raw)
+        beta = dk.mul(tape, raw, dk.const(self.loading_mask))
 
-        alpha_cols = [leaf(self.intercept_base)]
+        alpha_cols = [self.intercept_base]
         for t in self.intercept_incr_raw:
-            gap = dk.add(tape, dk.log1p_exp(tape, leaf(t)), _GAP)
+            gap = dk.add(tape, dk.log1p_exp(tape, t), _GAP)
             alpha_cols.append(dk.sub(tape, alpha_cols[-1], gap))
 
         P = self.n_factors
-        raw_l = leaf(self.chol_raw)
+        raw_l = self.chol_raw
         eye = np.eye(P)
         diag_part = dk.mul(tape, dk.log1p_exp(tape, raw_l), dk.const(eye))
         off_part = dk.mul(tape, raw_l, dk.const(np.tril(np.ones((P, P)), -1)))

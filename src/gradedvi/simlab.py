@@ -3,7 +3,9 @@
 Designs cover the confirmatory normal-latent study (simple structure,
 log-normal loadings, LKJ factor correlations) and the multimodal study
 (three-component Gaussian mixture latents).  Everything is driven by one
-seed through named substreams, so a design is a pure function of its seed.
+seed through named substreams, so a design is a pure function of its seed:
+the true parameters are fixed per design, and each replication draws its own
+latents and responses.
 """
 
 from __future__ import annotations
@@ -183,13 +185,20 @@ def sample_responses(values: GrmValues, latents: np.ndarray,
     return ResponseMatrix(x, categories)
 
 
-def simulate(design: SimDesign) -> SimTruth:
-    """Deterministic (design, seed) -> truth pipeline."""
+def simulate(design: SimDesign, replication: int = 0) -> SimTruth:
+    """Deterministic (design, seed, replication) -> truth pipeline.
+
+    The true parameters come from the design seed alone, so every
+    replication of a design shares them; the latents and responses come
+    from seed + replication.  Replication 0 draws everything from the
+    design seed.
+    """
     design.validate()
     values, mask = sample_true_params(design, substream(design.seed, "true-params"))
-    latents = sample_latents(design, values.factor_corr, substream(design.seed, "latents"))
+    rep_seed = design.seed + replication
+    latents = sample_latents(design, values.factor_corr, substream(rep_seed, "latents"))
     responses = sample_responses(values, latents, design.categories_array(),
-                                 substream(design.seed, "responses"))
+                                 substream(rep_seed, "responses"))
     return SimTruth(values=values, latents=latents, responses=responses, loading_mask=mask)
 
 

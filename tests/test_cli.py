@@ -14,7 +14,14 @@ from gradedvi.estimators import DegeneratePosteriorError
 from gradedvi.fitting import ConfigError, FitConfig, init_state
 from gradedvi.grm import GrmParams, GrmValues, softplus_inv
 from gradedvi.optim import NumericalError
-from gradedvi.simlab import SimDesign, read_responses_csv, simulate, write_responses_csv
+from gradedvi.simlab import (
+    SimDesign,
+    read_responses_csv,
+    read_truth_json,
+    simulate,
+    write_responses_csv,
+    write_truth_json,
+)
 
 
 def write_design(path, **kw):
@@ -384,6 +391,53 @@ class TestEval:
         # loadings bias averaged over the whole (masked) matrix
         frac_on = truth.loading_mask.mean()
         assert rep["blocks"]["loadings"]["bias"] == pytest.approx(0.1 * frac_on, abs=1e-9)
+
+    def _write_fits(self, fits, truth_values, mask, shifts):
+        fits.mkdir()
+        for rep, shift in enumerate(shifts):
+            values = GrmValues(loadings=truth_values.loadings,
+                               intercepts=[a + shift for a in truth_values.intercepts],
+                               factor_corr=truth_values.factor_corr)
+            doc = self._fake_fit_doc(values, mask, np.full(values.n_items, 3))
+            (fits / f"fit_rep{rep:03d}.json").write_text(json.dumps(doc))
+
+    def test_replications_share_one_truth(self, tmp_path):
+        design = tmp_path / "design.json"
+        write_design(design, n_replications=2)
+        sims = tmp_path / "sims"
+        assert main(["simulate", "--design", str(design), "--out", str(sims)]) == 0
+        (v0, mask), (v1, _) = (read_truth_json(sims / f"truth_rep{r:03d}.json") for r in (0, 1))
+        np.testing.assert_array_equal(v0.loadings, v1.loadings)
+        np.testing.assert_array_equal(v0.factor_corr, v1.factor_corr)
+        for a, b in zip(v0.intercepts, v1.intercepts, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert ((sims / "responses_rep000.csv").read_bytes()
+                != (sims / "responses_rep001.csv").read_bytes())
+        # replication 1 is off by 0.2 in every intercept, replication 0 exact
+        self._write_fits(tmp_path / "fits", v0, mask, [0.0, 0.2])
+        out = tmp_path / "report.json"
+        assert main(["eval", "--fits", str(tmp_path / "fits"), "--truths", str(sims),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["n_replications"] == 2
+        assert rep["blocks"]["intercepts"]["bias"] == pytest.approx(0.1, abs=1e-9)
+        assert rep["blocks"]["intercepts"]["mse"] == pytest.approx(0.02, abs=1e-9)
+        assert rep["blocks"]["loadings"]["mse"] < 1e-12
+
+    def test_mismatched_truths_exit_2(self, dataset, tmp_path, capsys):
+        _, truth = dataset
+        other = simulate(SimDesign(n_respondents=60, n_items=6, n_factors=2,
+                                   categories=3, structure="simple", seed=6))
+        truths = tmp_path / "truths"
+        truths.mkdir()
+        write_truth_json(truths / "truth_rep000.json", truth)
+        write_truth_json(truths / "truth_rep001.json", other)
+        self._write_fits(tmp_path / "fits", truth.values, truth.loading_mask, [0.0, 0.0])
+        code = main(["eval", "--fits", str(tmp_path / "fits"), "--truths", str(truths),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "share one truth" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_shape_mismatch_exits_2(self, dataset, tmp_path):
         _, truth = dataset

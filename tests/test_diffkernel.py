@@ -353,6 +353,62 @@ class TestTape:
         assert x.grad.shape == x.shape
 
 
+class TestRowScale:
+    """Tape.backward(root, row_scale=(h, c)) scales the rows of h's finished
+    gradient before h's producer runs."""
+
+    def _graph(self, tape, seed=31):
+        rng = np.random.default_rng(seed)
+        x = dk.parameter(rng.normal(size=(4, 3)))
+        w = dk.parameter(rng.normal(size=(3, 2)))
+        a = dk.parameter(rng.normal(size=(4, 2)))
+        v = dk.parameter(rng.normal(size=(2, 2)))
+        h = dk.matmul(tape, x, w)
+        root = dk.add(tape, dk.tsum(tape, dk.mul(tape, dk.square(tape, h), a)),
+                      dk.tsum(tape, dk.exp(tape, v)))
+        return root, h, {"x": x, "w": w, "a": a, "v": v}
+
+    def _grads(self, row_scale_of=None):
+        tape = dk.Tape()
+        root, h, leaves = self._graph(tape)
+        scale = None if row_scale_of is None else (h, row_scale_of(h))
+        tape.backward(root, row_scale=scale)
+        return h, leaves
+
+    def test_ones_change_nothing(self):
+        _, plain = self._grads()
+        _, ones = self._grads(lambda h: np.ones((h.rows, 1)))
+        for name in plain:
+            np.testing.assert_array_equal(ones[name].grad, plain[name].grad)
+
+    def test_upstream_gets_exactly_the_scaled_gradient(self):
+        c = np.array([[0.5], [2.0], [-1.0], [0.0]])
+        h, leaves = self._grads(lambda h: c)
+        g_h = 2.0 * h.data * leaves["a"].data * c
+        np.testing.assert_array_equal(h.grad, g_h)
+        np.testing.assert_array_equal(leaves["x"].grad, g_h @ leaves["w"].data.T)
+        np.testing.assert_array_equal(leaves["w"].grad, leaves["x"].data.T @ g_h)
+
+    def test_leaves_not_upstream_untouched(self):
+        _, plain = self._grads()
+        _, scaled = self._grads(lambda h: np.array([[0.5], [2.0], [-1.0], [3.0]]))
+        for name in ("a", "v"):
+            np.testing.assert_array_equal(scaled[name].grad, plain[name].grad)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 1), (4, 2), (1, 4)])
+    def test_wrong_shape_raises(self, shape):
+        tape = dk.Tape()
+        root, h, _ = self._graph(tape)
+        with pytest.raises(dk.ShapeError):
+            tape.backward(root, row_scale=(h, np.ones(shape)))
+
+    def test_tensor_off_the_tape_rejected(self):
+        tape = dk.Tape()
+        root, _, leaves = self._graph(tape)
+        with pytest.raises(dk.TapeError):
+            tape.backward(root, row_scale=(leaves["x"], np.ones((4, 1))))
+
+
 class TestRepeatRows:
     def test_rows_repeat_back_to_back(self):
         out = dk.repeat_rows(None, dk.const([[1.0, 2.0], [3.0, 4.0]]), 2)

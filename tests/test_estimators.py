@@ -3,6 +3,7 @@ weight normalization and shift invariance, the analytic-discriminator
 substitution, DReG against a conjugate linear-Gaussian oracle, quadrature
 self-checks, heldout/objective parity, and training-step mechanics."""
 
+import copy
 import math
 
 import numpy as np
@@ -261,18 +262,35 @@ class TestAvbLogWeights:
         rng = np.random.default_rng(16)
         disc = Discriminator.build(feats.shape[1], 2, [8], rng)
 
-        def run(shift):
-            disc.net.layers[-1].bias.data = disc.net.layers[-1].bias.data + shift
+        def encoder_grads(backward):
             tape = dk.Tape()
             graph, bundle = avb_log_weights(tape, resp.data, feats, enc, disc,
                                             params, cfg, eps)
-            sur = dreg_phi_surrogate(tape, graph["log_w"], bundle.w_tilde, 6, cfg.S)
-            tape.backward(sur)
+            backward(tape, graph, bundle)
             grads = [p.grad.copy() for p in enc.parameters()]
             for p in enc.parameters():
                 p.grad = None
-            disc.net.layers[-1].bias.data = disc.net.layers[-1].bias.data - shift
             return bundle.w_tilde, grads
+
+        def dreg(tape, graph, bundle):
+            per = iw_elbo_from_log_w(tape, graph["log_w"], 6, cfg.R, cfg.S)
+            tape.backward(dk.tmean(tape, per),
+                          row_scale=(graph["z"], dreg_phi_surrogate(graph["log_w"], cfg.R)))
+
+        def surrogate(tape, graph, bundle):
+            # reference: sum w_tilde^2 log w / (B*S) with w_tilde held constant
+            w2 = dk.const((bundle.w_tilde ** 2).reshape(-1, 1))
+            weighted = dk.tsum(tape, dk.mul(tape, graph["log_w"], w2))
+            tape.backward(dk.mul(tape, weighted, 1.0 / (6 * cfg.S)))
+
+        def run(shift):
+            disc.net.layers[-1].bias.data = disc.net.layers[-1].bias.data + shift
+            w, grads = encoder_grads(dreg)
+            _, ref = encoder_grads(surrogate)
+            disc.net.layers[-1].bias.data = disc.net.layers[-1].bias.data - shift
+            for a, b in zip(grads, ref):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            return w, grads
 
         w0, g0 = run(0.0)
         w1, g1 = run(123.456)
@@ -309,7 +327,7 @@ class TestDreg:
         resid = dk.div(tape, dk.sub(tape, z, m_eff), s_eff)
         logq = dk.add(tape, dk.mul(tape, dk.square(tape, resid), -0.5), -0.5 * LOG_2PI)
         logq = dk.sub(tape, logq, dk.log(tape, s_eff))
-        return dk.sub(tape, logp, logq)
+        return dk.sub(tape, logp, logq), z
 
     def _analytic(self, m, log_s):
         s = math.exp(log_s)
@@ -325,7 +343,7 @@ class TestDreg:
             tape = dk.Tape()
             m = dk.parameter([[m0]])
             log_s = dk.parameter([[log_s0]])
-            log_w = self._log_w(tape, m, log_s, u, stop_q=True)
+            log_w, _ = self._log_w(tape, m, log_s, u, stop_q=True)
             tape.backward(dk.tmean(tape, log_w))
             est[k] = [m.grad[0, 0], log_s.grad[0, 0]]
         g_true = self._analytic(m0, log_s0)
@@ -341,20 +359,28 @@ class TestDreg:
         g_plain = np.empty((n_rep, 2))
         for k in range(n_rep):
             u = rng.standard_normal((R, 1))
-            # DReG: squared normalized weights on the stopped-q path
+            # DReG: the IW-ELBO on the stopped-q path, w_tilde scaling the rows of z
             tape = dk.Tape()
             m = dk.parameter([[m0]])
             log_s = dk.parameter([[log_s0]])
-            log_w = self._log_w(tape, m, log_s, u, stop_q=True)
-            w_tilde = normalized_weights(log_w.data.reshape(1, R))
-            sur = dreg_phi_surrogate(tape, log_w, w_tilde, 1, 1)
-            tape.backward(sur)
+            log_w, z = self._log_w(tape, m, log_s, u, stop_q=True)
+            per = iw_elbo_from_log_w(tape, log_w, 1, R, 1)
+            tape.backward(dk.tmean(tape, per), row_scale=(z, dreg_phi_surrogate(log_w, R)))
             g_dreg[k] = [m.grad[0, 0], log_s.grad[0, 0]]
+            # reference: the surrogate sum w_tilde^2 log w with w_tilde held constant
+            tape = dk.Tape()
+            m = dk.parameter([[m0]])
+            log_s = dk.parameter([[log_s0]])
+            log_w, _ = self._log_w(tape, m, log_s, u, stop_q=True)
+            w2 = dk.const(normalized_weights(log_w.data.reshape(1, R)).reshape(-1, 1) ** 2)
+            tape.backward(dk.tsum(tape, dk.mul(tape, log_w, w2)))
+            np.testing.assert_allclose(g_dreg[k], [m.grad[0, 0], log_s.grad[0, 0]],
+                                       rtol=0, atol=1e-12)
             # plain reparameterized IW gradient
             tape = dk.Tape()
             m = dk.parameter([[m0]])
             log_s = dk.parameter([[log_s0]])
-            log_w = self._log_w(tape, m, log_s, u, stop_q=False)
+            log_w, _ = self._log_w(tape, m, log_s, u, stop_q=False)
             per = iw_elbo_from_log_w(tape, log_w, 1, R, 1)
             tape.backward(dk.tmean(tape, per))
             g_plain[k] = [m.grad[0, 0], log_s.grad[0, 0]]
@@ -516,6 +542,95 @@ class TestHeldoutBlocks:
         resp, result = trained_adversarial
         self._compare(monkeypatch, result, resp.subset(np.arange(12)), disc=result.disc,
                       adaptive_contrast=result.config.estimator_config().adaptive_contrast)
+
+
+def _constant_copy(obj):
+    """Deep copy whose trainable leaves are all constants."""
+    out = copy.deepcopy(obj)
+    for p in out.parameters():
+        p.requires_grad = False
+    return out
+
+
+def _two_tape_step(state, x, feats, rng):
+    """Gradients of one training step from two tapes, as a reference: a phi
+    pass with the decoder as constants (the DReG surrogate
+    sum w_tilde^2 log w / (B*S) when enabled), then a theta + psi pass on the
+    same draws with the encoder as constants."""
+    est = state.est
+    b, R, S = x.shape[0], est.R, est.S
+    tile = R * S
+    if est.kind == "IWAE":
+        u = rng.standard_normal((b * tile, state.encoder.latent_dim))
+
+        def log_w(tape, encoder, params):
+            return gaussian_log_weights(tape, x, feats, encoder, params, R, S, u,
+                                        stop_q_params=est.dreg)["log_w"], None
+    else:
+        eps = rng.standard_normal((b * tile, state.encoder.noise_dim))
+        zeta = rng.standard_normal((b * tile, state.encoder.latent_dim))
+        moment_eps = None
+        if est.adaptive_contrast and tile < 8:
+            moment_eps = rng.standard_normal((b * (8 - tile), state.encoder.noise_dim))
+
+        def log_w(tape, encoder, params):
+            graph, bundle = avb_log_weights(tape, x, feats, encoder, state.disc, params,
+                                            est, eps, moment_eps=moment_eps)
+            return graph["log_w"], bundle
+
+    tape = dk.Tape()
+    lw, _ = log_w(tape, state.encoder, _constant_copy(state.params))
+    if est.dreg:
+        w2 = normalized_weights(lw.data.reshape(b * S, R)).reshape(-1, 1) ** 2
+        obj = dk.mul(tape, dk.tsum(tape, dk.mul(tape, lw, dk.const(w2))), 1.0 / (b * S))
+    else:
+        obj = dk.tmean(tape, iw_elbo_from_log_w(tape, lw, b, R, S))
+    tape.backward(dk.mul(tape, obj, -1.0))
+
+    tape = dk.Tape()
+    lw, bundle = log_w(tape, _constant_copy(state.encoder), state.params)
+    root = dk.mul(tape, dk.tmean(tape, iw_elbo_from_log_w(tape, lw, b, R, S)), -1.0)
+    if est.adversarial:
+        root = dk.add(tape, root, avb_discriminator_loss(tape, state.disc, feats,
+                                                         bundle.z_std, zeta))
+    tape.backward(root)
+
+
+class TestSingleTapeParity:
+    """One training step on one tape gives every parameter group the
+    gradient the two-pass construction gives it."""
+
+    @pytest.mark.parametrize("dreg", [True, False])
+    @pytest.mark.parametrize("kind,adaptive_contrast",
+                             [("IWAE", None), ("AVB", None), ("IWAVB", None), ("AVB", True)])
+    def test_gradients_match_two_tape_reference(self, kind, adaptive_contrast, dreg):
+        rng = np.random.default_rng(25)
+        resp, _ = sample_toy_data(rng, N=40, M=5, P=2, C=3)
+        cfg = FitConfig(estimator=kind, n_factors=2, R=3, S=2, batch_size=20,
+                        encoder_hidden=[8], disc_hidden=[8], seed=25, dreg=dreg,
+                        adaptive_contrast=adaptive_contrast)
+        state, feats, _ = init_state(resp, cfg)
+        x, f = resp.data[:20], feats[:20]
+        groups = {"theta": state.params.parameters(), "phi": state.encoder.parameters(),
+                  "psi": state.disc.parameters() if state.disc is not None else []}
+
+        def grads():
+            out = {name: [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                          for p in ps] for name, ps in groups.items()}
+            for ps in groups.values():
+                for p in ps:
+                    p.grad = None
+            return out
+
+        noise = copy.deepcopy(state.noise_rng)
+        training_step(state, x, f, 0.0, 0.0)
+        got = grads()
+        _two_tape_step(state, x, f, noise)
+        want = grads()
+        for name in groups:
+            assert not groups[name] or any(np.abs(g).max() > 0 for g in got[name]), name
+            for g, w in zip(got[name], want[name], strict=True):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestTrainingStep:

@@ -146,6 +146,20 @@ class TestSampleResponses:
         np.testing.assert_array_equal(a.latents, b.latents)
 
 
+    def test_replications_share_parameters_not_data(self):
+        d = SimDesign(n_respondents=50, n_items=10, n_factors=2, categories=3, seed=12)
+        base, rep1 = simulate(d), simulate(d, replication=1)
+        np.testing.assert_array_equal(rep1.values.loadings, base.values.loadings)
+        np.testing.assert_array_equal(rep1.values.factor_corr, base.values.factor_corr)
+        for x, y in zip(rep1.values.intercepts, base.values.intercepts, strict=True):
+            np.testing.assert_array_equal(x, y)
+        assert not np.array_equal(rep1.latents, base.latents)
+        assert not np.array_equal(rep1.responses.data, base.responses.data)
+        # replication 0 is the design seed's own draw
+        np.testing.assert_array_equal(simulate(d, replication=0).responses.data,
+                                      base.responses.data)
+
+
 class TestPipeline:
     def test_determinism_bit_identical(self):
         d = SimDesign(n_respondents=80, n_items=8, n_factors=2, categories=4, seed=13)
