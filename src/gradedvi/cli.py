@@ -4,7 +4,8 @@ recovery, compute heldout likelihood, and run scree analyses.
 All commands are driven by JSON config files whose flat keys are mirrored as
 flags (flags win).  Every output directory gets a manifest recording the
 config hash, seeds, input digests and artifact paths.  Exit codes: 0 success,
-2 input/config error, 3 numerical failure.
+2 input/config error, 3 numerical failure (for scree: no factor count
+produced a row).
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from .align import align_correlations, align_to_reference
 from .diffkernel import DomainError
 from .estimators import DegeneratePosteriorError, heldout_loglik
 from .fitting import ConfigError, FitConfig, FitResult, fit, split_holdout
-from .grm import GrmParams, GrmValues, ResponseMatrix
+from .grm import GrmParams, GrmValues
 from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder
 from .optim import NumericalError
 from .rngutil import substream
 from .simlab import (
     DesignError,
     SimDesign,
-    intercept_stack,
     mse_bias,
     read_responses_csv,
     read_truth_json,
@@ -88,7 +88,8 @@ def write_manifest(out_dir: Path, command: str, config_doc: dict,
 
 
 def load_fit_bundle(path: Path):
-    """FitResult JSON -> (params, encoder, disc, config)."""
+    """FitResult JSON -> (params, encoder, disc, config); the stored config
+    must pass `FitConfig.validate` (ConfigError otherwise)."""
     with open(path) as fh:
         doc = json.load(fh)
     params = GrmParams.from_dict(doc["params"])
@@ -100,7 +101,8 @@ def load_fit_bundle(path: Path):
     disc_doc = doc["networks"]["discriminator"]
     disc = Discriminator.from_dict(disc_doc) if disc_doc is not None else None
     config = FitConfig.from_dict(doc["config"])
-    return params, encoder, disc, config, doc
+    config.validate()
+    return params, encoder, disc, config
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +338,12 @@ def _holdout_ids(args, config: FitConfig, n: int) -> np.ndarray:
 
 def cmd_heldout(args) -> int:
     try:
-        params, encoder, disc, config, doc = load_fit_bundle(Path(args.fit))
+        params, encoder, disc, config = load_fit_bundle(Path(args.fit))
         responses = read_responses_csv(Path(args.responses))
         ids = _holdout_ids(args, config, responses.n_respondents)
         r_eval = args.r_eval if args.r_eval is not None else config.r_eval
         if r_eval < 1:
             raise ValueError(f"r-eval must be >= 1, got {r_eval}")
-        adaptive_contrast = config.estimator_config().adaptive_contrast
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -350,7 +351,7 @@ def cmd_heldout(args) -> int:
     try:
         report = heldout_loglik(responses.subset(ids), params, encoder, rng,
                                 R_eval=r_eval, disc=disc,
-                                adaptive_contrast=adaptive_contrast)
+                                adaptive_contrast=config.resolved_adaptive_contrast)
     except NUMERICAL_ERRORS as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -387,7 +388,7 @@ def _scree_one(packed):
     report = heldout_loglik(
         responses.subset(hold_idx), result.params, result.encoder, rng,
         R_eval=config.r_eval, disc=result.disc,
-        adaptive_contrast=config.estimator_config().adaptive_contrast)
+        adaptive_contrast=config.resolved_adaptive_contrast)
     fit_dir = Path(out_dir) / f"P{p}"
     fit_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(fit_dir / "fit.json", result.to_json_dict())
@@ -399,9 +400,12 @@ def cmd_scree(args) -> int:
         p_list = [int(v) for v in args.factors.split(",") if v]
         if not p_list:
             raise ValueError("empty factor list")
+        if len(set(p_list)) != len(p_list):
+            raise ValueError(f"factor list {args.factors} repeats a value")
         with open(args.config) as fh:
             config_doc = json.load(fh)
-        FitConfig.from_dict(dict(config_doc)).validate()
+        for p in p_list:
+            FitConfig.from_dict(config_doc | {"n_factors": p}).validate()
         if not Path(args.responses).exists():
             raise OSError(f"no such file: {args.responses}")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as err:
@@ -426,6 +430,9 @@ def cmd_scree(args) -> int:
                 rows.append(_scree_one(j))
             except Exception as err:
                 print(f"warning: P={j[2]} failed: {err}", file=sys.stderr)
+    if not rows:
+        print(f"error: none of the {len(p_list)} fits succeeded", file=sys.stderr)
+        return EXIT_NUMERICAL
     rows.sort()
     csv_path = out_dir / "scree.csv"
     with open(csv_path, "w") as fh:

@@ -40,7 +40,7 @@ class TapeError(RuntimeError):
 class Tensor2:
     """Dense 2-D tensor with an optional same-shape gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_grad_owned")
+    __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -52,7 +52,6 @@ class Tensor2:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
-        self._grad_owned = True
 
     @property
     def rows(self) -> int:

@@ -10,6 +10,11 @@ Four estimators share one decoder:
            matched Gaussian; weights combine its logit with the analytic
            pieces of the surrogate posterior density.
 
+Their settings live on `fitting.FitConfig`, the only settings object, which
+checks the rules among them and resolves an unset adaptive contrast
+(`FitConfig.resolved_adaptive_contrast`).  The functions here take R, S and
+adaptive contrast as plain arguments.
+
 Row layout is respondent-major everywhere: sample (i, s, r) lives at row
 (i*S + s)*R + r, so reshaping to (B*S, R) lines importance samples up per
 respondent/MC draw.  Every network takes the B distinct feature rows, one
@@ -55,8 +60,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # instead of hundreds of MB.
 _HELDOUT_BLOCK_ROWS = 5_000
 
-VALID_KINDS = ("VAE", "IWAE", "AVB", "IWAVB")
-
 
 class DegeneratePosteriorError(RuntimeError):
     """Adaptive-contrast moment estimate collapsed (sigma-hat ~ 0)."""
@@ -64,45 +67,6 @@ class DegeneratePosteriorError(RuntimeError):
 
 class UnsupportedDimensionError(ValueError):
     """Quadrature oracle only covers one and two latent dimensions."""
-
-
-@dataclass
-class EstimatorConfig:
-    kind: str = "IWAE"
-    R: int = 25
-    S: int = 1
-    adaptive_contrast: bool | None = None
-    dreg: bool = True
-
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"kind must be one of {VALID_KINDS}, got {self.kind!r}")
-        if self.R < 1 or self.S < 1:
-            raise ValueError("R and S must be >= 1")
-        if self.kind == "VAE" and self.R != 1:
-            raise ValueError("VAE requires R = 1")
-        if self.adaptive_contrast is None:
-            self.adaptive_contrast = self.kind == "IWAVB"
-        if self.kind == "IWAVB" and not self.adaptive_contrast:
-            raise ValueError("IWAVB always uses adaptive contrast")
-        if self.kind in ("VAE", "IWAE") and self.adaptive_contrast:
-            raise ValueError("adaptive contrast applies only to AVB/IWAVB")
-
-    @property
-    def adversarial(self) -> bool:
-        return self.kind in ("AVB", "IWAVB")
-
-
-@dataclass
-class WeightBundle:
-    """Per-batch importance-weight pieces (forward values, not graph)."""
-
-    log_w: np.ndarray                 # (B*S, R)
-    w_tilde: np.ndarray               # (B*S, R), rows sum to 1
-    z: np.ndarray                     # (B*S*R, P)
-    z_std: np.ndarray | None = None   # standardized draws (AC mode)
-    mu_hat: np.ndarray | None = None  # (B, P)
-    sigma_hat: np.ndarray | None = None
 
 
 def normalized_weights(log_w_rows: np.ndarray) -> np.ndarray:
@@ -202,10 +166,9 @@ def contrast_logq(tape: Tape | None, t_out: Tensor2, z_std: Tensor2,
 
 def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                     encoder: BlackBoxEncoder, disc: Discriminator,
-                    params: GrmParams, config: EstimatorConfig,
+                    params: GrmParams, R: int, S: int, adaptive_contrast: bool,
                     eps: np.ndarray, moment_eps: np.ndarray | None = None,
-                    moments: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> tuple[dict, WeightBundle]:
+                    moments: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """Importance weights with the discriminator standing in for log q.
 
     Adaptive contrast: log q(z|x) is `contrast_logq` at
@@ -215,9 +178,10 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
 
     The discriminator runs frozen: its parameters must not receive gradients
     from the weight path (they train on the classification loss only).
+    eps has B*S*R rows; returns the graph tensors "z", "log_w" and "z_std",
+    the draws the discriminator saw (z itself in plain mode).
     """
     B = x.shape[0]
-    R, S = config.R, config.S
     tile = S * R
     P = encoder.latent_dim
     x_feats = dk.const(feats)
@@ -226,7 +190,7 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
 
-    if config.adaptive_contrast:
+    if adaptive_contrast:
         if moments is not None:
             mu_hat, sigma_hat = moments
         else:
@@ -242,17 +206,10 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
         t_out = disc.forward(tape, x_feats, z_std, frozen=True)
         logq = contrast_logq(tape, t_out, z_std, sigma_hat, tile)
     else:
-        mu_hat = sigma_hat = None
         z_std = z
         t_out = disc.forward(tape, x_feats, z, frozen=True)
         logq = dk.add(tape, t_out, grm_mod.prior_logpdf(tape, eff, z))
-
-    log_w = dk.sub(tape, logp, logq)
-    rows = log_w.data.reshape(B * S, R)
-    bundle = WeightBundle(log_w=rows, w_tilde=normalized_weights(rows),
-                          z=z.data, z_std=z_std.data,
-                          mu_hat=mu_hat, sigma_hat=sigma_hat)
-    return {"z": z, "log_w": log_w}, bundle
+    return {"z": z, "log_w": dk.sub(tape, logp, logq), "z_std": z_std}
 
 
 def avb_discriminator_loss(tape: Tape | None, disc: Discriminator,

@@ -9,6 +9,12 @@ theta gets the importance-weighted decoder gradient, phi the encoder
 gradient (DReG's squared weights through a row scale at z when enabled), and
 psi only its classification loss, because the discriminator runs frozen in
 the weight path and its loss takes the draws as constants.
+
+`FitConfig` is the one settings object for a fit.  `FitConfig.validate`
+checks every estimator rule (VAE needs R = 1, IWAVB is AVB with adaptive
+contrast, VAE and IWAE never use it), and the read-only
+`FitConfig.resolved_adaptive_contrast` resolves an unset adaptive contrast:
+on for IWAVB, off for the others.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import numpy as np
 from . import diffkernel as dk
 from .diffkernel import Tape
 from .estimators import (
-    EstimatorConfig,
     avb_discriminator_loss,
     avb_log_weights,
     dreg_phi_surrogate,
@@ -81,6 +86,10 @@ class FitConfig:
             raise ConfigError("R: must be >= 1 (and exactly 1 for VAE)")
         if self.S < 1:
             raise ConfigError("S: must be >= 1")
+        if self.estimator == "IWAVB" and self.adaptive_contrast is False:
+            raise ConfigError("adaptive_contrast: IWAVB always uses adaptive contrast")
+        if self.estimator in ("VAE", "IWAE") and self.adaptive_contrast:
+            raise ConfigError("adaptive_contrast: applies only to AVB and IWAVB")
         if self.batch_size < 1:
             raise ConfigError("batch_size: must be >= 1")
         if self.base_lr < 0 or self.disc_base_lr < 0:
@@ -108,10 +117,12 @@ class FitConfig:
         if self.noise_dim is not None and self.noise_dim < 1:
             raise ConfigError("noise_dim: must be >= 1 when set")
 
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(kind=self.estimator, R=self.R, S=self.S,
-                               adaptive_contrast=self.adaptive_contrast,
-                               dreg=self.dreg)
+    @property
+    def resolved_adaptive_contrast(self) -> bool:
+        """adaptive_contrast, with None meaning on for IWAVB only."""
+        if self.adaptive_contrast is None:
+            return self.estimator == "IWAVB"
+        return self.adaptive_contrast
 
     def resolved_encoder_hidden(self) -> list[int]:
         if self.encoder_hidden is not None:
@@ -153,7 +164,6 @@ def _has_type(value, hint) -> bool:
 @dataclass
 class FitState:
     config: FitConfig
-    est: EstimatorConfig
     params: GrmParams
     encoder: GaussianEncoder | BlackBoxEncoder
     disc: Discriminator | None
@@ -220,7 +230,6 @@ def init_state(responses: ResponseMatrix, config: FitConfig) -> tuple[FitState, 
     """Parameters, networks and optimizers for a fresh fit; returns the
     encoded feature matrix alongside the state."""
     config.validate()
-    est = config.estimator_config()
     M = responses.n_items
     P = config.n_factors
     if config.loading_structure == "simple":
@@ -234,7 +243,7 @@ def init_state(responses: ResponseMatrix, config: FitConfig) -> tuple[FitState, 
     kw = dict(beta1=config.beta1, beta2=config.beta2,
               weight_decay=config.weight_decay, eps=config.eps_stab)
     state = FitState(
-        config=config, est=est, params=params, encoder=encoder, disc=disc,
+        config=config, params=params, encoder=encoder, disc=disc,
         opt_theta=AdamW(params.parameters(), **kw),
         opt_phi=AdamW(encoder.parameters(), **kw),
         opt_psi=AdamW(disc.parameters(), **kw) if disc is not None else None,
@@ -252,11 +261,11 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     psi descends the discriminator classification loss on the same tape.
     With zero learning rates the state is a fixed point.
     """
-    est = state.est
+    config = state.config
     params = state.params
     encoder = state.encoder
     b = x_batch.shape[0]
-    R, S = est.R, est.S
+    R, S = config.R, config.S
     tile = R * S
     P = encoder.latent_dim
     rng = state.noise_rng
@@ -268,30 +277,32 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
 
     tape = Tape()
     row_scale = None
-    if est.kind == "VAE":
+    if config.estimator == "VAE":
         u = rng.standard_normal((b * S, P))
         per = elbo_gaussian(tape, x_batch, feats_batch, encoder, params, u, S=S)
     else:
-        if est.kind == "IWAE":
+        if config.estimator == "IWAE":
             u = rng.standard_normal((b * tile, P))
             graph = gaussian_log_weights(tape, x_batch, feats_batch, encoder, params,
-                                         R, S, u, stop_q_params=est.dreg)
+                                         R, S, u, stop_q_params=config.dreg)
         else:  # AVB / IWAVB
             eps = rng.standard_normal((b * tile, encoder.noise_dim))
             zeta = rng.standard_normal((b * tile, P))
+            adaptive_contrast = config.resolved_adaptive_contrast
             moment_eps = None
-            if est.adaptive_contrast and tile < 8:
+            if adaptive_contrast and tile < 8:
                 moment_eps = rng.standard_normal((b * (8 - tile), encoder.noise_dim))
-            graph, bundle = avb_log_weights(tape, x_batch, feats_batch, encoder, state.disc,
-                                            params, est, eps, moment_eps=moment_eps)
+            graph = avb_log_weights(tape, x_batch, feats_batch, encoder, state.disc, params,
+                                    R, S, adaptive_contrast, eps, moment_eps=moment_eps)
         per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
-        if est.dreg:
+        if config.dreg:
             row_scale = (graph["z"], dreg_phi_surrogate(graph["log_w"], R))
     root = dk.mul(tape, dk.tmean(tape, per), -1.0)
     diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
-    if est.adversarial:
+    if state.disc is not None:
         # the draws enter psi's loss as constants, so it moves only psi
-        dloss = avb_discriminator_loss(tape, state.disc, feats_batch, bundle.z_std, zeta)
+        dloss = avb_discriminator_loss(tape, state.disc, feats_batch,
+                                       graph["z_std"].data, zeta)
         root = dk.add(tape, root, dloss)
         diag["disc_loss"] = float(dloss.item())
     tape.backward(root, row_scale=row_scale)

@@ -15,7 +15,6 @@ op.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,13 +222,6 @@ class GrmParams:
             loading_positivity=raw["loading_positivity"],
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GrmParams":
-        return cls.from_dict(json.loads(text))
-
 
 def init_params(n_items: int, n_factors: int, categories, seed: int,
                 loading_mask: np.ndarray | None = None,
@@ -288,21 +280,6 @@ def simple_structure_mask(n_items: int, n_factors: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # plain-array evaluation
-
-
-def boundary_prob(z: np.ndarray, values: GrmValues, item: int, level: int) -> np.ndarray:
-    """P(x_ij >= level | z) for one item; level 0 -> 1, level C_j -> 0."""
-    cj = len(values.intercepts[item]) + 1
-    if level < 0 or level > cj:
-        raise IndexError(f"level {level} outside 0..{cj} for item {item}")
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if level == 0:
-        return np.ones(z.shape[0])
-    if level == cj:
-        return np.zeros(z.shape[0])
-    t = z @ values.loadings[item] + values.intercepts[item][level - 1]
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:

@@ -188,17 +188,19 @@ def sample_responses(values: GrmValues, latents: np.ndarray,
 def simulate(design: SimDesign, replication: int = 0) -> SimTruth:
     """Deterministic (design, seed, replication) -> truth pipeline.
 
-    The true parameters come from the design seed alone, so every
-    replication of a design shares them; the latents and responses come
-    from seed + replication.  Replication 0 draws everything from the
-    design seed.
+    Everything comes from the design seed.  The true parameters are shared
+    by every replication of a design; each replication draws its latents and
+    responses from substreams labelled with its number ("latents-rep1", ...),
+    so no replication repeats another design's draws.  Replication 0 keeps
+    the plain labels "latents" and "responses".
     """
     design.validate()
     values, mask = sample_true_params(design, substream(design.seed, "true-params"))
-    rep_seed = design.seed + replication
-    latents = sample_latents(design, values.factor_corr, substream(rep_seed, "latents"))
+    suffix = f"-rep{replication}" if replication else ""
+    latents = sample_latents(design, values.factor_corr,
+                             substream(design.seed, "latents" + suffix))
     responses = sample_responses(values, latents, design.categories_array(),
-                                 substream(rep_seed, "responses"))
+                                 substream(design.seed, "responses" + suffix))
     return SimTruth(values=values, latents=latents, responses=responses, loading_mask=mask)
 
 
@@ -243,20 +245,6 @@ def mse_bias(estimates: list[GrmValues], truth: GrmValues) -> dict[str, BlockMet
         report["correlations"] = _block_mse_bias(
             [e.factor_corr[iu] for e in estimates], truth.factor_corr[iu])
     return report
-
-
-def rmse_vs_reference(estimates: list[np.ndarray], reference_index: int) -> float:
-    """Root-mean-square deviation from one reference run, averaged over
-    entries, with the reference excluded from the sum."""
-    if not 0 <= reference_index < len(estimates):
-        raise ValueError("reference index out of range")
-    if len(estimates) < 2:
-        raise ValueError("need at least two runs")
-    ref = np.asarray(estimates[reference_index], dtype=np.float64)
-    others = np.stack([np.asarray(e, dtype=np.float64)
-                       for i, e in enumerate(estimates) if i != reference_index])
-    per_entry = np.sqrt(((others - ref[None, ...]) ** 2).mean(axis=0))
-    return float(per_entry.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,13 @@ def write_config(path, **kw):
     return doc
 
 
+# estimator and adaptive-contrast pairs that FitConfig.validate rejects
+CONTRAST_MISMATCHES = pytest.mark.parametrize("mismatch", [
+    {"estimator": "IWAE", "adaptive_contrast": True},
+    {"estimator": "IWAVB", "adaptive_contrast": False},
+], ids=["iwae-with-contrast", "iwavb-without-contrast"])
+
+
 def params_from_values(values: GrmValues, mask, categories) -> GrmParams:
     """Raw parameters whose reconstruction equals the given effective values."""
     maxc = int(np.max(categories))
@@ -213,6 +220,17 @@ class TestFit:
         code = main(["fit", "--config", str(cfg), "--responses", str(resp_path),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @CONTRAST_MISMATCHES
+    def test_contrast_mismatch_exits_2(self, mismatch, dataset, tmp_path, capsys):
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **mismatch)
+        code = main(["fit", "--config", str(cfg), "--responses", str(resp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: adaptive_contrast: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, flags, message", [
         ({}, ["--beta1", "1.5"], "beta1"),
@@ -555,6 +573,22 @@ class TestHeldout:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["holdout_ids"] == [499, 0, 17]
 
+    @CONTRAST_MISMATCHES
+    def test_invalid_stored_config_exits_2(self, mismatch, big_fit, tmp_path, capsys):
+        resp_path, fit_path = big_fit
+        doc = json.loads(fit_path.read_text())
+        doc["config"].update(mismatch)
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="adaptive_contrast"):
+            cli.load_fit_bundle(bad)
+        out = tmp_path / "heldout.json"
+        code = main(["heldout", "--fit", str(bad), "--responses", str(resp_path),
+                     "--r-eval", "4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: adaptive_contrast: ")
+        assert not out.exists()
+
 
 class TestScree:
     def test_two_factor_list_gives_two_rows(self, dataset, tmp_path):
@@ -576,3 +610,38 @@ class TestScree:
         write_config(cfg)
         assert main(["scree", "--responses", str(resp_path), "--config", str(cfg),
                      "--factors", "", "--out", str(tmp_path / "s")]) == 2
+
+    def _scree_exits_2_before_any_fit(self, resp_path, tmp_path, capsys, factors, message,
+                                      **config):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **config)
+        out = tmp_path / "s"
+        code = main(["scree", "--responses", str(resp_path), "--config", str(cfg),
+                     "--factors", factors, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @CONTRAST_MISMATCHES
+    def test_contrast_mismatch_exits_2(self, mismatch, dataset, tmp_path, capsys):
+        self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, "1,2",
+                                           "adaptive_contrast", **mismatch)
+
+    @pytest.mark.parametrize("factors, message", [
+        ("0", "n_factors"), ("1,0", "n_factors"), ("1,1", "repeats"),
+    ], ids=["zero", "zero-after-one", "repeated"])
+    def test_bad_factor_list_exits_2(self, factors, message, dataset, tmp_path, capsys):
+        self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, factors, message)
+
+    def test_no_successful_fit_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        monkeypatch.setattr(cli, "fit", _raise(NumericalError))
+        code = main(["scree", "--responses", str(resp_path), "--config", str(cfg),
+                     "--factors", "1,2", "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: none of the 2 fits succeeded" in err
+        assert not (tmp_path / "s" / "scree.csv").exists()

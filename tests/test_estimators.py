@@ -15,7 +15,6 @@ from gradedvi import fitting as fitting_mod
 from gradedvi import grm as G
 from gradedvi.estimators import (
     DegeneratePosteriorError,
-    EstimatorConfig,
     HeldoutReport,
     UnsupportedDimensionError,
     avb_discriminator_loss,
@@ -30,7 +29,7 @@ from gradedvi.estimators import (
     moment_estimates,
     normalized_weights,
 )
-from gradedvi.fitting import FitConfig, FitState, fit, init_state, training_step
+from gradedvi.fitting import ConfigError, FitConfig, FitState, fit, init_state, training_step
 from gradedvi.grm import GrmValues, ResponseMatrix, init_params
 from gradedvi.nets import (
     BlackBoxEncoder,
@@ -57,23 +56,47 @@ def sample_toy_data(rng, N=100, M=8, P=1, C=3):
 
 
 class TestEstimatorConfig:
+    """The estimator rules of FitConfig.validate, and how an unset adaptive
+    contrast resolves."""
+
     def test_vae_requires_single_sample(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="VAE", R=4)
+        with pytest.raises(ConfigError, match="R:"):
+            FitConfig(estimator="VAE", R=4).validate()
+        FitConfig(estimator="VAE", R=1).validate()
 
     def test_iwavb_forces_adaptive_contrast(self):
-        cfg = EstimatorConfig(kind="IWAVB")
-        assert cfg.adaptive_contrast
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="IWAVB", adaptive_contrast=False)
+        cfg = FitConfig(estimator="IWAVB")
+        cfg.validate()
+        assert cfg.resolved_adaptive_contrast is True
+        with pytest.raises(ConfigError, match="adaptive_contrast"):
+            FitConfig(estimator="IWAVB", adaptive_contrast=False).validate()
 
     def test_gaussian_kinds_reject_adaptive_contrast(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="IWAE", adaptive_contrast=True)
+        for kind in ("VAE", "IWAE"):
+            with pytest.raises(ConfigError, match="adaptive_contrast"):
+                FitConfig(estimator=kind, R=1, adaptive_contrast=True).validate()
+            FitConfig(estimator=kind, R=1, adaptive_contrast=False).validate()
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="GIBBS")
+        with pytest.raises(ConfigError, match="estimator"):
+            FitConfig(estimator="GIBBS").validate()
+
+    @pytest.mark.parametrize("key", ["R", "S"])
+    def test_sample_counts_at_least_one(self, key):
+        with pytest.raises(ConfigError, match=f"{key}:"):
+            FitConfig(**{key: 0}).validate()
+
+    @pytest.mark.parametrize("kind, setting, resolved", [
+        ("VAE", None, False), ("IWAE", None, False), ("IWAE", False, False),
+        ("AVB", None, False), ("AVB", False, False), ("AVB", True, True),
+        ("IWAVB", None, True), ("IWAVB", True, True),
+    ])
+    def test_resolved_adaptive_contrast(self, kind, setting, resolved):
+        cfg = FitConfig(estimator=kind, R=1, adaptive_contrast=setting)
+        cfg.validate()
+        assert cfg.resolved_adaptive_contrast is resolved
+        assert cfg.adaptive_contrast is setting
+        assert "resolved_adaptive_contrast" not in cfg.to_dict()
 
 
 def _zeroed_gaussian_encoder(feat_dim, P, mean_bias=0.0):
@@ -229,21 +252,20 @@ class TestAvbLogWeights:
         sigma_q = np.array([1.3, 0.8][:P])
         enc = _affine_blackbox_encoder(feats.shape[1], P, mu_q, sigma_q)
         eps = rng.standard_normal((B * R * S, P))
-        cfg = EstimatorConfig(kind="IWAVB", R=R, S=S)
-        return resp, params, feats, enc, mu_q, sigma_q, eps, cfg
+        return resp, params, feats, enc, mu_q, sigma_q, eps, R, S
 
     def test_optimal_discriminator_recovers_exact_log_weights(self):
-        resp, params, feats, enc, mu_q, sigma_q, eps, cfg = self._setup()
+        resp, params, feats, enc, mu_q, sigma_q, eps, R, S = self._setup()
         B, P = 6, 2
         # deliberately mismatched moment estimates
         mu_hat = np.broadcast_to(np.array([0.3, 0.1]), (B, P)).copy()
         sigma_hat = np.broadcast_to(np.array([1.7, 1.1]), (B, P)).copy()
         disc = _AnalyticContrastDisc((mu_q - mu_hat[0]) / sigma_hat[0],
                                      sigma_q / sigma_hat[0])
-        graph, bundle = avb_log_weights(None, resp.data, feats, enc, disc, params,
-                                        cfg, eps, moments=(mu_hat, sigma_hat))
-        z = bundle.z
-        tile = cfg.R * cfg.S
+        graph = avb_log_weights(None, resp.data, feats, enc, disc, params, R, S, True,
+                                eps, moments=(mu_hat, sigma_hat))
+        z = graph["z"].data
+        tile = R * S
         x_rep = np.repeat(resp.data, tile, axis=0)
         logp = G.joint_logprob_values(x_rep, z, params.values())
         logq_true = (-0.5 * (((z - mu_q) / sigma_q) ** 2).sum(axis=1)
@@ -252,36 +274,38 @@ class TestAvbLogWeights:
                                    atol=1e-9)
 
     def test_normalized_weights_sum_to_one(self):
-        resp, params, feats, enc, _, _, eps, cfg = self._setup()
+        resp, params, feats, enc, _, _, eps, R, S = self._setup()
         disc = Discriminator.build(feats.shape[1], 2, [8], np.random.default_rng(15))
-        _, bundle = avb_log_weights(None, resp.data, feats, enc, disc, params, cfg, eps)
-        np.testing.assert_allclose(bundle.w_tilde.sum(axis=1), 1.0, atol=1e-12)
+        graph = avb_log_weights(None, resp.data, feats, enc, disc, params, R, S, True, eps)
+        w_tilde = normalized_weights(graph["log_w"].data.reshape(-1, R))
+        np.testing.assert_allclose(w_tilde.sum(axis=1), 1.0, atol=1e-12)
 
     def test_constant_shift_in_t_leaves_weights_and_gradients_unchanged(self):
-        resp, params, feats, enc, _, _, eps, cfg = self._setup()
+        resp, params, feats, enc, _, _, eps, R, S = self._setup()
         rng = np.random.default_rng(16)
         disc = Discriminator.build(feats.shape[1], 2, [8], rng)
 
         def encoder_grads(backward):
             tape = dk.Tape()
-            graph, bundle = avb_log_weights(tape, resp.data, feats, enc, disc,
-                                            params, cfg, eps)
-            backward(tape, graph, bundle)
+            graph = avb_log_weights(tape, resp.data, feats, enc, disc, params,
+                                    R, S, True, eps)
+            w_tilde = normalized_weights(graph["log_w"].data.reshape(-1, R))
+            backward(tape, graph, w_tilde)
             grads = [p.grad.copy() for p in enc.parameters()]
             for p in enc.parameters():
                 p.grad = None
-            return bundle.w_tilde, grads
+            return w_tilde, grads
 
-        def dreg(tape, graph, bundle):
-            per = iw_elbo_from_log_w(tape, graph["log_w"], 6, cfg.R, cfg.S)
+        def dreg(tape, graph, w_tilde):
+            per = iw_elbo_from_log_w(tape, graph["log_w"], 6, R, S)
             tape.backward(dk.tmean(tape, per),
-                          row_scale=(graph["z"], dreg_phi_surrogate(graph["log_w"], cfg.R)))
+                          row_scale=(graph["z"], dreg_phi_surrogate(graph["log_w"], R)))
 
-        def surrogate(tape, graph, bundle):
+        def surrogate(tape, graph, w_tilde):
             # reference: sum w_tilde^2 log w / (B*S) with w_tilde held constant
-            w2 = dk.const((bundle.w_tilde ** 2).reshape(-1, 1))
+            w2 = dk.const((w_tilde ** 2).reshape(-1, 1))
             weighted = dk.tsum(tape, dk.mul(tape, graph["log_w"], w2))
-            tape.backward(dk.mul(tape, weighted, 1.0 / (6 * cfg.S)))
+            tape.backward(dk.mul(tape, weighted, 1.0 / (6 * S)))
 
         def run(shift):
             disc.net.layers[-1].bias.data = disc.net.layers[-1].bias.data + shift
@@ -507,14 +531,13 @@ class TestHeldoutParity:
         resp, result = trained_adversarial
         hold = resp.subset(np.arange(10))
         R = 300
-        cfg = result.config.estimator_config()
+        adaptive_contrast = result.config.resolved_adaptive_contrast
         rep = heldout_loglik(hold, result.params, result.encoder, np.random.default_rng(4),
-                             R_eval=R, disc=result.disc,
-                             adaptive_contrast=cfg.adaptive_contrast)
+                             R_eval=R, disc=result.disc, adaptive_contrast=adaptive_contrast)
         feats, _ = encode_responses(hold.data, hold.categories)
         eps = np.random.default_rng(4).standard_normal((10 * R, result.encoder.noise_dim))
-        graph, _ = avb_log_weights(None, hold.data, feats, result.encoder, result.disc,
-                                   result.params, EstimatorConfig(kind=cfg.kind, R=R), eps)
+        graph = avb_log_weights(None, hold.data, feats, result.encoder, result.disc,
+                                result.params, R, 1, adaptive_contrast, eps)
         expected = logmeanexp(graph["log_w"].data.reshape(10, R))
         assert rep.surrogate_density
         np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
@@ -541,7 +564,7 @@ class TestHeldoutBlocks:
     def test_surrogate(self, monkeypatch, trained_adversarial):
         resp, result = trained_adversarial
         self._compare(monkeypatch, result, resp.subset(np.arange(12)), disc=result.disc,
-                      adaptive_contrast=result.config.estimator_config().adaptive_contrast)
+                      adaptive_contrast=result.config.resolved_adaptive_contrast)
 
 
 def _constant_copy(obj):
@@ -557,30 +580,30 @@ def _two_tape_step(state, x, feats, rng):
     pass with the decoder as constants (the DReG surrogate
     sum w_tilde^2 log w / (B*S) when enabled), then a theta + psi pass on the
     same draws with the encoder as constants."""
-    est = state.est
-    b, R, S = x.shape[0], est.R, est.S
+    config = state.config
+    b, R, S = x.shape[0], config.R, config.S
     tile = R * S
-    if est.kind == "IWAE":
+    if config.estimator == "IWAE":
         u = rng.standard_normal((b * tile, state.encoder.latent_dim))
 
-        def log_w(tape, encoder, params):
+        def log_weights(tape, encoder, params):
             return gaussian_log_weights(tape, x, feats, encoder, params, R, S, u,
-                                        stop_q_params=est.dreg)["log_w"], None
+                                        stop_q_params=config.dreg)
     else:
         eps = rng.standard_normal((b * tile, state.encoder.noise_dim))
         zeta = rng.standard_normal((b * tile, state.encoder.latent_dim))
+        adaptive_contrast = config.resolved_adaptive_contrast
         moment_eps = None
-        if est.adaptive_contrast and tile < 8:
+        if adaptive_contrast and tile < 8:
             moment_eps = rng.standard_normal((b * (8 - tile), state.encoder.noise_dim))
 
-        def log_w(tape, encoder, params):
-            graph, bundle = avb_log_weights(tape, x, feats, encoder, state.disc, params,
-                                            est, eps, moment_eps=moment_eps)
-            return graph["log_w"], bundle
+        def log_weights(tape, encoder, params):
+            return avb_log_weights(tape, x, feats, encoder, state.disc, params,
+                                   R, S, adaptive_contrast, eps, moment_eps=moment_eps)
 
     tape = dk.Tape()
-    lw, _ = log_w(tape, state.encoder, _constant_copy(state.params))
-    if est.dreg:
+    lw = log_weights(tape, state.encoder, _constant_copy(state.params))["log_w"]
+    if config.dreg:
         w2 = normalized_weights(lw.data.reshape(b * S, R)).reshape(-1, 1) ** 2
         obj = dk.mul(tape, dk.tsum(tape, dk.mul(tape, lw, dk.const(w2))), 1.0 / (b * S))
     else:
@@ -588,11 +611,12 @@ def _two_tape_step(state, x, feats, rng):
     tape.backward(dk.mul(tape, obj, -1.0))
 
     tape = dk.Tape()
-    lw, bundle = log_w(tape, _constant_copy(state.encoder), state.params)
-    root = dk.mul(tape, dk.tmean(tape, iw_elbo_from_log_w(tape, lw, b, R, S)), -1.0)
-    if est.adversarial:
+    graph = log_weights(tape, _constant_copy(state.encoder), state.params)
+    per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
+    root = dk.mul(tape, dk.tmean(tape, per), -1.0)
+    if state.disc is not None:
         root = dk.add(tape, root, avb_discriminator_loss(tape, state.disc, feats,
-                                                         bundle.z_std, zeta))
+                                                         graph["z_std"].data, zeta))
     tape.backward(root)
 
 

@@ -1,6 +1,7 @@
 """Decoder correctness: boundary/category probabilities, likelihood oracles,
 constrained parameterization, and the graph/array parity contract."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from gradedvi.grm import (
     GrmParams,
     GrmValues,
     ResponseMatrix,
-    boundary_prob,
     category_logprob,
     category_probs,
     conditional_loglik_values,
@@ -60,35 +60,40 @@ class TestResponseMatrix:
         assert r.has_missing()
 
 
+def sigmoid(t):
+    """Boundary probability sigma(t) in the overflow-safe form the decoder
+    uses, so values at equal t agree bit for bit."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+
 class TestBoundaryProb:
+    """Boundaries P(x_ij >= k | z) as category_probs builds them: 1 at k = 0
+    and 0 at k = C_j exactly, sigma(beta_j'z + alpha_jk) in between."""
+
     def test_level_zero_is_one_exactly(self):
         vals = random_values(np.random.default_rng(0))
-        out = boundary_prob(np.zeros((3, 2)), vals, item=1, level=0)
-        assert (out == 1.0).all()
+        probs = category_probs(np.zeros((3, 2)), vals)
+        assert (probs[:, 1, 0] == 1.0 - sigmoid(vals.intercepts[1][0])).all()
 
     def test_top_level_is_zero_exactly(self):
         vals = random_values(np.random.default_rng(0), C=4)
-        out = boundary_prob(np.zeros((3, 2)), vals, item=0, level=4)
-        assert (out == 0.0).all()
+        probs = category_probs(np.zeros((3, 2)), vals)
+        assert (probs[:, 0, 3] == sigmoid(vals.intercepts[0][2])).all()
 
     def test_zero_logit_gives_half(self):
         vals = GrmValues(loadings=np.array([[1.0]]),
                          intercepts=[np.array([-2.0])],
                          factor_corr=np.eye(1))
-        out = boundary_prob(np.array([[2.0]]), vals, item=0, level=1)
-        assert out[0] == pytest.approx(0.5)
+        probs = category_probs(np.array([[2.0]]), vals)
+        np.testing.assert_array_equal(probs[0, 0], [0.5, 0.5])
 
     def test_scalar_case(self):
         vals = GrmValues(loadings=np.array([[1.0, 0.0]]),
                          intercepts=[np.array([1.0])],
                          factor_corr=np.eye(2))
-        out = boundary_prob(np.array([[2.0, 0.0]]), vals, item=0, level=1)
-        assert out[0] == pytest.approx(0.952574, abs=1e-6)
-
-    def test_out_of_range_level(self):
-        vals = random_values(np.random.default_rng(0), C=3)
-        with pytest.raises(IndexError):
-            boundary_prob(np.zeros((1, 2)), vals, item=0, level=4)
+        probs = category_probs(np.array([[2.0, 0.0]]), vals)
+        assert probs[0, 0, 1] == pytest.approx(0.952574, abs=1e-6)
 
 
 class TestCategoryProbs:
@@ -154,13 +159,18 @@ class TestConditionalLoglik:
         z = rng.normal(size=(5, 2))
         x = rng.integers(0, 3, size=(5, 3))
         # independent oracle: per-item boundary differences, multiplied
+        def boundary(i, j, level):
+            if level == 0:
+                return 1.0
+            if level == 3:
+                return 0.0
+            return sigmoid(z[i] @ vals.loadings[j] + vals.intercepts[j][level - 1])
+
         expected = np.zeros(5)
         for i in range(5):
             prod = 1.0
             for j in range(3):
-                upper = boundary_prob(z[i:i + 1], vals, j, int(x[i, j]))[0]
-                lower = boundary_prob(z[i:i + 1], vals, j, int(x[i, j]) + 1)[0]
-                prod *= upper - lower
+                prod *= boundary(i, j, x[i, j]) - boundary(i, j, x[i, j] + 1)
             expected[i] = math.log(prod)
         got = conditional_loglik_values(x, z, vals)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -420,14 +430,14 @@ class TestSerialization:
     def test_raw_roundtrip_bit_exact(self):
         params = init_params(7, 3, 4, seed=5, loading_positivity=True,
                              loading_mask=np.ones((7, 3)))
-        text = params.to_json()
-        back = GrmParams.from_json(text)
+        text = json.dumps(params.to_dict(), sort_keys=True)
+        back = GrmParams.from_dict(json.loads(text))
         np.testing.assert_array_equal(back.loadings_raw.data, params.loadings_raw.data)
         np.testing.assert_array_equal(back.intercept_base.data, params.intercept_base.data)
         for a, b in zip(back.intercept_incr_raw, params.intercept_incr_raw):
             np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(back.chol_raw.data, params.chol_raw.data)
-        assert back.to_json() == text
+        assert json.dumps(back.to_dict(), sort_keys=True) == text
 
     def test_reconstructed_fields_present(self):
         doc = init_params(3, 2, 3, seed=6).to_dict()

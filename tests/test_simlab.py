@@ -14,7 +14,6 @@ from gradedvi.simlab import (
     mse_bias,
     read_responses_csv,
     read_truth_json,
-    rmse_vs_reference,
     sample_latents,
     sample_lkj,
     sample_responses,
@@ -159,6 +158,17 @@ class TestSampleResponses:
         np.testing.assert_array_equal(simulate(d, replication=0).responses.data,
                                       base.responses.data)
 
+    @pytest.mark.parametrize("n_factors", [1, 2])
+    def test_replication_does_not_repeat_the_next_seed(self, n_factors):
+        def design(seed):
+            return SimDesign(n_respondents=50, n_items=6, n_factors=n_factors,
+                             categories=3, seed=seed)
+        rep1 = simulate(design(5), replication=1)
+        next_seed = simulate(design(6))
+        assert not np.isclose(rep1.latents, next_seed.latents).any()
+        assert not np.array_equal(rep1.responses.data, next_seed.responses.data)
+        assert not np.isclose(rep1.latents, simulate(design(5), replication=2).latents).any()
+
 
 class TestPipeline:
     def test_determinism_bit_identical(self):
@@ -232,21 +242,6 @@ class TestMetrics:
         rep = mse_bias(ests, truth)
         for block in rep.values():
             assert block.mse >= block.bias ** 2 - 1e-12
-
-    def test_rmse_reference_identical_runs(self):
-        a = np.ones((3, 2))
-        assert rmse_vs_reference([a, a.copy(), a.copy()], 0) == 0.0
-
-    def test_rmse_plus_minus_c(self):
-        ref = np.zeros((2, 2))
-        c = 0.37
-        assert rmse_vs_reference([ref, ref + c, ref - c], 0) == pytest.approx(c)
-
-    def test_rmse_three_run_hand_computation(self):
-        ref = np.array([[1.0]])
-        runs = [ref, np.array([[1.5]]), np.array([[0.0]])]
-        expected = np.sqrt((0.25 + 1.0) / 2.0)
-        assert rmse_vs_reference(runs, 0) == pytest.approx(expected)
 
     def test_intercept_stack_concatenates(self):
         truth = self._values(np.random.default_rng(19))
