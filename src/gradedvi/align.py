@@ -189,17 +189,12 @@ class AlignmentReport:
                 "post_mse": self.post_mse}
 
 
-def align_to_reference(candidate: np.ndarray, reference: np.ndarray,
-                       rotate: bool = False, eps: float = 0.01,
-                       starts: int = 30, seed: int = 0) -> AlignmentReport:
+def align_to_reference(candidate: np.ndarray, reference: np.ndarray) -> AlignmentReport:
     """Sign reflection, optimal column matching and congruence against a
-    reference (both matrices sign-canonicalized first).  With rotate=True
-    the candidate and the reference are geomin-rotated before alignment."""
+    reference (both matrices sign-canonicalized first); rotate an
+    exploratory candidate with `geomin_rotate` before aligning it."""
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    if rotate:
-        candidate = geomin_rotate(candidate, eps=eps, starts=starts, seed=seed).loadings
-        reference = geomin_rotate(reference, eps=eps, starts=starts, seed=seed).loadings
     ref_c, _ = reflect_signs(reference)
     cand_c, cand_signs = reflect_signs(candidate)
     amap, aligned = match_columns(cand_c, ref_c)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import align_correlations, align_to_reference
+from .align import align_correlations, align_to_reference, geomin_rotate
 from .diffkernel import DomainError
 from .estimators import DegeneratePosteriorError, heldout_loglik
 from .fitting import ConfigError, FitConfig, FitResult, fit, split_holdout
@@ -124,7 +124,9 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.design) as fh:
             doc = json.load(fh)
-        n_reps = int(doc.pop("n_replications", 1))
+        n_reps = doc.pop("n_replications", 1)
+        if type(n_reps) is not int or n_reps < 1:
+            raise ValueError(f"n_replications must be an integer >= 1, got {n_reps!r}")
         design = SimDesign.from_dict(doc)
         design.validate()
     except (OSError, json.JSONDecodeError, DesignError, TypeError, ValueError) as err:
@@ -252,7 +254,8 @@ def _same_values(a: GrmValues, b: GrmValues) -> bool:
 
 def cmd_eval(args) -> int:
     """MSE and bias of the fits against the one truth their replications
-    share; exits 2 when the truth files disagree on the parameters."""
+    share; exits 2 when the truth files disagree on the parameters.  An
+    exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma)."""
     fits_dir = Path(args.fits)
     truth_dir = Path(args.truths)
     fit_files = sorted(fits_dir.glob("**/fit*.json"))
@@ -285,11 +288,11 @@ def cmd_eval(args) -> int:
             return EXIT_INPUT
         exploratory = doc["config"].get("loading_structure", "exploratory") == "exploratory"
         if exploratory and values.n_factors >= 2:
-            rep = align_to_reference(values.loadings, truth_values.loadings,
-                                     rotate=True, seed=doc["config"].get("seed", 0))
-            corr = align_correlations(values.factor_corr, rep.amap)
-            values = GrmValues(loadings=rep.aligned_loadings,
-                               intercepts=values.intercepts, factor_corr=corr)
+            rot = geomin_rotate(values.loadings @ np.linalg.cholesky(values.factor_corr),
+                                seed=doc["config"].get("seed", 0))
+            rep = align_to_reference(rot.loadings, truth_values.loadings)
+            values = GrmValues(loadings=rep.aligned_loadings, intercepts=values.intercepts,
+                               factor_corr=align_correlations(rot.factor_corr, rep.amap))
         estimates.append(values)
     report = mse_bias(estimates, truth_values)
     out_doc = {"schema_version": SCHEMA_VERSION,
@@ -404,10 +407,14 @@ def cmd_scree(args) -> int:
             raise ValueError(f"factor list {args.factors} repeats a value")
         with open(args.config) as fh:
             config_doc = json.load(fh)
-        for p in p_list:
-            FitConfig.from_dict(config_doc | {"n_factors": p}).validate()
         if not Path(args.responses).exists():
             raise OSError(f"no such file: {args.responses}")
+        n_items = read_responses_csv(Path(args.responses)).n_items
+        for p in p_list:
+            config = FitConfig.from_dict(config_doc | {"n_factors": p})
+            config.validate()
+            if config.loading_structure == "simple" and n_items % p:
+                raise ValueError(f"simple structure needs P | M, got M={n_items}, P={p}")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,8 +6,9 @@ that requires them.  The op set is exactly what the variational estimators
 need: dense matrix algebra (including matmul_repeat, a first layer whose
 input repeats per-respondent rows next to per-draw rows), stable elementwise
 nonlinearities, row reductions, a handful of structural helpers (reshape,
-repeat_rows, stop_gradient, triangular inverse), and one fused
-cumulative-logit likelihood.
+repeat_rows, stop_gradient, triangular inverse), `ordered_cuts` for the
+decoder's intercepts, and one fused cumulative-logit likelihood over the
+`boundary_table` that `grm.category_probs` shares.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -357,14 +358,17 @@ def log(tape: Tape | None, x: Tensor2) -> Tensor2:
 def log1p_exp(tape: Tape | None, x: Tensor2) -> Tensor2:
     """Softplus log(1 + e^x), computed without overflow on either tail."""
     xd = x.data
-    out_data = np.where(xd > 0.0,
-                        xd + np.log1p(np.exp(-np.abs(xd))),
-                        np.log1p(np.exp(np.minimum(xd, 0.0))))
 
     def backward(g):
         _accum(x, _sigmoid_values(xd) * g)
 
-    return _make(tape, "log1p_exp", (x,), out_data, backward)
+    return _make(tape, "log1p_exp", (x,), _softplus_values(xd), backward)
+
+
+def _softplus_values(xd: np.ndarray) -> np.ndarray:
+    return np.where(xd > 0.0,
+                    xd + np.log1p(np.exp(-np.abs(xd))),
+                    np.log1p(np.exp(np.minimum(xd, 0.0))))
 
 
 def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
@@ -476,33 +480,54 @@ def repeat_rows(tape: Tape | None, x: Tensor2, times: int) -> Tensor2:
     return _make(tape, "repeat_rows", (x,), np.repeat(x.data, times, axis=0), backward)
 
 
-def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: list[Tensor2],
+def ordered_cuts(tape: Tape | None, raw: Tensor2, min_gap: float) -> Tensor2:
+    """Strictly decreasing intercepts from one raw (M, K) matrix: column 0 is
+    the first intercept, and cut_k = cut_{k-1} - (softplus(raw_k) + min_gap)
+    as a left-to-right np.cumsum; backward is a reverse cumulative sum."""
+    steps = raw.data.copy()
+    steps[:, 1:] = -(_softplus_values(raw.data[:, 1:]) + min_gap)
+
+    def backward(g):
+        total = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+        total[:, 1:] *= -_sigmoid_values(raw.data[:, 1:])
+        _accum(raw, total)
+
+    return _make(tape, "ordered_cuts", (raw,), np.cumsum(steps, axis=1), backward)
+
+
+def boundary_table(cuts: np.ndarray, categories: np.ndarray) -> np.ndarray:
+    """(M, K+2) boundary intercepts by level: +inf at level 0, cuts[:, k-1]
+    at level k, and -inf from level C_j on, so sigmoid(logit + table) is
+    P(y_j >= level) with exact 1 and 0 at the ends; padded cuts are ignored."""
+    M, K = cuts.shape
+    table = np.empty((M, K + 2))
+    table[:, 0] = np.inf
+    table[:, 1:-1] = cuts
+    table[np.arange(K + 2)[None, :] >= np.asarray(categories)[:, None]] = -np.inf
+    return table
+
+
+def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
                    levels: np.ndarray, missing: np.ndarray, categories: np.ndarray,
                    floor: float, tile: int = 1) -> Tensor2:
     """Per-row sum over items of log P(y_j = levels_j) under cumulative logits.
 
-    P(y_j >= k) = sigmoid(logit_j + cut_k[j]) for k = 1..C_j-1, with level 0
-    at probability 1 and level C_j at 0; the category probability is the
-    difference of the two boundaries around it, floored at `floor` before
-    the log.  logits is (B*tile, M), respondent-major with `tile` rows per
-    respondent; cuts holds one (M, 1) column per boundary level; levels and
-    missing are (B, M), and missing entries contribute 0.
+    P(y_j >= k) = sigmoid(logit_j + cuts[j, k-1]) for k = 1..C_j-1, with
+    level 0 at probability 1 and level C_j at 0; the category probability
+    is the difference of the two boundaries around it, floored at `floor`
+    before the log.  logits is (B*tile, M), respondent-major with `tile`
+    rows per respondent; cuts is (M, K); levels and missing are (B, M), and
+    missing entries contribute 0.
 
     The two boundary intercepts of each observed category are gathered once
-    per respondent from a padded (M, K+2) table (+inf at level 0, -inf from
-    level C_j on) and broadcast over the tile rows.  Entries whose
-    probability sits at the floor get zero gradient.
+    per respondent from `boundary_table` and broadcast over the tile rows.
+    Entries whose probability sits at the floor get zero gradient.
     """
     B, M = levels.shape
     if logits.shape != (B * tile, M):
         raise ShapeError(f"ordinal_loglik: logits {logits.shape} vs {B} respondents "
                          f"x {tile} rows and {M} items")
-    K = len(cuts)
-    table = np.empty((M, K + 2))
-    table[:, 0] = np.inf
-    for k, c in enumerate(cuts, start=1):
-        table[:, k] = c.data[:, 0]
-    table[np.arange(K + 2)[None, :] >= np.asarray(categories)[:, None]] = -np.inf
+    table = boundary_table(cuts.data, categories)
     observed = ~np.asarray(missing, dtype=bool)
     upper = np.where(observed, levels, 0)
     items = np.arange(M)[None, :]
@@ -518,17 +543,15 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: list[Tensor2],
         d_hi = s_hi * (1.0 - s_hi) * scale       # d log p / d(upper boundary logit)
         d_lo = s_lo * (1.0 - s_lo) * scale       # -d log p / d(lower boundary logit)
         _accum(logits, (d_hi - d_lo).reshape(B * tile, M))
-        if not any(c.requires_grad for c in cuts):
+        if not cuts.requires_grad:
             return
-        cells = (np.arange(M) * (K + 2))[None, :] + upper
-        size = M * (K + 2)
-        grad = (np.bincount(cells.ravel(), weights=d_hi.sum(axis=1).ravel(), minlength=size)
+        cells = (np.arange(M) * table.shape[1])[None, :] + upper
+        grad = (np.bincount(cells.ravel(), weights=d_hi.sum(axis=1).ravel(), minlength=table.size)
                 - np.bincount((cells + 1).ravel(), weights=d_lo.sum(axis=1).ravel(),
-                              minlength=size)).reshape(M, K + 2)
-        for k, c in enumerate(cuts, start=1):
-            _accum(c, grad[:, k:k + 1].copy())
+                              minlength=table.size)).reshape(table.shape)
+        _accum(cuts, grad[:, 1:-1], own=False)
 
-    return _make(tape, "ordinal_loglik", (logits, *cuts), out_data, backward)
+    return _make(tape, "ordinal_loglik", (logits, cuts), out_data, backward)
 
 
 def stop_gradient(tape: Tape | None, x: Tensor2) -> Tensor2:

@@ -3,14 +3,16 @@ joint log-likelihoods, and the constrained trainable parameterization.
 
 The constrained map from raw leaves to loadings, intercepts and the factor
 correlation exists once, as `GrmParams.effective` on the tape;
-`GrmParams.values` runs it without a tape.  The training likelihood
+`GrmParams.values` runs it without a tape.  The intercepts are one (M, K)
+matrix throughout: one raw leaf, one `diffkernel.ordered_cuts` node, and one
+(M, K) input to the likelihood.  The training likelihood
 (`conditional_loglik`, `joint_logprob`) is a logit matmul plus one fused
 `diffkernel.ordinal_loglik` node that gathers each respondent's category
 boundaries once and broadcasts them over that respondent's latent draws.
 The plain-array likelihood (`*_values` functions plus
 `category_probs`/`category_logprob`) backs data generation, quadrature
-oracles and heldout evaluation; a parity test keeps it equal to the fused
-op.
+oracles and heldout evaluation.  Both read their boundaries from
+`diffkernel.boundary_table`, and a parity test keeps them equal.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class ResponseMatrix:
     def n_items(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def max_categories(self) -> int:
-        return int(self.categories.max())
-
     def has_missing(self) -> bool:
         return bool((self.data == MISSING).any())
 
@@ -101,38 +99,29 @@ class GrmValues:
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
-    def intercept_matrix(self, max_categories: int | None = None) -> np.ndarray:
-        """Padded (M, maxC-1) matrix; entries past C_j-1 hold -inf so the
-        corresponding boundary probability is exactly zero."""
-        maxc = max_categories or (max(len(a) for a in self.intercepts) + 1)
-        out = np.full((self.n_items, maxc - 1), -np.inf)
-        for j, a in enumerate(self.intercepts):
-            out[j, : len(a)] = a
-        return out
-
 
 class GrmParams:
     """Trainable decoder parameters with structural constraints built in.
 
     The boundary model is P(x >= k) = sigmoid(beta^T z + alpha_k), so the
     intercepts must be strictly decreasing in k for every category
-    probability to stay positive.  That ordering is enforced by
-    construction:
-        alpha_{j,1} = base_j
-        alpha_{j,k} = alpha_{j,k-1} - softplus(raw increment) - 1e-6
+    probability to stay positive.  They live in one (M, maxC-1) leaf,
+    `intercept_raw`, and that ordering is enforced by construction
+    (`diffkernel.ordered_cuts`):
+        alpha_{j,1} = intercept_raw[j, 0]
+        alpha_{j,k} = alpha_{j,k-1} - softplus(intercept_raw[j, k-1]) - 1e-6
+    Columns past C_j - 1 are padding that no likelihood reads.
     Loadings are masked by the confirmatory pattern and, when positivity is
     requested, passed through softplus.  The factor correlation is
     Sigma = L L^T with L a row-normalized lower-triangular Cholesky factor
     whose diagonal is softplus-positive, so Sigma always has a unit diagonal.
     """
 
-    def __init__(self, loadings_raw: Tensor2, intercept_base: Tensor2,
-                 intercept_incr_raw: list[Tensor2], chol_raw: Tensor2,
+    def __init__(self, loadings_raw: Tensor2, intercept_raw: Tensor2, chol_raw: Tensor2,
                  loading_mask: np.ndarray, categories: np.ndarray,
                  loading_positivity: bool):
         self.loadings_raw = loadings_raw
-        self.intercept_base = intercept_base
-        self.intercept_incr_raw = intercept_incr_raw
+        self.intercept_raw = intercept_raw
         self.chol_raw = chol_raw
         self.loading_mask = np.asarray(loading_mask, dtype=np.float64)
         self.categories = np.asarray(categories, dtype=np.int64)
@@ -146,21 +135,15 @@ class GrmParams:
     def n_factors(self) -> int:
         return self.loadings_raw.cols
 
-    @property
-    def max_categories(self) -> int:
-        return int(self.categories.max())
-
     def parameters(self) -> list[Tensor2]:
-        return [self.loadings_raw, self.intercept_base, *self.intercept_incr_raw, self.chol_raw]
+        return [self.loadings_raw, self.intercept_raw, self.chol_raw]
 
     # -- effective values ------------------------------------------------
 
     def values(self) -> GrmValues:
         """`effective` without a tape, as plain arrays."""
         eff = self.effective(None)
-        cols = [c.data[:, 0] for c in eff["alpha_cols"]]
-        intercepts = [np.array([c[j] for c in cols[:self.categories[j] - 1]])
-                      for j in range(self.n_items)]
+        intercepts = [row[:c - 1] for row, c in zip(eff["alpha"].data, self.categories)]
         chol = eff["chol"].data
         return GrmValues(loadings=eff["beta"].data, intercepts=intercepts,
                          factor_corr=chol @ chol.T)
@@ -171,11 +154,7 @@ class GrmParams:
         if self.loading_positivity:
             raw = dk.log1p_exp(tape, raw)
         beta = dk.mul(tape, raw, dk.const(self.loading_mask))
-
-        alpha_cols = [self.intercept_base]
-        for t in self.intercept_incr_raw:
-            gap = dk.add(tape, dk.log1p_exp(tape, t), _GAP)
-            alpha_cols.append(dk.sub(tape, alpha_cols[-1], gap))
+        alpha = dk.ordered_cuts(tape, self.intercept_raw, _GAP)
 
         P = self.n_factors
         raw_l = self.chol_raw
@@ -187,20 +166,21 @@ class GrmParams:
         chol = dk.mul_colvec(tape, unnorm, dk.pow_const(tape, norm2, -0.5))
         diag_vec = dk.sum_rows(tape, dk.mul(tape, chol, dk.const(eye)))
         logdet = dk.mul(tape, dk.tsum(tape, dk.log(tape, diag_vec)), 2.0)
-        return {"beta": beta, "alpha_cols": alpha_cols, "chol": chol, "logdet": logdet}
+        return {"beta": beta, "alpha": alpha, "chol": chol, "logdet": logdet}
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
         vals = self.values()
+        cuts = self.intercept_raw.data
         return {
             "loadings": vals.loadings.tolist(),
             "intercepts": [a.tolist() for a in vals.intercepts],
             "factor_corr": vals.factor_corr.tolist(),
             "raw": {
                 "loadings_raw": self.loadings_raw.data.tolist(),
-                "intercept_base": self.intercept_base.data.tolist(),
-                "intercept_incr_raw": [t.data.tolist() for t in self.intercept_incr_raw],
+                "intercept_base": cuts[:, :1].tolist(),
+                "intercept_incr_raw": [cuts[:, k:k + 1].tolist() for k in range(1, cuts.shape[1])],
                 "chol_raw": self.chol_raw.data.tolist(),
                 "loading_mask": self.loading_mask.tolist(),
                 "categories": self.categories.tolist(),
@@ -211,11 +191,10 @@ class GrmParams:
     @classmethod
     def from_dict(cls, doc: dict) -> "GrmParams":
         raw = doc["raw"]
+        cuts = np.hstack([raw["intercept_base"], *raw["intercept_incr_raw"]])
         return cls(
             loadings_raw=dk.parameter(raw["loadings_raw"], name="loadings_raw"),
-            intercept_base=dk.parameter(raw["intercept_base"], name="intercept_base"),
-            intercept_incr_raw=[dk.parameter(t, name=f"intercept_incr_raw_{k}")
-                                for k, t in enumerate(raw["intercept_incr_raw"])],
+            intercept_raw=dk.parameter(cuts, name="intercept_raw"),
             chol_raw=dk.parameter(raw["chol_raw"], name="chol_raw"),
             loading_mask=np.asarray(raw["loading_mask"]),
             categories=np.asarray(raw["categories"]),
@@ -246,20 +225,15 @@ def init_params(n_items: int, n_factors: int, categories, seed: int,
 
     maxc = int(cats.max())
     alpha_draws = rng.uniform(-bound, bound, size=(n_items, maxc - 1))
-    alpha_sorted = -np.sort(-alpha_draws, axis=1)  # strictly decreasing
-    base = alpha_sorted[:, :1].copy()
-    incr_cols = []
-    for k in range(maxc - 2):
-        gaps = np.clip(alpha_sorted[:, k] - alpha_sorted[:, k + 1], 1e-4, None)
-        incr_cols.append(softplus_inv(gaps).reshape(-1, 1))
+    intercept_raw = -np.sort(-alpha_draws, axis=1)  # strictly decreasing
+    gaps = np.clip(intercept_raw[:, :-1] - intercept_raw[:, 1:], 1e-4, None)
+    intercept_raw[:, 1:] = softplus_inv(gaps)
 
     chol_raw = np.diag(np.full(n_factors, float(softplus_inv(1.0))))
 
     return GrmParams(
         loadings_raw=dk.parameter(loadings_raw, name="loadings_raw"),
-        intercept_base=dk.parameter(base, name="intercept_base"),
-        intercept_incr_raw=[dk.parameter(c, name=f"intercept_incr_raw_{k}")
-                            for k, c in enumerate(incr_cols)],
+        intercept_raw=dk.parameter(intercept_raw, name="intercept_raw"),
         chol_raw=dk.parameter(chol_raw, name="chol_raw"),
         loading_mask=loading_mask,
         categories=cats,
@@ -283,23 +257,18 @@ def simple_structure_mask(n_items: int, n_factors: int) -> np.ndarray:
 
 
 def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
-    """(n, M, maxC) category probabilities; padded categories get 0."""
+    """(n, M, maxC) category probabilities; padded categories get 0.  Each is
+    the difference of the two boundaries around it, the sigmoids of the
+    logits plus `diffkernel.boundary_table`."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    n = z.shape[0]
-    M = values.n_items
-    maxc = max(len(a) for a in values.intercepts) + 1
-    logits = z @ values.loadings.T  # (n, M)
-    alpha = values.intercept_matrix(maxc)  # (M, maxC-1), inf padding
-    # boundary k (1..maxC-1): sigma(logit + alpha_k); padded alphas give 1.0,
-    # then the valid mask zeroes boundaries past C_j - 1
-    t = logits[:, :, None] + alpha[None, :, :]  # -inf padding maps to boundary 0
+    cats = np.array([len(a) + 1 for a in values.intercepts])
+    K = cats.max() - 1
+    cuts = np.zeros((values.n_items, K))
+    cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
+    t = (z @ values.loadings.T)[:, :, None] + dk.boundary_table(cuts, cats)[None, :, :]
     e = np.exp(-np.abs(t))
     bnd = np.where(t >= 0, 1.0, e) / (1.0 + e)
-    valid = (np.arange(1, maxc)[None, :] <= (np.asarray([len(a) for a in values.intercepts])[:, None]))
-    bnd = bnd * valid[None, :, :]
-    full = np.concatenate([np.ones((n, M, 1)), bnd, np.zeros((n, M, 1))], axis=2)
-    probs = full[:, :, :maxc] - full[:, :, 1:maxc + 1]
-    return probs
+    return bnd[:, :, :-1] - bnd[:, :, 1:]
 
 
 def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
@@ -361,7 +330,7 @@ def conditional_loglik(tape: Tape | None, eff: dict, z: Tensor2,
     broadcasts them over that respondent's draws.
     """
     logits = dk.matmul(tape, z, dk.transpose(tape, eff["beta"]))  # (n, M)
-    return dk.ordinal_loglik(tape, logits, eff["alpha_cols"], selectors["levels"],
+    return dk.ordinal_loglik(tape, logits, eff["alpha"], selectors["levels"],
                              selectors["missing"], selectors["categories"], _PROB_FLOOR,
                              tile=tile)
 

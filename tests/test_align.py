@@ -228,7 +228,8 @@ class TestFullPipeline:
         perm = rng.permutation(5)
         signs = rng.choice([-1.0, 1.0], size=5)
         cand = cand[:, perm] * signs
-        rep = align_to_reference(cand, ref, rotate=True, starts=15, seed=21)
+        rep = align_to_reference(geomin_rotate(cand, starts=15, seed=21).loadings,
+                                 geomin_rotate(ref, starts=15, seed=21).loadings)
         assert rep.congruence.min() >= 0.999
 
     def test_correlation_alignment_consistent_with_loadings(self):

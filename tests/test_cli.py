@@ -51,18 +51,14 @@ CONTRAST_MISMATCHES = pytest.mark.parametrize("mismatch", [
 
 def params_from_values(values: GrmValues, mask, categories) -> GrmParams:
     """Raw parameters whose reconstruction equals the given effective values."""
-    maxc = int(np.max(categories))
-    base = np.array([[a[0]] for a in values.intercepts])
-    incr = []
-    for k in range(maxc - 2):
-        col = np.array([[softplus_inv(a[k] - a[k + 1] - 1e-6)] for a in values.intercepts])
-        incr.append(col)
+    alpha = np.array(values.intercepts)  # (M, C-1): equal category counts
+    intercept_raw = alpha.copy()
+    intercept_raw[:, 1:] = softplus_inv(alpha[:, :-1] - alpha[:, 1:] - 1e-6)
     chol = np.linalg.cholesky(values.factor_corr)
     chol_raw = np.tril(chol, -1) + np.diag(softplus_inv(np.diag(chol)))
     return GrmParams(
         loadings_raw=dk.parameter(values.loadings),
-        intercept_base=dk.parameter(base),
-        intercept_incr_raw=[dk.parameter(c) for c in incr],
+        intercept_raw=dk.parameter(intercept_raw),
         chol_raw=dk.parameter(chol_raw),
         loading_mask=np.asarray(mask, dtype=float),
         categories=np.asarray(categories),
@@ -118,6 +114,16 @@ class TestSimulate:
         code = main(["simulate", "--design", str(design), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "P | M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_reps", [0, -3, 2.7, True, "2"])
+    def test_bad_replication_count_exits_2(self, n_reps, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        write_design(design, n_replications=n_reps)
+        out = tmp_path / "o"
+        code = main(["simulate", "--design", str(design), "--out", str(out)])
+        assert code == 2
+        assert "n_replications" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +416,34 @@ class TestEval:
         frac_on = truth.loading_mask.mean()
         assert rep["blocks"]["loadings"]["bias"] == pytest.approx(0.1 * frac_on, abs=1e-9)
 
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_exploratory_equivalent_fit_scores_zero(self, P, tmp_path):
+        """The truth re-expressed through an oblique T (loadings L chol(Sigma)
+        (T')^-1, factor correlation T'T) is the same model, so eval must
+        score it as exact up to the rotation's convergence."""
+        truth = simulate(SimDesign(n_items=30, n_factors=P, categories=3, seed=5))
+        rng = np.random.default_rng(9)
+        T = rng.standard_normal((P, P))
+        T /= np.sqrt((T ** 2).sum(axis=0))
+        orth = truth.values.loadings @ np.linalg.cholesky(truth.values.factor_corr)
+        equivalent = GrmValues(loadings=orth @ np.linalg.inv(T).T,
+                               intercepts=truth.values.intercepts, factor_corr=T.T @ T)
+        fits = tmp_path / "fits"
+        truths = tmp_path / "truths"
+        fits.mkdir()
+        truths.mkdir()
+        doc = self._fake_fit_doc(equivalent, np.ones((30, P)), truth.responses.categories,
+                                 structure="exploratory")
+        (fits / "fit_rep000.json").write_text(json.dumps(doc))
+        write_truth_json(truths / "truth_rep000.json", truth)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--fits", str(fits), "--truths", str(truths),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["aligned"]
+        assert rep["blocks"]["loadings"]["mse"] < 1e-4
+        assert rep["blocks"]["correlations"]["mse"] < 1e-4
+
     def _write_fits(self, fits, truth_values, mask, shifts):
         fits.mkdir()
         for rep, shift in enumerate(shifts):
@@ -633,6 +667,11 @@ class TestScree:
     ], ids=["zero", "zero-after-one", "repeated"])
     def test_bad_factor_list_exits_2(self, factors, message, dataset, tmp_path, capsys):
         self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, factors, message)
+
+    def test_simple_structure_needs_p_dividing_m_exits_2(self, dataset, tmp_path, capsys):
+        # the dataset has 6 items: P=2 divides them, P=4 does not
+        self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, "2,4", "P | M",
+                                           loading_structure="simple")
 
     def test_no_successful_fit_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         resp_path, _ = dataset

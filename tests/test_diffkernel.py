@@ -63,7 +63,8 @@ OPS = {
     "reshape": (1, lambda tape, a: dk.reshape(tape, a, 6, 2), None),
     "tril_inverse": (1, None, None),
     "repeat_rows": (1, lambda tape, a: dk.repeat_rows(tape, a, 3), None),
-    "ordinal_loglik": (3, None, None),
+    "ordinal_loglik": (2, None, None),
+    "ordered_cuts": (1, lambda tape, a: dk.ordered_cuts(tape, a, 1e-6), None),
 }
 
 # ordinal_loglik fixture: 3 respondents x 2 rows each, 3 items with 3, 2 and
@@ -97,7 +98,10 @@ def _build_inputs(name, rng):
     if name == "ordinal_loglik":
         # logits, then strictly decreasing boundary intercepts per item
         cut1 = rng.uniform(0.2, 1.0, size=(3, 1))
-        return [draw((6, 3)), cut1, cut1 - rng.uniform(0.5, 1.5, size=(3, 1))]
+        return [draw((6, 3)), np.hstack([cut1, cut1 - rng.uniform(0.5, 1.5, size=(3, 1))])]
+    if name == "ordered_cuts":
+        # first intercept and two raw gaps per item, over both softplus tails
+        return [rng.uniform(-3.0, 3.0, size=(3, 3))]
     n_in = OPS[name][0]
     return [draw((3, 4)) for _ in range(n_in)]
 
@@ -110,7 +114,7 @@ def _apply(name, tape, tensors):
     if name == "tril_inverse":
         return dk.tril_inverse(tape, tensors[0])
     if name == "ordinal_loglik":
-        return dk.ordinal_loglik(tape, tensors[0], tensors[1:], ORD_LEVELS, ORD_MISSING,
+        return dk.ordinal_loglik(tape, tensors[0], tensors[1], ORD_LEVELS, ORD_MISSING,
                                  ORD_CATEGORIES, 1e-300, tile=2)
     return OPS[name][1](tape, *tensors)
 
@@ -434,7 +438,7 @@ class TestRepeatRows:
 class TestOrdinalLoglik:
     def test_logits_must_match_respondents_times_tile(self):
         with pytest.raises(dk.ShapeError):
-            dk.ordinal_loglik(None, dk.const(np.zeros((5, 3))), [dk.const(np.zeros((3, 1)))],
+            dk.ordinal_loglik(None, dk.const(np.zeros((5, 3))), dk.const(np.zeros((3, 1))),
                               np.zeros((3, 3), dtype=int), np.zeros((3, 3), dtype=bool),
                               np.array([2, 2, 2]), 1e-300, tile=2)
 
@@ -443,7 +447,85 @@ class TestOrdinalLoglik:
         t, a = 0.3, -0.1
         s = 1.0 / (1.0 + math.exp(-(t + a)))
         for level, expected in ((0, math.log(1.0 - s)), (1, math.log(s))):
-            out = dk.ordinal_loglik(None, dk.const([[t]]), [dk.const([[a]])],
+            out = dk.ordinal_loglik(None, dk.const([[t]]), dk.const([[a]]),
                                     np.array([[level]]), np.array([[False]]), np.array([2]),
                                     1e-300)
             assert abs(out.item() - expected) < 1e-15
+
+
+class TestOrderedCuts:
+    def test_hand_computed(self):
+        raw = np.array([[0.5, 0.0, math.log(math.e - 1.0)]])
+        out = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        gap0 = math.log(2.0) + 1e-6
+        np.testing.assert_allclose(out, [[0.5, 0.5 - gap0, 0.5 - gap0 - 1.0 - 1e-6]],
+                                   rtol=0, atol=1e-15)
+
+    def test_matches_the_per_column_chain_bit_for_bit(self):
+        """Forward and backward equal, exactly, one log1p_exp, add and sub
+        node per gap column, the loop this op replaces."""
+        rng = np.random.default_rng(5)
+        raw0 = rng.uniform(-3.0, 3.0, size=(6, 4))
+        w = rng.uniform(0.5, 1.5, size=(6, 4))
+
+        raw = dk.parameter(raw0)
+        tape = dk.Tape()
+        out = dk.ordered_cuts(tape, raw, 1e-6)
+        tape.backward(dk.tsum(tape, dk.mul(tape, out, dk.const(w))))
+
+        cols = [dk.parameter(raw0[:, k:k + 1]) for k in range(4)]
+        tape = dk.Tape()
+        alpha = [cols[0]]
+        for c in cols[1:]:
+            alpha.append(dk.sub(tape, alpha[-1], dk.add(tape, dk.log1p_exp(tape, c), 1e-6)))
+        terms = [dk.tsum(tape, dk.mul(tape, a, dk.const(w[:, k:k + 1])))
+                 for k, a in enumerate(alpha)]
+        root = terms[0]
+        for t in terms[1:]:
+            root = dk.add(tape, root, t)
+        tape.backward(root)
+
+        np.testing.assert_array_equal(out.data, np.hstack([a.data for a in alpha]))
+        np.testing.assert_array_equal(raw.grad, np.hstack([c.grad for c in cols]))
+
+    def test_strictly_decreasing_at_extreme_raw(self):
+        raw = np.array([[3.0, -50.0, 40.0, -800.0], [-2.0, 800.0, -50.0, 0.0]])
+        out = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        assert (np.diff(out, axis=1) < 0).all()
+
+    def test_padded_column_gets_no_gradient_through_the_likelihood(self):
+        """The ORD fixture's item 1 has 2 categories, so its second cut is
+        padding: the likelihood never reads it, and its raw gap gets an
+        exact zero; every other entry matches central differences."""
+        rng = np.random.default_rng(3)
+        logits = rng.uniform(-1.0, 1.0, size=(6, 3))
+        raw0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+
+        def objective(raw_tensor, tape=None):
+            cuts = dk.ordered_cuts(tape, raw_tensor, 1e-6)
+            out = dk.ordinal_loglik(tape, dk.const(logits), cuts, ORD_LEVELS, ORD_MISSING,
+                                    ORD_CATEGORIES, 1e-300, tile=2)
+            return scalarize(tape, out)
+
+        raw = dk.parameter(raw0)
+        tape = dk.Tape()
+        tape.backward(objective(raw, tape))
+        assert raw.grad[1, 1] == 0.0
+        assert np.all(raw.grad[[0, 2], 1] != 0.0)
+        num = fd_gradient(lambda x: objective(dk.const(x)).item(), raw0)
+        assert rel_err(raw.grad, num) < 1e-6
+
+
+def test_every_tape_op_has_a_finite_difference_entry():
+    """OPS lists exactly the public diffkernel functions taking `tape` first,
+    under the name each records (tsum records "sum", tmean "mean");
+    stop_gradient records no node."""
+    import inspect
+
+    recorded = {"tsum": "sum", "tmean": "mean"}
+    ops = {recorded.get(name, name)
+           for name, fn in inspect.getmembers(dk, inspect.isfunction)
+           if not name.startswith("_") and fn.__module__ == dk.__name__
+           and next(iter(inspect.signature(fn).parameters), None) == "tape"}
+    ops.discard("stop_gradient")
+    assert ops == set(OPS)

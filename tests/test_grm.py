@@ -260,7 +260,7 @@ class TestGraphPath:
     def test_gradient_wrt_chol_and_intercepts_matches_fd(self):
         params, x, z = self._setup(seed=11)
         sel = response_selectors(x, params.categories)
-        leaves = [params.chol_raw, params.intercept_base] + params.intercept_incr_raw
+        leaves = [params.chol_raw, params.intercept_raw]
 
         tape = dk.Tape()
         eff = params.effective(tape)
@@ -323,9 +323,9 @@ class TestFusedLikelihoodOp:
         logits0 = z @ values.loadings.T
         logits0[:tile, 0] = 800.0
         # padded boundary columns hold finite junk the op must ignore
-        table = values.intercept_matrix(maxc)
-        cuts0 = [np.where(np.isfinite(table[:, k:k + 1]), table[:, k:k + 1], 7.0)
-                 for k in range(maxc - 1)]
+        cuts0 = np.full((M, maxc - 1), 7.0)
+        for j, a in enumerate(intercepts):
+            cuts0[j, :len(a)] = a
         sel = response_selectors(x, cats)
         weights = np.linspace(0.5, 1.5, logits0.shape[0]).reshape(-1, 1)
 
@@ -336,18 +336,18 @@ class TestFusedLikelihoodOp:
             return dk.tsum(tape, dk.mul(tape, out, dk.const(weights)))
 
         def objective(logits, cuts):
-            return forward(None, dk.const(logits), [dk.const(c) for c in cuts]).item()
+            return forward(None, dk.const(logits), dk.const(cuts)).item()
 
         def gradients(selectors):
             tape = dk.Tape()
             logits = dk.parameter(logits0)
-            cuts = [dk.parameter(c) for c in cuts0]
+            cuts = dk.parameter(cuts0)
             tape.backward(forward(tape, logits, cuts, selectors))
-            return logits.grad, [c.grad for c in cuts]
+            return logits.grad, cuts.grad
 
         # forward: equal to the array twin on explicitly repeated rows
         got = grm.conditional_loglik(None, {"beta": dk.const(values.loadings),
-                                            "alpha_cols": [dk.const(c) for c in cuts0]},
+                                            "alpha": dk.const(cuts0)},
                                      dk.const(z), sel, tile=tile).data[:, 0]
         expected = conditional_loglik_values(np.repeat(x, tile, axis=0), z, values)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -357,18 +357,15 @@ class TestFusedLikelihoodOp:
         assert np.all(g_logits[:tile, 0] == 0.0)
         fd = _fd(lambda a: objective(a, cuts0), logits0)
         np.testing.assert_allclose(g_logits, fd, rtol=1e-5, atol=1e-6)
-        for k, g in enumerate(g_cuts):
-            fd = _fd(lambda a, k=k: objective(logits0, cuts0[:k] + [a] + cuts0[k + 1:]),
-                     cuts0[k])
-            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6)
+        fd = _fd(lambda a: objective(logits0, a), cuts0)
+        np.testing.assert_allclose(g_cuts, fd, rtol=1e-5, atol=1e-6)
 
         # ... and the same zero to the intercepts: marking it missing changes no gradient
         sel_m = dict(sel, missing=sel["missing"].copy())
         sel_m["missing"][0, 0] = True
         g_logits_m, g_cuts_m = gradients(sel_m)
         np.testing.assert_array_equal(g_logits_m, g_logits)
-        for a, b in zip(g_cuts_m, g_cuts):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g_cuts_m, g_cuts)
 
 
 class TestInitParams:
@@ -419,9 +416,8 @@ class TestConstraints:
         rng = np.random.default_rng(13)
         params = init_params(5, 2, 4, seed=0)
         for _ in range(100):
-            params.intercept_base.data = rng.normal(size=(5, 1)) * 3
-            for t in params.intercept_incr_raw:
-                t.data = rng.normal(size=(5, 1)) * 5
+            params.intercept_raw.data = np.hstack([rng.normal(size=(5, 1)) * 3,
+                                                   rng.normal(size=(5, 2)) * 5])
             for a in params.values().intercepts:
                 assert (np.diff(a) < 0).all()
 
@@ -433,11 +429,18 @@ class TestSerialization:
         text = json.dumps(params.to_dict(), sort_keys=True)
         back = GrmParams.from_dict(json.loads(text))
         np.testing.assert_array_equal(back.loadings_raw.data, params.loadings_raw.data)
-        np.testing.assert_array_equal(back.intercept_base.data, params.intercept_base.data)
-        for a, b in zip(back.intercept_incr_raw, params.intercept_incr_raw):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(back.intercept_raw.data, params.intercept_raw.data)
         np.testing.assert_array_equal(back.chol_raw.data, params.chol_raw.data)
         assert json.dumps(back.to_dict(), sort_keys=True) == text
+
+    def test_intercepts_stored_as_first_column_and_gap_columns(self):
+        params = init_params(4, 2, [2, 5, 3, 4], seed=8)
+        raw = params.to_dict()["raw"]
+        cuts = params.intercept_raw.data
+        assert cuts.shape == (4, 4)
+        assert raw["intercept_base"] == cuts[:, :1].tolist()
+        assert raw["intercept_incr_raw"] == [cuts[:, k:k + 1].tolist() for k in (1, 2, 3)]
+        np.testing.assert_array_equal(GrmParams.from_dict({"raw": raw}).intercept_raw.data, cuts)
 
     def test_reconstructed_fields_present(self):
         doc = init_params(3, 2, 3, seed=6).to_dict()
