@@ -3,12 +3,13 @@
 Forward evaluation records operation nodes on a Tape; Tape.backward walks the
 record once in reverse and accumulates exact gradients into every leaf tensor
 that requires them.  The op set is exactly what the variational estimators
-need: dense matrix algebra (including matmul_repeat, a first layer whose
-input repeats per-respondent rows next to per-draw rows), stable elementwise
-nonlinearities, row reductions, a handful of structural helpers (reshape,
-repeat_rows, stop_gradient, triangular inverse), `ordered_cuts` for the
-decoder's intercepts, and one fused cumulative-logit likelihood over the
-`boundary_table` that `grm.category_probs` shares.
+need: dense matrix algebra, stable elementwise nonlinearities, row
+reductions, a handful of structural helpers (reshape, repeat_rows,
+stop_gradient, triangular inverse), `feedforward`, which runs a whole
+network as one node (its first layer can repeat per-respondent rows next to
+per-draw rows, and a split forward returns one output per gradient route),
+`ordered_cuts` for the decoder's intercepts, and one fused cumulative-logit
+likelihood over the `boundary_table` that `grm.category_probs` shares.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -201,33 +202,6 @@ def matmul(tape: Tape | None, a: Tensor2, b: Tensor2) -> Tensor2:
     return _make(tape, "matmul", (a, b), out_data, backward)
 
 
-def matmul_repeat(tape: Tape | None, x: Tensor2, z: Tensor2, w: Tensor2) -> Tensor2:
-    """[repeat_rows(x, t), z] @ w with t = z.rows // x.rows, without building
-    the repeat: x @ w[:F] is computed once per row of x and added to each of
-    its t rows of z @ w[F:], and backward sums the t rows' gradients once."""
-    B, F = x.shape
-    if B == 0 or z.rows % B:
-        raise ShapeError(f"matmul_repeat: {z.rows} rows are not a multiple of {B}")
-    if w.rows != F + z.cols:
-        raise ShapeError(f"matmul_repeat: weight {w.shape} vs inputs {x.shape} and {z.shape}")
-    t = z.rows // B
-    w_x, w_z = w.data[:F], w.data[F:]
-    out_data = z.data @ w_z
-    view = out_data.reshape(B, t, -1)
-    view += (x.data @ w_x)[:, None, :]
-
-    def backward(g):
-        g_sum = g.reshape(B, t, -1).sum(axis=1)
-        if w.requires_grad:
-            _accum(w, np.vstack([x.data.T @ g_sum, z.data.T @ g]))
-        if x.requires_grad:
-            _accum(x, g_sum @ w_x.T)
-        if z.requires_grad:
-            _accum(z, g @ w_z.T)
-
-    return _make(tape, "matmul_repeat", (x, z, w), out_data, backward)
-
-
 def transpose(tape: Tape | None, x: Tensor2) -> Tensor2:
     out_data = np.ascontiguousarray(x.data.T)
 
@@ -376,17 +350,123 @@ def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
     return np.where(xd >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def _gelu_derivative(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/du u * Phi(u) = Phi(u) + u * phi(u), in a fresh array."""
+    d = np.multiply(-0.5, u)
+    d *= u
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= u
+    d += cdf
+    return d
+
+
 def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
     """Exact x * Phi(x) with Phi the standard normal CDF."""
     xd = x.data
     cdf = ndtr(xd)
-    out_data = xd * cdf
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        _accum(x, (cdf + xd * pdf) * g)
+        _accum(x, _gelu_derivative(xd, cdf) * g)
 
-    return _make(tape, "gelu", (x,), out_data, backward)
+    return _make(tape, "gelu", (x,), xd * cdf, backward)
+
+
+# ---------------------------------------------------------------------------
+# feed-forward networks
+
+
+def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
+                split: bool = False):
+    """A whole feed-forward net as one node.
+
+    layers is a sequence of (weight, bias, gelu) triples: each layer maps
+    its input a to u = a @ weight + bias, followed by GELU when gelu is
+    true.  The first input is h, or [repeat_rows(x, t), h] with
+    t = h.rows // x.rows when x is given; then x @ weight[:F] is computed
+    once per row of x and added to each of its t rows of h @ weight[F:].
+
+    With split=True the net runs once and returns (to_inputs, to_weights):
+    two tensors with the same values, whose gradients reach only h and x,
+    and only the weights and biases, respectively.  Backward computes only
+    the gradients whose targets require them, and each GELU's derivative
+    is computed once, in the forward, for both outputs.
+    """
+    t = 1
+    F = 0
+    if x is not None:
+        B, F = x.shape
+        if B == 0 or h.rows % B:
+            raise ShapeError(f"feedforward: {h.rows} rows are not a multiple of {B}")
+        t = h.rows // B
+    width = F + h.cols
+    for w, b, _ in layers:
+        if w.rows != width or b.shape != (1, w.cols):
+            raise ShapeError(f"feedforward: layer {w.shape} + bias {b.shape} "
+                             f"does not take {width} inputs")
+        width = w.cols
+    inputs_live = h.requires_grad or (x is not None and x.requires_grad)
+    any_weights = any(w.requires_grad or b.requires_grad for w, b, _ in layers)
+    keep = tape is not None and (inputs_live or any_weights)
+
+    # kept for backward only: acts[l] is the input of layer l (acts[0] is
+    # h.data), derivs[l] the GELU derivative at u_l or None for identity
+    acts, derivs = [], []
+    a = h.data
+    for l, (w, b, gelu_on) in enumerate(layers):
+        if l == 0 and x is not None:
+            u = a @ w.data[F:]
+            view = u.reshape(B, t, -1)
+            view += (x.data @ w.data[:F])[:, None, :]
+        else:
+            u = a @ w.data
+        u += b.data
+        d = None
+        if gelu_on:
+            cdf = ndtr(u)
+            if keep:
+                d = _gelu_derivative(u, cdf)
+            u *= cdf
+        if keep:
+            acts.append(a)
+            derivs.append(d)
+        a = u
+
+    def run_backward(g, to_inputs: bool, to_weights: bool):
+        for l in range(len(layers) - 1, -1, -1):
+            w, b, _ = layers[l]
+            if derivs[l] is not None:
+                g = derivs[l] * g
+            if to_weights:
+                if b.requires_grad:
+                    _accum(b, g.sum(axis=0, keepdims=True))
+                if w.requires_grad:
+                    if l == 0 and x is not None:
+                        g_sum = g.reshape(B, t, -1).sum(axis=1)
+                        _accum(w, np.vstack([x.data.T @ g_sum, acts[0].T @ g]))
+                    else:
+                        _accum(w, acts[l].T @ g)
+            if l > 0:
+                g = g @ w.data.T
+        if to_inputs:
+            w = layers[0][0].data
+            if h.requires_grad:
+                _accum(h, g @ w[F:].T)
+            if x is not None and x.requires_grad:
+                _accum(x, g.reshape(B, t, -1).sum(axis=1) @ w[:F].T)
+
+    if not split:
+        out = Tensor2(a, requires_grad=inputs_live or any_weights)
+        if keep:
+            tape.record("feedforward", out, lambda g: run_backward(g, inputs_live, any_weights))
+        return out
+    to_inputs = Tensor2(a, requires_grad=inputs_live)
+    to_weights = Tensor2(a, requires_grad=any_weights)
+    if keep and inputs_live:
+        tape.record("feedforward_to_inputs", to_inputs, lambda g: run_backward(g, True, False))
+    if keep and any_weights:
+        tape.record("feedforward_to_weights", to_weights, lambda g: run_backward(g, False, True))
+    return to_inputs, to_weights
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +509,6 @@ def logsumexp_rows(tape: Tape | None, x: Tensor2) -> Tensor2:
         _accum(x, g * (shifted / total))
 
     return _make(tape, "logsumexp_rows", (x,), out_data, backward)
-
-
-def broadcast_add_rowvec(tape: Tape | None, x: Tensor2, bias: Tensor2) -> Tensor2:
-    if bias.rows != 1 or bias.cols != x.cols:
-        raise ShapeError(f"broadcast_add_rowvec: bias {bias.shape} vs x {x.shape}")
-
-    def backward(g):
-        _accum(x, g, own=False)
-        _accum(bias, g.sum(axis=0, keepdims=True))
-
-    return _make(tape, "broadcast_add_rowvec", (x, bias), x.data + bias.data, backward)
 
 
 def mul_colvec(tape: Tape | None, x: Tensor2, c: Tensor2) -> Tensor2:

@@ -31,8 +31,12 @@ reparameterized gradient.  DReG (`dreg_phi_surrogate`) stops the explicit
 q-parameter paths and scales each row of dL/dz by its w_tilde inside
 `Tape.backward`, which turns the encoder's share into
 sum_r w_tilde^2 dlog w/dz dz/dphi and leaves theta's untouched.  The
-discriminator always runs frozen in the weight path: it trains on its
-classification loss only, whose encoder draws enter as constants.
+discriminator runs once on the encoder draws, as one split forward: the
+weight path's log q takes the output whose gradient reaches only the draws,
+and the classification loss takes the output whose gradient reaches only
+the discriminator's weights, so psi trains on that loss alone and the loss
+never moves the encoder.  A second forward, on the prior draws, completes
+the loss.
 
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
@@ -176,10 +180,13 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     constants.  Plain mode contrasts against the prior instead:
         log q(z|x) = T(x, z) + log p(z).
 
-    The discriminator runs frozen: its parameters must not receive gradients
-    from the weight path (they train on the classification loss only).
-    eps has B*S*R rows; returns the graph tensors "z", "log_w" and "z_std",
-    the draws the discriminator saw (z itself in plain mode).
+    The discriminator runs once, split (`Discriminator.forward(...,
+    split=True)`): log q takes the output whose gradient reaches only the
+    draws, so its parameters get nothing from the weight path, and "t_q",
+    the output whose gradient reaches only its parameters, goes to
+    `avb_discriminator_loss`.  eps has B*S*R rows; returns the graph tensors
+    "z", "log_w", "z_std" (the draws the discriminator saw, z itself in
+    plain mode) and "t_q".
     """
     B = x.shape[0]
     tile = S * R
@@ -203,28 +210,29 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
         mu_t = dk.const(tile_rows(mu_hat, tile))
         sig_t = dk.const(tile_rows(sigma_hat, tile))
         z_std = dk.div(tape, dk.sub(tape, z, mu_t), sig_t)
-        t_out = disc.forward(tape, x_feats, z_std, frozen=True)
+        t_out, t_q = disc.forward(tape, x_feats, z_std, split=True)
         logq = contrast_logq(tape, t_out, z_std, sigma_hat, tile)
     else:
         z_std = z
-        t_out = disc.forward(tape, x_feats, z, frozen=True)
+        t_out, t_q = disc.forward(tape, x_feats, z, split=True)
         logq = dk.add(tape, t_out, grm_mod.prior_logpdf(tape, eff, z))
-    return {"z": z, "log_w": dk.sub(tape, logp, logq), "z_std": z_std}
+    return {"z": z, "log_w": dk.sub(tape, logp, logq), "z_std": z_std, "t_q": t_q}
 
 
 def avb_discriminator_loss(tape: Tape | None, disc: Discriminator,
-                           feats: np.ndarray | None, z_q: np.ndarray,
+                           feats: np.ndarray | None, t_q: Tensor2,
                            zeta: np.ndarray) -> Tensor2:
     """Binary-classification loss (to minimize) on encoder vs prior samples.
 
-    Encoder samples arrive as plain arrays: the discriminator step must not
-    move the encoder.  feats holds one row per respondent; z_q and zeta hold
-    the same whole number of rows per respondent.  Per pair the loss is
+    t_q holds the discriminator's logits on the encoder draws, and its
+    gradient must not reach the encoder: the "t_q" of `avb_log_weights`, or
+    a forward on constant draws.  The discriminator runs here on the prior
+    draws zeta, which hold the same whole number of rows per respondent;
+    feats holds one row per respondent.  Per pair the loss is
     softplus(-T_q) + softplus(T_p), which is log 4 at T = 0 and tends to 0
     under perfect separation.
     """
     x_t = dk.const(feats) if feats is not None and disc.response_dim > 0 else None
-    t_q = disc.forward(tape, x_t, dk.const(z_q))
     t_p = disc.forward(tape, x_t, dk.const(zeta))
     loss_q = dk.tmean(tape, dk.log1p_exp(tape, dk.mul(tape, t_q, -1.0)))
     loss_p = dk.tmean(tape, dk.log1p_exp(tape, t_p))

@@ -2,13 +2,15 @@
 cyclical learning rates, windowed convergence monitoring, and the FitResult
 artifact.
 
-Each step builds one tape and runs the encoder, the decoder and (for AVB and
-IWAVB) the discriminator once.  Its root is the negated batch objective plus,
-for the adversarial estimators, the discriminator's classification loss:
-theta gets the importance-weighted decoder gradient, phi the encoder
-gradient (DReG's squared weights through a row scale at z when enabled), and
-psi only its classification loss, because the discriminator runs frozen in
-the weight path and its loss takes the draws as constants.
+Each step builds one tape and runs the encoder and the decoder once, and
+(for AVB and IWAVB) the discriminator once on the encoder draws and once on
+the prior draws.  Its root is the negated batch objective plus, for the
+adversarial estimators, the discriminator's classification loss: theta gets
+the importance-weighted decoder gradient, phi the encoder gradient (DReG's
+squared weights through a row scale at z when enabled), and psi only its
+classification loss.  The forward on the encoder draws is split: the output
+the weight path reads sends its gradient to the draws only, and the output
+the loss reads sends its gradient to psi only.
 
 `FitConfig` is the one settings object for a fit.  `FitConfig.validate`
 checks every estimator rule (VAE needs R = 1, IWAVB is AVB with adaptive
@@ -300,9 +302,8 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     root = dk.mul(tape, dk.tmean(tape, per), -1.0)
     diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
     if state.disc is not None:
-        # the draws enter psi's loss as constants, so it moves only psi
-        dloss = avb_discriminator_loss(tape, state.disc, feats_batch,
-                                       graph["z_std"].data, zeta)
+        # t_q's gradient reaches only psi, so the loss moves only psi
+        dloss = avb_discriminator_loss(tape, state.disc, feats_batch, graph["t_q"], zeta)
         root = dk.add(tape, root, dloss)
         diag["disc_loss"] = float(dloss.item())
     tape.backward(root, row_scale=row_scale)

@@ -1,12 +1,16 @@
 """Feed-forward networks for the three amortized roles: Gaussian encoder
 (VAE/IWAE), implicit noise-injecting encoder (AVB/IWAVB), and the
 density-ratio discriminator.  Hidden activations are exact GELU, outputs are
-linear, and weights start from uniform Kaiming draws.  The `*_values`
-methods run the same forward code without a tape, on plain arrays.
+linear, and weights start from uniform Kaiming draws.
 
-The implicit encoder and the discriminator take one feature row per
-respondent; their first layer (`dk.matmul_repeat`) computes its feature part
-once per respondent, and its weight stays one matrix, as serialized."""
+Every network runs through one tape op, `dk.feedforward`, which records a
+whole chain of layers as a single node; the `*_values` methods call it
+without a tape, on plain arrays.  The implicit encoder and the
+discriminator take one feature row per respondent: the op computes the
+feature part of their first layer once per respondent, and the weight stays
+one matrix, as serialized.  `Discriminator.forward(..., split=True)` returns
+the two gradient routes of one forward: to the draws only, and to the
+discriminator's weights only."""
 
 from __future__ import annotations
 
@@ -48,17 +52,9 @@ class Layer:
     def fan_out(self) -> int:
         return self.weight.cols
 
-    def forward(self, tape: Tape | None, h: Tensor2, frozen: bool = False,
-                x: Tensor2 | None = None) -> Tensor2:
-        """Affine map and activation of h; with x, of [repeat_rows(x, t), h]
-        for t = h.rows // x.rows."""
-        w = dk.const(self.weight.data) if frozen else self.weight
-        b = dk.const(self.bias.data) if frozen else self.bias
-        hw = dk.matmul(tape, h, w) if x is None else dk.matmul_repeat(tape, x, h, w)
-        out = dk.broadcast_add_rowvec(tape, hw, b)
-        if self.activation == ACT_GELU:
-            out = dk.gelu(tape, out)
-        return out
+    def spec(self) -> tuple[Tensor2, Tensor2, bool]:
+        """(weight, bias, gelu), one layer as `dk.feedforward` takes it."""
+        return self.weight, self.bias, self.activation == ACT_GELU
 
     def to_dict(self) -> dict:
         return {"weight": self.weight.data.tolist(), "bias": self.bias.data.tolist(),
@@ -101,13 +97,12 @@ class FeedForwardNet:
     def output_dim(self) -> int:
         return self.layers[-1].fan_out
 
-    def forward(self, tape: Tape | None, h: Tensor2, frozen: bool = False,
-                x: Tensor2 | None = None) -> Tensor2:
-        """The net at h, or at [repeat_rows(x, t), h] when x is given."""
-        h = self.layers[0].forward(tape, h, frozen=frozen, x=x)
-        for layer in self.layers[1:]:
-            h = layer.forward(tape, h, frozen=frozen)
-        return h
+    def forward(self, tape: Tape | None, h: Tensor2, x: Tensor2 | None = None,
+                split: bool = False):
+        """The net at h, or at [repeat_rows(x, t), h] when x is given; with
+        split, the (to_inputs, to_weights) pair of `dk.feedforward`."""
+        return dk.feedforward(tape, h, [layer.spec() for layer in self.layers],
+                              x=x, split=split)
 
     def parameters(self) -> list[Tensor2]:
         out = []
@@ -149,9 +144,10 @@ class GaussianEncoder:
         return self.mean_head.fan_out
 
     def heads(self, tape: Tape | None, x: Tensor2):
-        h = dk.gelu(tape, self.trunk.forward(tape, x))
-        mu = self.mean_head.forward(tape, h)
-        sigma = dk.exp(tape, self.log_std_head.forward(tape, h))
+        *hidden, (w, b, _) = [layer.spec() for layer in self.trunk.layers]
+        h = dk.feedforward(tape, x, [*hidden, (w, b, True)])    # GELU follows the trunk
+        mu = dk.feedforward(tape, h, [self.mean_head.spec()])
+        sigma = dk.exp(tape, dk.feedforward(tape, h, [self.log_std_head.spec()]))
         return mu, sigma
 
     def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2):
@@ -254,8 +250,10 @@ class Discriminator:
         return cls(net, response_dim)
 
     def forward(self, tape: Tape | None, x: Tensor2 | None, z: Tensor2,
-                frozen: bool = False) -> Tensor2:
-        return self.net.forward(tape, z, frozen=frozen, x=x if self.response_dim else None)
+                split: bool = False):
+        """T(x, z); with split, the pair (to_inputs, to_weights) of one
+        forward, whose gradients reach only x and z, and only the weights."""
+        return self.net.forward(tape, z, x=x if self.response_dim else None, split=split)
 
     def forward_values(self, x: np.ndarray | None, z: np.ndarray) -> np.ndarray:
         """`forward` without a tape, on plain arrays."""

@@ -55,9 +55,15 @@ class SimDesign:
     seed: int = 0
 
     def validate(self):
+        for name in ("n_respondents", "n_items", "n_factors", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise DesignError(f"{name} must be an integer, got {value!r}")
         if self.n_respondents < 1 or self.n_items < 1 or self.n_factors < 1:
             raise DesignError("N, M, P must all be >= 1")
         cats = np.asarray(self.categories)
+        if cats.dtype.kind not in "iu":
+            raise DesignError(f"categories must be integers, got {self.categories!r}")
         if cats.ndim == 0:
             cats = np.full(self.n_items, int(cats))
         if cats.shape != (self.n_items,) or np.any(cats < 2):

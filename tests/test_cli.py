@@ -115,6 +115,20 @@ class TestSimulate:
         assert code == 2
         assert "P | M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_respondents", 20.7), ("n_items", 6.0), ("n_factors", True), ("categories", 3.5),
+        ("categories", [3, 3, 3, 3, 3, 3.5]), ("categories", True), ("seed", 1.5),
+        ("seed", "5"),
+    ])
+    def test_non_integer_count_or_seed_exits_2(self, key, value, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        write_design(design, **{key: value})
+        out = tmp_path / "o"
+        code = main(["simulate", "--design", str(design), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_reps", [0, -3, 2.7, True, "2"])
     def test_bad_replication_count_exits_2(self, n_reps, tmp_path, capsys):
         design = tmp_path / "design.json"

@@ -42,7 +42,6 @@ def _shift_pos(x):
 
 OPS = {
     "matmul": (2, lambda tape, a, b: dk.matmul(tape, a, b), None),
-    "matmul_repeat": (3, lambda tape, x, z, w: dk.matmul_repeat(tape, x, z, w), None),
     "transpose": (1, lambda tape, a: dk.transpose(tape, a), None),
     "add": (2, lambda tape, a, b: dk.add(tape, a, b), None),
     "sub": (2, lambda tape, a, b: dk.sub(tape, a, b), None),
@@ -58,7 +57,6 @@ OPS = {
     "mean": (1, lambda tape, a: dk.tmean(tape, a), None),
     "sum_rows": (1, lambda tape, a: dk.sum_rows(tape, a), None),
     "logsumexp_rows": (1, lambda tape, a: dk.logsumexp_rows(tape, a), None),
-    "broadcast_add_rowvec": (2, None, None),
     "mul_colvec": (2, None, None),
     "reshape": (1, lambda tape, a: dk.reshape(tape, a, 6, 2), None),
     "tril_inverse": (1, None, None),
@@ -66,6 +64,39 @@ OPS = {
     "ordinal_loglik": (2, None, None),
     "ordered_cuts": (1, lambda tape, a: dk.ordered_cuts(tape, a, 1e-6), None),
 }
+
+# dk.feedforward, one entry per variant "feedforward:<variant>": the layer
+# activations, the rows per feature row (t; 0 for no feature input) and, for
+# a split forward, the route whose output is checked.  Inputs are
+# [x (when t > 0), h, w0, b0, w1, b1]: 2 feature columns, 3 input columns,
+# a hidden width of 4 and 2 outputs.
+FEEDFORWARD = {
+    "gelu-identity": ((True, False), 0, None),
+    "gelu-gelu": ((True, True), 0, None),
+    "t1": ((True, False), 1, None),
+    "t3": ((True, False), 3, None),
+    "to_inputs-t1": ((True, False), 1, "to_inputs"),
+    "to_inputs-t3": ((True, False), 3, "to_inputs"),
+    "to_weights-t1": ((True, False), 1, "to_weights"),
+    "to_weights-t3": ((True, False), 3, "to_weights"),
+}
+for _variant, (_acts, _t, _) in FEEDFORWARD.items():
+    OPS[f"feedforward:{_variant}"] = (5 + (_t > 0), None, None)
+
+
+def _feedforward(tape, tensors, variant):
+    acts, t, route = FEEDFORWARD[variant]
+    x, h, w0, b0, w1, b1 = tensors if t else [None, *tensors]
+    out = dk.feedforward(tape, h, [(w0, b0, acts[0]), (w1, b1, acts[1])], x=x,
+                         split=route is not None)
+    return out if route is None else out[route == "to_weights"]
+
+
+def _unreached(name):
+    """Indices of the inputs a split route must leave without a gradient
+    (the split variants take [x, h, w0, b0, w1, b1])."""
+    route = FEEDFORWARD[name.split(":")[1]][2] if name.startswith("feedforward:") else None
+    return {"to_inputs": {2, 3, 4, 5}, "to_weights": {0, 1}}.get(route, set())
 
 # ordinal_loglik fixture: 3 respondents x 2 rows each, 3 items with 3, 2 and
 # 3 categories (the second boundary of item 1 is padding), one entry missing
@@ -84,11 +115,12 @@ def _build_inputs(name, rng):
 
     if name == "matmul":
         return [draw((3, 4)), draw((4, 2))]
-    if name == "matmul_repeat":
-        # 2 respondents with 3 rows each; weight rows cover x's 3 and z's 2 columns
-        return [draw((2, 3)), draw((6, 2)), draw((5, 4))]
-    if name == "broadcast_add_rowvec":
-        return [draw((3, 4)), draw((1, 4))]
+    if name.startswith("feedforward:"):
+        t = FEEDFORWARD[name.split(":")[1]][1]
+        x = [draw((2, 2))] if t else []
+        rows = 2 * t if t else 4
+        return x + [draw((rows, 3)), draw((3 + 2 * (t > 0), 4)), draw((1, 4)),
+                    draw((4, 2)), draw((1, 2))]
     if name == "mul_colvec":
         return [draw((3, 4)), draw((3, 1))]
     if name == "tril_inverse":
@@ -107,8 +139,8 @@ def _build_inputs(name, rng):
 
 
 def _apply(name, tape, tensors):
-    if name == "broadcast_add_rowvec":
-        return dk.broadcast_add_rowvec(tape, tensors[0], tensors[1])
+    if name.startswith("feedforward:"):
+        return _feedforward(tape, tensors, name.split(":")[1])
     if name == "mul_colvec":
         return dk.mul_colvec(tape, tensors[0], tensors[1])
     if name == "tril_inverse":
@@ -131,7 +163,12 @@ def test_finite_difference_every_op(name):
         out = _apply(name, tape, tensors)
         root = scalarize(tape, out)
         tape.backward(root)
+        unreached = _unreached(name)
         for i, t in enumerate(tensors):
+            if i in unreached:
+                assert t.grad is None, f"{name}: input {i} got a gradient"
+                continue
+
             def f(x, i=i):
                 probe = [a.copy() for a in arrays]
                 probe[i] = x
@@ -182,14 +219,21 @@ class TestMatmul:
 
 
 class TestMatmulRepeat:
+    """The first layer of `dk.feedforward` with a feature input x computes
+    [repeat_rows(x, t), z] @ w without building the repeat."""
+
     def _arrays(self, B, t, seed=0):
         rng = np.random.default_rng(seed)
         return rng.normal(size=(B, 3)), rng.normal(size=(B * t, 2)), rng.normal(size=(5, 4))
 
+    @staticmethod
+    def _layer(tape, x, z, w):
+        return dk.feedforward(tape, z, [(w, dk.const(np.zeros((1, w.cols))), False)], x=x)
+
     @pytest.mark.parametrize("t", [1, 4])
     def test_matches_repeat_then_matmul(self, t):
         x, z, w = self._arrays(3, t)
-        got = dk.matmul_repeat(None, dk.const(x), dk.const(z), dk.const(w)).data
+        got = self._layer(None, dk.const(x), dk.const(z), dk.const(w)).data
         expected = np.hstack([np.repeat(x, t, axis=0), z]) @ w
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
@@ -199,7 +243,7 @@ class TestMatmulRepeat:
         g = np.random.default_rng(2).normal(size=(3 * t, 4))
         x, z, w = (dk.parameter(a) for a in (x_arr, z_arr, w_arr))
         tape = dk.Tape()
-        out = dk.matmul_repeat(tape, x, z, w)
+        out = self._layer(tape, x, z, w)
         tape.backward(dk.tsum(tape, dk.mul(tape, out, dk.const(g))))
         np.testing.assert_allclose(w.grad, np.hstack([np.repeat(x_arr, t, 0), z_arr]).T @ g,
                                    rtol=0, atol=1e-12)
@@ -211,7 +255,7 @@ class TestMatmulRepeat:
         x_arr, z_arr, w_arr = self._arrays(2, 3, seed=3)
         x, z, w = dk.parameter(x_arr), dk.parameter(z_arr), dk.const(w_arr)
         tape = dk.Tape()
-        tape.backward(dk.tsum(tape, dk.matmul_repeat(tape, x, z, w)))
+        tape.backward(dk.tsum(tape, self._layer(tape, x, z, w)))
         assert w.grad is None
         assert x.grad.shape == x.shape and z.grad.shape == z.shape
 
@@ -221,9 +265,95 @@ class TestMatmulRepeat:
         ((0, 3), (4, 2), (5, 4)),
     ], ids=["rows", "weight", "no-respondents"])
     def test_shape_errors(self, x_shape, z_shape, w_shape):
-        with pytest.raises(dk.ShapeError, match="matmul_repeat"):
-            dk.matmul_repeat(None, dk.const(np.zeros(x_shape)), dk.const(np.zeros(z_shape)),
-                             dk.const(np.zeros(w_shape)))
+        with pytest.raises(dk.ShapeError, match="feedforward"):
+            self._layer(None, dk.const(np.zeros(x_shape)), dk.const(np.zeros(z_shape)),
+                        dk.const(np.zeros(w_shape)))
+
+
+class TestFeedforward:
+    def _net(self, seed=0, t=3):
+        rng = np.random.default_rng(seed)
+        x = dk.parameter(rng.normal(size=(2, 2)))
+        h = dk.parameter(rng.normal(size=(2 * t, 3)))
+        layers = [(dk.parameter(rng.normal(size=(5, 4))), dk.parameter(rng.normal(size=(1, 4))),
+                   True),
+                  (dk.parameter(rng.normal(size=(4, 4))), dk.parameter(rng.normal(size=(1, 4))),
+                   True),
+                  (dk.parameter(rng.normal(size=(4, 1))), dk.parameter(rng.normal(size=(1, 1))),
+                   False)]
+        return x, h, layers
+
+    def test_matches_layer_by_layer_composition(self):
+        x, h, layers = self._net()
+        a = np.hstack([np.repeat(x.data, 3, axis=0), h.data])
+        for w, b, gelu_on in layers:
+            a = a @ w.data + b.data
+            if gelu_on:
+                a = a * special.ndtr(a)
+        got = dk.feedforward(None, h, layers, x=x).data
+        np.testing.assert_allclose(got, a, rtol=0, atol=1e-13)
+
+    def test_split_outputs_share_the_forward(self):
+        x, h, layers = self._net()
+        whole = dk.feedforward(None, h, layers, x=x)
+        to_inputs, to_weights = dk.feedforward(dk.Tape(), h, layers, x=x, split=True)
+        np.testing.assert_array_equal(to_inputs.data, whole.data)
+        assert to_weights.data is to_inputs.data
+
+    def test_split_routes_add_up_to_the_whole_gradient(self):
+        x, h, layers = self._net(seed=1)
+        leaves = [x, h] + [p for w, b, _ in layers for p in (w, b)]
+
+        def grads(split):
+            tape = dk.Tape()
+            out = dk.feedforward(tape, h, layers, x=x, split=split)
+            root = (dk.add(tape, dk.tsum(tape, out[0]), dk.tsum(tape, out[1])) if split
+                    else dk.tsum(tape, out))
+            tape.backward(root)
+            found = [p.grad for p in leaves]
+            for p in leaves:
+                p.grad = None
+            return found
+
+        for a, b in zip(grads(True), grads(False), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_records_one_node_per_route(self):
+        x, h, layers = self._net()
+        tape = dk.Tape()
+        dk.feedforward(tape, h, layers, x=x)
+        assert len(tape) == 1
+        tape = dk.Tape()
+        dk.feedforward(tape, h, layers, x=x, split=True)
+        assert len(tape) == 2
+        tape = dk.Tape()
+        const_layers = [(dk.const(w.data), dk.const(b.data), g) for w, b, g in layers]
+        dk.feedforward(tape, dk.const(h.data), const_layers, x=dk.const(x.data), split=True)
+        assert len(tape) == 0
+
+    def test_frozen_lower_layers_keep_the_trained_layers_gradient(self):
+        # only the last layer trains; its gradient is the one the whole net gives it
+        x, h, layers = self._net(seed=2)
+        frozen = [(dk.const(w.data), dk.const(b.data), g) for w, b, g in layers[:2]]
+        w, b, _ = layers[2]
+
+        def last_layer_grads(net, split):
+            tape = dk.Tape()
+            out = dk.feedforward(tape, dk.const(h.data), net, x=dk.const(x.data), split=split)
+            tape.backward(dk.tsum(tape, out[1] if split else out))
+            found = w.grad, b.grad
+            for w_l, b_l, _ in layers:
+                w_l.grad = b_l.grad = None
+            return found
+
+        for a, c in zip(last_layer_grads(frozen + layers[2:], True),
+                        last_layer_grads(layers, False), strict=True):
+            np.testing.assert_array_equal(a, c)
+
+    def test_layer_widths_must_chain(self):
+        x, h, layers = self._net()
+        with pytest.raises(dk.ShapeError, match="feedforward"):
+            dk.feedforward(None, h, [layers[0], layers[0]], x=x)
 
 
 class TestGelu:
@@ -518,8 +648,8 @@ class TestOrderedCuts:
 
 def test_every_tape_op_has_a_finite_difference_entry():
     """OPS lists exactly the public diffkernel functions taking `tape` first,
-    under the name each records (tsum records "sum", tmean "mean");
-    stop_gradient records no node."""
+    under the name each records (tsum records "sum", tmean "mean"), with
+    variants of one op as "<op>:<variant>"; stop_gradient records no node."""
     import inspect
 
     recorded = {"tsum": "sum", "tmean": "mean"}
@@ -528,4 +658,4 @@ def test_every_tape_op_has_a_finite_difference_entry():
            if not name.startswith("_") and fn.__module__ == dk.__name__
            and next(iter(inspect.signature(fn).parameters), None) == "tape"}
     ops.discard("stop_gradient")
-    assert ops == set(OPS)
+    assert ops == {name.split(":")[0] for name in OPS}

@@ -184,8 +184,9 @@ class TestDiscriminatorLoss:
         for p in disc.parameters():
             p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(0)
-        loss = avb_discriminator_loss(None, disc, rng.normal(size=(20, 3)),
-                                      rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
+        feats = rng.normal(size=(20, 3))
+        t_q = disc.forward(None, dk.const(feats), dk.const(rng.normal(size=(20, 2))))
+        loss = avb_discriminator_loss(None, disc, feats, t_q, rng.normal(size=(20, 2)))
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_perfect_separation_drives_loss_to_zero(self):
@@ -196,17 +197,21 @@ class TestDiscriminatorLoss:
         disc = Discriminator(net, response_dim=0)
         z_q = np.full((50, 1), 8.0)
         zeta = np.full((50, 1), -8.0)
-        loss = avb_discriminator_loss(None, disc, None, z_q, zeta)
+        t_q = disc.forward(None, None, dk.const(z_q))
+        loss = avb_discriminator_loss(None, disc, None, t_q, zeta)
         assert loss.item() < 1e-9
 
     def test_discriminator_step_does_not_move_encoder(self):
         rng = np.random.default_rng(10)
         disc = Discriminator.build(2, 1, [8], np.random.default_rng(11))
+        feats = rng.normal(size=(6, 2))
+        z_q = dk.parameter(rng.normal(size=(6, 1)))
         tape = dk.Tape()
-        loss = avb_discriminator_loss(tape, disc, rng.normal(size=(6, 2)),
-                                      rng.normal(size=(6, 1)), rng.normal(size=(6, 1)))
+        _, t_q = disc.forward(tape, dk.const(feats), z_q, split=True)
+        loss = avb_discriminator_loss(tape, disc, feats, t_q, rng.normal(size=(6, 1)))
         tape.backward(loss)
         assert all(p.grad is not None for p in disc.parameters())
+        assert z_q.grad is None
 
 
 class _AnalyticContrastDisc:
@@ -219,14 +224,15 @@ class _AnalyticContrastDisc:
         self.m = np.atleast_2d(m_std)
         self.s = np.atleast_2d(s_std)
 
-    def forward(self, tape, x, z, frozen=False):
+    def forward(self, tape, x, z, split=False):
         m = dk.const(np.broadcast_to(self.m, (z.rows, z.cols)).copy())
         s = dk.const(np.broadcast_to(self.s, (z.rows, z.cols)).copy())
         resid = dk.div(tape, dk.sub(tape, z, m), s)
         logq = dk.mul(tape, dk.sum_rows(tape, dk.square(tape, resid)), -0.5)
         logq = dk.sub(tape, logq, np.log(self.s).sum())
         logr0 = dk.mul(tape, dk.sum_rows(tape, dk.square(tape, z)), -0.5)
-        return dk.sub(tape, logq, logr0)
+        out = dk.sub(tape, logq, logr0)
+        return (out, dk.const(out.data)) if split else out
 
 
 def _affine_blackbox_encoder(feat_dim, P, mu_q, sigma_q):
@@ -579,7 +585,9 @@ def _two_tape_step(state, x, feats, rng):
     """Gradients of one training step from two tapes, as a reference: a phi
     pass with the decoder as constants (the DReG surrogate
     sum w_tilde^2 log w / (B*S) when enabled), then a theta + psi pass on the
-    same draws with the encoder as constants."""
+    same draws with the encoder as constants.  The weight path sees a
+    constant copy of the discriminator, and psi's loss runs it afresh on the
+    draws as constants, so no gradient here depends on a split forward."""
     config = state.config
     b, R, S = x.shape[0], config.R, config.S
     tile = R * S
@@ -597,8 +605,10 @@ def _two_tape_step(state, x, feats, rng):
         if adaptive_contrast and tile < 8:
             moment_eps = rng.standard_normal((b * (8 - tile), state.encoder.noise_dim))
 
+        disc = _constant_copy(state.disc)
+
         def log_weights(tape, encoder, params):
-            return avb_log_weights(tape, x, feats, encoder, state.disc, params,
+            return avb_log_weights(tape, x, feats, encoder, disc, params,
                                    R, S, adaptive_contrast, eps, moment_eps=moment_eps)
 
     tape = dk.Tape()
@@ -615,8 +625,9 @@ def _two_tape_step(state, x, feats, rng):
     per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
     root = dk.mul(tape, dk.tmean(tape, per), -1.0)
     if state.disc is not None:
-        root = dk.add(tape, root, avb_discriminator_loss(tape, state.disc, feats,
-                                                         graph["z_std"].data, zeta))
+        x_t = dk.const(feats) if state.disc.response_dim else None
+        t_q = state.disc.forward(tape, x_t, dk.const(graph["z_std"].data))
+        root = dk.add(tape, root, avb_discriminator_loss(tape, state.disc, feats, t_q, zeta))
     tape.backward(root)
 
 
@@ -695,6 +706,35 @@ class TestTrainingStep:
                  + (state.disc.parameters() if state.disc else []))
         for p, b in zip(after, before):
             np.testing.assert_array_equal(p.data, b)
+
+    @pytest.mark.parametrize("kind", ["AVB", "IWAVB"])
+    def test_discriminator_runs_once_on_the_draws_and_once_on_zeta(self, kind, monkeypatch):
+        state, resp, feats = self._state(kind)
+        seen = []
+        original = Discriminator.forward
+
+        def forward(self, tape, x, z, *args, **kwargs):
+            seen.append(z.data.copy())
+            return original(self, tape, x, z, *args, **kwargs)
+
+        monkeypatch.setattr(Discriminator, "forward", forward)
+        rng = copy.deepcopy(state.noise_rng)
+        b, tile = 20, state.config.R * state.config.S
+        eps = rng.standard_normal((b * tile, state.encoder.noise_dim))
+        zeta = rng.standard_normal((b * tile, state.encoder.latent_dim))
+        z = state.encoder.encode_values(feats[:20], eps)
+        if kind == "IWAVB":
+            # fewer than 8 draws per respondent: extra draws join the moments
+            extra = rng.standard_normal((b * (8 - tile), state.encoder.noise_dim))
+            draws = np.concatenate([z.reshape(b, tile, -1),
+                                    state.encoder.encode_values(feats[:20], extra)
+                                    .reshape(b, 8 - tile, -1)], axis=1)
+            mu, sigma = moment_estimates(draws)
+            z = (z - np.repeat(mu, tile, axis=0)) / np.repeat(sigma, tile, axis=0)
+        training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[0], z)
+        np.testing.assert_array_equal(seen[1], zeta)
 
     def test_nonfinite_discriminator_gradient_moves_no_group(self, monkeypatch):
         # psi steps last; a NaN there must not leave theta and phi half-updated

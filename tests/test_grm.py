@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradedvi import diffkernel as dk
 from gradedvi import grm
@@ -420,6 +421,59 @@ class TestConstraints:
                                                    rng.normal(size=(5, 2)) * 5])
             for a in params.values().intercepts:
                 assert (np.diff(a) < 0).all()
+
+
+def _raw_matrix(rows, cols, bound):
+    return st.tuples(rows, cols).flatmap(lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.floats(-bound, bound, allow_nan=False)))
+
+
+class TestRandomRawProperties:
+    """Structural guarantees of the decoder's parameterization at any raw
+    state hypothesis finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_raw_matrix(st.integers(1, 6), st.integers(1, 5), 40.0),
+           min_gap=st.sampled_from([1e-6, 0.1, 1.0]))
+    def test_ordered_cuts_strictly_decrease_by_at_least_min_gap(self, raw, min_gap):
+        cuts = dk.ordered_cuts(None, dk.const(raw), min_gap).data
+        gaps = -np.diff(cuts, axis=1)
+        assert np.all(gaps > 0)
+        # each cut is one rounded addition away from the exact cumulative sum
+        slack = 4 * np.spacing(np.abs(cuts).max())
+        assert np.all(gaps >= min_gap - slack)
+        np.testing.assert_array_equal(cuts[:, 0], raw[:, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(chol_raw=st.integers(1, 4).flatmap(lambda P: hnp.arrays(
+        np.float64, (P, P), elements=st.floats(-3.0, 3.0, allow_nan=False))))
+    def test_sigma_has_unit_diagonal_and_is_positive_definite(self, chol_raw):
+        P = chol_raw.shape[0]
+        params = init_params(3, P, 3, seed=0)
+        params.chol_raw.data = chol_raw
+        corr = params.values().factor_corr
+        np.testing.assert_allclose(np.diag(corr), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(corr, corr.T)
+        assert np.linalg.eigvalsh(corr).min() > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(cats=st.lists(st.integers(2, 5), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1), z_scale=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_category_probs_are_a_distribution_at_mixed_counts(self, cats, seed, z_scale):
+        rng = np.random.default_rng(seed)
+        cats = np.asarray(cats)
+        M, P = len(cats), 2
+        raw = rng.normal(0.0, 3.0, size=(M, cats.max() - 1))
+        cuts = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, P)),
+                           intercepts=[row[:c - 1] for row, c in zip(cuts, cats)],
+                           factor_corr=np.eye(P))
+        probs = category_probs(rng.normal(0.0, z_scale, size=(7, P)), values)
+        assert probs.shape == (7, M, cats.max())
+        assert np.all(probs >= 0)
+        np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+        padded = np.arange(cats.max())[None, :] >= cats[:, None]
+        assert np.all(probs[:, padded] == 0)
 
 
 class TestSerialization:

@@ -73,14 +73,15 @@ class TestFeedForwardNet:
             FeedForwardNet(
                 [type(a)(a.weight, a.bias, ACT_GELU), b])
 
-    def test_frozen_forward_blocks_gradients(self):
+    def test_to_inputs_output_gives_weights_no_gradient(self):
         rng = np.random.default_rng(7)
         net = FeedForwardNet.build([2, 3, 1], rng)
+        h = dk.parameter(rng.normal(size=(4, 2)))
         tape = dk.Tape()
-        out = net.forward(tape, dk.const(rng.normal(size=(4, 2))), frozen=True)
-        root = dk.tsum(tape, out)
-        tape.backward(root)
+        to_inputs, _ = net.forward(tape, h, split=True)
+        tape.backward(dk.tsum(tape, to_inputs))
         assert all(p.grad is None for p in net.parameters())
+        assert h.grad.shape == h.shape and np.abs(h.grad).max() > 0
 
     def test_serialization_roundtrip(self):
         net = FeedForwardNet.build([3, 4, 2], np.random.default_rng(8))
@@ -244,15 +245,22 @@ class TestDiscriminator:
                                   rng.normal(size=(100, 2)) * 10)
         assert np.isfinite(out).all()
 
-    def test_frozen_forward_passes_gradient_to_z_only(self):
+    @pytest.mark.parametrize("route", ["to_inputs", "to_weights"])
+    def test_split_forward_routes_gradient_to_z_or_weights_only(self, route):
         disc = Discriminator.build(4, 2, [8], np.random.default_rng(33))
         rng = np.random.default_rng(3)
         z = dk.parameter(rng.normal(size=(15, 2)))
         tape = dk.Tape()
-        out = disc.forward(tape, dk.const(rng.normal(size=(3, 4))), z, frozen=True)
-        tape.backward(dk.tsum(tape, out))
-        assert all(p.grad is None for p in disc.parameters())
-        assert z.grad.shape == z.shape and np.abs(z.grad).max() > 0
+        to_inputs, to_weights = disc.forward(tape, dk.const(rng.normal(size=(3, 4))), z,
+                                             split=True)
+        tape.backward(dk.tsum(tape, to_inputs if route == "to_inputs" else to_weights))
+        if route == "to_inputs":
+            assert all(p.grad is None for p in disc.parameters())
+            assert z.grad.shape == z.shape and np.abs(z.grad).max() > 0
+        else:
+            assert z.grad is None
+            assert all(p.grad is not None and np.abs(p.grad).max() > 0
+                       for p in disc.parameters())
 
     def test_latent_only_mode(self):
         disc = Discriminator.build(0, 1, [8], np.random.default_rng(32))
