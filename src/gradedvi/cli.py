@@ -241,8 +241,11 @@ def cmd_fit(args) -> int:
 
 
 def _fit_values(doc: dict) -> GrmValues:
-    params = GrmParams.from_dict(doc["params"])
-    return params.values()
+    values = GrmParams.from_dict(doc["params"]).values()
+    if not all(np.isfinite(a).all()
+               for a in (values.loadings, values.factor_corr, *values.intercepts)):
+        raise ValueError("fit holds non-finite parameters")
+    return values
 
 
 def _same_values(a: GrmValues, b: GrmValues) -> bool:
@@ -255,7 +258,9 @@ def _same_values(a: GrmValues, b: GrmValues) -> bool:
 def cmd_eval(args) -> int:
     """MSE and bias of the fits against the one truth their replications
     share; exits 2 when the truth files disagree on the parameters.  An
-    exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma)."""
+    exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma),
+    and each rotation is recorded under "rotations"; a non-finite fit or a
+    factor correlation that is not positive definite exits 2."""
     fits_dir = Path(args.fits)
     truth_dir = Path(args.truths)
     fit_files = sorted(fits_dir.glob("**/fit*.json"))
@@ -265,6 +270,7 @@ def cmd_eval(args) -> int:
               f"{len(truth_files)} truth file(s)", file=sys.stderr)
         return EXIT_INPUT
     estimates = []
+    rotations = []
     truth_values = None
     exploratory = False
     for fit_path, truth_path in zip(fit_files, truth_files):
@@ -288,9 +294,18 @@ def cmd_eval(args) -> int:
             return EXIT_INPUT
         exploratory = doc["config"].get("loading_structure", "exploratory") == "exploratory"
         if exploratory and values.n_factors >= 2:
-            rot = geomin_rotate(values.loadings @ np.linalg.cholesky(values.factor_corr),
-                                seed=doc["config"].get("seed", 0))
-            rep = align_to_reference(rot.loadings, truth_values.loadings)
+            try:  # LinAlgError, from a factor_corr that is not positive definite, is a ValueError
+                rot = geomin_rotate(values.loadings @ np.linalg.cholesky(values.factor_corr),
+                                    seed=doc["config"].get("seed", 0))
+                rep = align_to_reference(rot.loadings, truth_values.loadings)
+            except ValueError as err:
+                print(f"error: {fit_path}: {err}", file=sys.stderr)
+                return EXIT_INPUT
+            if not rot.converged:
+                print(f"warning: {fit_path}: geomin rotation did not converge",
+                      file=sys.stderr)
+            rotations.append({"fit": str(fit_path), "criterion": rot.criterion,
+                              "converged": rot.converged, "start": rot.start})
             values = GrmValues(loadings=rep.aligned_loadings, intercepts=values.intercepts,
                                factor_corr=align_correlations(rot.factor_corr, rep.amap))
         estimates.append(values)
@@ -298,7 +313,8 @@ def cmd_eval(args) -> int:
     out_doc = {"schema_version": SCHEMA_VERSION,
                "n_replications": len(estimates),
                "aligned": exploratory,
-               "blocks": {k: v.to_dict() for k, v in report.items()}}
+               "blocks": {k: v.to_dict() for k, v in report.items()},
+               "rotations": rotations}
     _dump_json(Path(args.out), out_doc)
     print(f"{'block':<14}{'MSE':>12}{'bias':>12}")
     for name, block in report.items():

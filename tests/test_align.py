@@ -1,4 +1,5 @@
-"""Rotation and alignment: geomin stationarity and self-recovery, sign
+"""Rotation and alignment: geomin stationarity and self-recovery, parity of
+the batched multi-start rotation with a serial per-start oracle, sign
 reflection, assignment optimality against brute force, congruence bounds,
 and signed-permutation realignment of correlation matrices."""
 
@@ -6,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedvi.align import (
     AlignmentMap,
@@ -18,6 +21,7 @@ from gradedvi.align import (
     reflect_signs,
     tucker_congruence,
 )
+from gradedvi.rngutil import substream
 
 
 def simple_structure_loadings(rng, M=50, P=5, strength=0.8, noise=0.02):
@@ -86,6 +90,148 @@ class TestGeominRotate:
     def test_needs_more_items_than_factors(self):
         with pytest.raises(ValueError):
             geomin_rotate(np.zeros((3, 3)))
+
+
+def serial_geomin_start(loadings, T0, eps, max_iter, tol):
+    """Oracle: the oblique gradient-projection iteration from one start,
+    one start at a time.  Returns the rotation, criterion, convergence
+    flag and the number of line searches that failed all 12 halvings."""
+    T = T0.copy()
+    Ti = np.linalg.inv(T)
+    L = loadings @ Ti.T
+    f, Gq = geomin_criterion(L, eps)
+    G = -(L.T @ Gq @ Ti).T
+    al = 1.0
+    converged = False
+    exhausted = 0
+    for _ in range(max_iter):
+        Gp = G - T @ np.diag((T * G).sum(axis=0))
+        s = np.linalg.norm(Gp)
+        if s < 1e-6:
+            converged = True
+            break
+        al *= 2.0
+        f_prev = f
+        for _ in range(12):
+            X = T - al * Gp
+            X = X / np.sqrt((X ** 2).sum(axis=0))
+            Ti = np.linalg.inv(X)
+            L = loadings @ Ti.T
+            ft, Gq = geomin_criterion(L, eps)
+            if ft < f - 0.5 * s ** 2 * al:
+                break
+            al /= 2.0
+        else:
+            exhausted += 1
+        T = X
+        f = ft
+        G = -(L.T @ Gq @ Ti).T
+        if abs(f_prev - f) < tol:
+            converged = True
+            break
+    return T, f, converged, exhausted
+
+
+def serial_geomin(loadings, eps=0.01, starts=30, seed=0, max_iter=1000, tol=1e-6):
+    """Oracle: every start in turn, then the first start whose criterion
+    beats the best so far by more than 1e-12.  Returns the winner's index
+    and the per-start results."""
+    P = loadings.shape[1]
+    rng = substream(seed, "geomin-starts")
+    runs = []
+    for k in range(starts):
+        if k == 0:
+            T0 = np.eye(P)
+        else:
+            T0, _ = np.linalg.qr(rng.standard_normal((P, P)))
+            T0 = T0 / np.sqrt((T0 ** 2).sum(axis=0))
+        runs.append(serial_geomin_start(loadings, T0, eps, max_iter, tol))
+    best = 0
+    for k in range(1, starts):
+        if runs[k][1] < runs[best][1] - 1e-12:
+            best = k
+    return best, runs
+
+
+def _noisy_oblique(P, seed, M=20):
+    rng = np.random.default_rng(seed)
+    L = simple_structure_loadings(rng, M=M, P=P, noise=0.2)
+    return L @ np.linalg.inv(random_oblique(rng, P)).T
+
+
+# at this scale eps barely matters, and line searches fail all 12 halvings
+EXHAUSTING = 100.0 * np.random.default_rng(7).standard_normal((11, 2))
+# with tol=0 the starts run to stationarity, and a later start ends a few
+# ulps below the first start's criterion
+TYING = np.random.default_rng(0).standard_normal((9, 2))
+
+PARITY_CASES = {
+    **{f"P{P}": (_noisy_oblique(P, 30 + P), {"starts": 10, "seed": P}) for P in (2, 3, 4, 5)},
+    "one-start": (_noisy_oblique(3, 40), {"starts": 1}),
+    "one-iteration": (_noisy_oblique(4, 41), {"starts": 6, "max_iter": 1}),
+    "exhausted": (EXHAUSTING, {"starts": 8}),
+    "tied": (TYING, {"starts": 8, "tol": 0.0}),
+}
+
+
+class TestGeominParity:
+    """The batched rotation against the serial per-start oracle."""
+
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_matches_serial_oracle(self, case):
+        loadings, kw = PARITY_CASES[case]
+        best, runs = serial_geomin(loadings, **kw)
+        T, f, conv, _ = runs[best]
+        res = geomin_rotate(loadings, **kw)
+        assert res.start == best
+        np.testing.assert_allclose(res.rotation, T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.loadings, loadings @ np.linalg.inv(T).T, rtol=0, atol=1e-10)
+        assert res.criterion == pytest.approx(f, rel=0, abs=1e-10)
+        assert res.converged == conv
+
+    def test_exhausted_case_fails_whole_line_searches(self):
+        _, runs = serial_geomin(EXHAUSTING, **PARITY_CASES["exhausted"][1])
+        assert all(r[3] > 0 for r in runs)
+
+    def test_tied_case_goes_to_the_first_start(self):
+        best, runs = serial_geomin(TYING, **PARITY_CASES["tied"][1])
+        crits = [r[1] for r in runs]
+        assert best == 0
+        assert 0.0 < crits[0] - min(crits) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(P=st.integers(2, 4), extra=st.integers(1, 10), seed=st.integers(0, 2 ** 16),
+           starts=st.integers(1, 6))
+    def test_more_starts_never_worse(self, P, extra, seed, starts):
+        """The starts form a prefix of one stream and never couple: adding
+        starts keeps the best criterion or lowers it, and a winner among
+        the first `starts` is the same rotation either way."""
+        loadings = np.random.default_rng(seed).standard_normal((P + extra, P))
+        few = geomin_rotate(loadings, starts=starts, seed=seed, max_iter=200)
+        more = geomin_rotate(loadings, starts=starts + 3, seed=seed, max_iter=200)
+        assert more.criterion <= few.criterion
+        if more.start < starts:
+            assert more.start == few.start
+            np.testing.assert_array_equal(more.rotation, few.rotation)
+        for res in (few, more):
+            np.testing.assert_allclose(np.diag(res.factor_corr), 1.0, atol=1e-12)
+
+    def test_criterion_batches_over_leading_axes(self):
+        stack = np.random.default_rng(42).standard_normal((3, 7, 2))
+        q, grad = geomin_criterion(stack, 0.01)
+        for k in range(3):
+            qk, gk = geomin_criterion(stack[k], 0.01)
+            assert isinstance(qk, float)
+            assert q[k] == qk
+            np.testing.assert_array_equal(grad[k], gk)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("P", [1, 2])
+    def test_rejects_non_finite_loadings(self, bad, P):
+        loadings = np.ones((6, P))
+        loadings[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            geomin_rotate(loadings)
 
 
 class TestReflectSigns:

@@ -457,6 +457,68 @@ class TestEval:
         assert rep["aligned"]
         assert rep["blocks"]["loadings"]["mse"] < 1e-4
         assert rep["blocks"]["correlations"]["mse"] < 1e-4
+        [rot] = rep["rotations"]
+        assert rot["fit"] == str(fits / "fit_rep000.json")
+        assert rot["converged"] is True
+        assert 0 <= rot["start"] < 30
+        assert rot["criterion"] > 0
+
+    def _eval_one(self, tmp_path, structure="exploratory", edit=lambda doc: None):
+        """eval of one P=2 fit equal to the truth, after `edit` has changed
+        its fit document."""
+        truth = simulate(SimDesign(n_items=12, n_factors=2, categories=3, seed=5))
+        fits = tmp_path / "fits"
+        truths = tmp_path / "truths"
+        fits.mkdir()
+        truths.mkdir()
+        doc = self._fake_fit_doc(truth.values, truth.loading_mask, truth.responses.categories,
+                                 structure=structure)
+        edit(doc)
+        fit_path = fits / "fit_rep000.json"
+        fit_path.write_text(json.dumps(doc))
+        write_truth_json(truths / "truth_rep000.json", truth)
+        out = tmp_path / "report.json"
+        code = main(["eval", "--fits", str(fits), "--truths", str(truths), "--out", str(out)])
+        return code, fit_path, out
+
+    def test_confirmatory_fits_record_no_rotations(self, tmp_path):
+        code, _, out = self._eval_one(tmp_path, structure="simple")
+        assert code == 0
+        assert json.loads(out.read_text())["rotations"] == []
+
+    def test_unconverged_rotation_warns_and_is_recorded(self, tmp_path, capsys, monkeypatch):
+        real = cli.geomin_rotate
+        monkeypatch.setattr(cli, "geomin_rotate",
+                            lambda loadings, seed: real(loadings, seed=seed, max_iter=1))
+        code, fit_path, out = self._eval_one(tmp_path)
+        assert code == 0
+        assert f"warning: {fit_path}: geomin rotation did not converge" in capsys.readouterr().err
+        [rot] = json.loads(out.read_text())["rotations"]
+        assert rot["converged"] is False
+
+    @pytest.mark.parametrize("structure", ["exploratory", "simple"])
+    def test_non_finite_fit_exits_2(self, structure, tmp_path, capsys):
+        def poison(doc):
+            doc["params"]["raw"]["loadings_raw"][3][1] = float("nan")
+        code, fit_path, out = self._eval_one(tmp_path, structure, poison)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {fit_path}: ")
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_singular_factor_corr_exits_2(self, tmp_path, capsys):
+        def collapse(doc):
+            # the second Cholesky row (5, softplus(-700) ~ 1e-304) normalizes
+            # to (1, 2e-305), so the factor correlation rounds to all ones
+            doc["params"]["raw"]["chol_raw"] = [[0.0, 0.0], [5.0, -700.0]]
+        code, fit_path, out = self._eval_one(tmp_path, edit=collapse)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {fit_path}: ")
+        assert "positive definite" in err
+        assert not out.exists()
 
     def _write_fits(self, fits, truth_values, mask, shifts):
         fits.mkdir()
