@@ -260,7 +260,8 @@ def cmd_eval(args) -> int:
     share; exits 2 when the truth files disagree on the parameters.  An
     exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma),
     and each rotation is recorded under "rotations"; a non-finite fit or a
-    factor correlation that is not positive definite exits 2."""
+    factor correlation that is not positive definite exits 2, and so does a
+    fit whose category count for some item differs from the truth's."""
     fits_dir = Path(args.fits)
     truth_dir = Path(args.truths)
     fit_files = sorted(fits_dir.glob("**/fit*.json"))
@@ -292,6 +293,11 @@ def cmd_eval(args) -> int:
             print(f"error: shape mismatch: fit {values.loadings.shape} vs "
                   f"truth {truth_values.loadings.shape}", file=sys.stderr)
             return EXIT_INPUT
+        for j, (a, t) in enumerate(zip(values.intercepts, truth_values.intercepts)):
+            if len(a) != len(t):
+                print(f"error: {fit_path}: item {j + 1} has {len(a) + 1} categories in the "
+                      f"fit but {len(t) + 1} in {truth_path}", file=sys.stderr)
+                return EXIT_INPUT
         exploratory = doc["config"].get("loading_structure", "exploratory") == "exploratory"
         if exploratory and values.n_factors >= 2:
             try:  # LinAlgError, from a factor_corr that is not positive definite, is a ValueError

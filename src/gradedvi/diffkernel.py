@@ -346,8 +346,20 @@ def _softplus_values(xd: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(xd))
-    return np.where(xd >= 0.0, 1.0, e) / (1.0 + e)
+    """where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|), in a fresh array.
+
+    Works in place on e and the result, the only two allocations.  The
+    select is branch-free: since 0 <= e <= 1, max(e, [x >= 0]) is exactly 1
+    where x >= 0 and e elsewhere (NaN stays NaN).
+    """
+    e = np.abs(xd)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.greater_equal(xd, 0.0, out=np.empty(e.shape))
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _gelu_derivative(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:

@@ -41,7 +41,9 @@ the loss.
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
 functions the training objectives use.  Only the GRM likelihood has a
-separate plain-array form there (`grm.joint_logprob_values`).
+separate plain-array form there (`grm.joint_logprob_values`): per block it
+builds the draws' category-probability table level-major, gathers each
+draw's observed categories and logs only those.
 """
 
 from __future__ import annotations

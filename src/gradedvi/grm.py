@@ -13,6 +13,10 @@ The plain-array likelihood (`*_values` functions plus
 `category_probs`/`category_logprob`) backs data generation, quadrature
 oracles and heldout evaluation.  Both read their boundaries from
 `diffkernel.boundary_table`, and a parity test keeps them equal.
+`category_probs` runs the sigmoid only on the inner boundary levels,
+level-major and in cache-sized row chunks, and `conditional_loglik_values`
+logs only each row's observed-category probabilities; both give the same
+bits as the plain full-table forms, which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ MISSING = -1
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _PROB_FLOOR = 1e-300
 _GAP = 1e-6  # strict minimum spacing between consecutive intercepts
+_CHUNK_VALUES = 1 << 16  # boundary sigmoids per category_probs chunk (512 KB each)
 
 
 class DataError(ValueError):
@@ -257,18 +262,33 @@ def simple_structure_mask(n_items: int, n_factors: int) -> np.ndarray:
 
 
 def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
-    """(n, M, maxC) category probabilities; padded categories get 0.  Each is
-    the difference of the two boundaries around it, the sigmoids of the
-    logits plus `diffkernel.boundary_table`."""
+    """(n, M, maxC) category probabilities; padded categories get 0.
+
+    With s_k the sigmoid of the logits plus level k of
+    `diffkernel.boundary_table`, category 0 is 1 - s_1, category k is
+    s_k - s_{k+1} and the last is s_K.  The sigmoid runs only on the K
+    inner levels (a padded level is -inf and gives exactly 0), level-major
+    as (rows, K, M) so every pass runs over contiguous item rows, and in row
+    chunks of about `_CHUNK_VALUES` so its temporaries stay in cache.  The
+    result is an (n, M, maxC) view of the level-major (n, maxC, M) array.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cats = np.array([len(a) + 1 for a in values.intercepts])
     K = cats.max() - 1
-    cuts = np.zeros((values.n_items, K))
+    M = values.n_items
+    cuts = np.zeros((M, K))
     cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
-    t = (z @ values.loadings.T)[:, :, None] + dk.boundary_table(cuts, cats)[None, :, :]
-    e = np.exp(-np.abs(t))
-    bnd = np.where(t >= 0, 1.0, e) / (1.0 + e)
-    return bnd[:, :, :-1] - bnd[:, :, 1:]
+    levels = dk.boundary_table(cuts, cats)[:, 1:-1].T                # (K, M)
+    logits = (z @ values.loadings.T)[:, None, :]                     # (n, 1, M)
+    probs = np.empty((z.shape[0], K + 1, M))
+    step = max(1, _CHUNK_VALUES // (K * M))
+    for lo in range(0, z.shape[0], step):
+        s = dk._sigmoid_values(logits[lo:lo + step] + levels)
+        out = probs[lo:lo + step]
+        np.subtract(1.0, s[:, 0], out=out[:, 0])
+        np.subtract(s[:, :-1], s[:, 1:], out=out[:, 1:K])
+        out[:, K] = s[:, K - 1]
+    return probs.transpose(0, 2, 1)
 
 
 def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
@@ -278,11 +298,20 @@ def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
 
 
 def conditional_loglik_values(x: np.ndarray, z: np.ndarray, values: GrmValues) -> np.ndarray:
-    """Sum over items of log p_{i,j,x_ij}; MISSING entries contribute 0."""
+    """Sum over items of log p_{i,j,x_ij}; MISSING entries contribute 0.
+
+    Gathers each observed category's probability first and logs only that
+    (n, M) selection.  x must be (n, M) for n rows of z.
+    """
     x = np.asarray(x, dtype=np.int64)
-    logp = category_logprob(z, values)
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if x.shape != (z.shape[0], values.n_items):
+        raise dk.ShapeError(f"conditional_loglik_values: responses {x.shape} vs latents "
+                            f"{z.shape} and {values.n_items} items")
+    probs = category_probs(z, values)
     mask = x != MISSING
-    sel = np.take_along_axis(logp, np.maximum(x, 0)[:, :, None], axis=2)[:, :, 0]
+    p = np.take_along_axis(probs, np.maximum(x, 0)[:, :, None], axis=2)[:, :, 0]
+    sel = np.log(np.maximum(p, _PROB_FLOOR))
     return (sel * mask).sum(axis=1)
 
 

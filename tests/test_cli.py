@@ -584,6 +584,32 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_category_count_mismatch_exits_2(self, tmp_path, capsys):
+        """fit counts each item's categories from its responses, so a
+        replication that never reaches an item's top category gets fewer
+        intercepts than the truth; eval must name the fit, the item and
+        both counts instead of failing inside mse_bias."""
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"n_respondents": 12, "n_items": 6, "n_factors": 1,
+                                      "categories": 5, "seed": 3, "n_replications": 2}))
+        sims = tmp_path / "sims"
+        assert main(["simulate", "--design", str(design), "--out", str(sims)]) == 0
+        assert read_responses_csv(sims / "responses_rep000.csv").data[:, 5].max() == 2
+        cfg = tmp_path / "vae.json"
+        write_config(cfg, estimator="VAE", n_factors=1, R=1, batch_size=12, max_iterations=5,
+                     window=5)
+        for rep in range(2):
+            assert main(["fit", "--config", str(cfg),
+                         "--responses", str(sims / f"responses_rep{rep:03d}.csv"),
+                         "--out", str(tmp_path / "fits" / f"rep{rep:03d}")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--fits", str(tmp_path / "fits"), "--truths", str(sims),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rep000/fit.json: item 6 has 3 categories in the fit but 5 in" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 @pytest.fixture(scope="module")
 def big_fit(tmp_path_factory):

@@ -3,10 +3,11 @@ constrained parameterization, and the graph/array parity contract."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -188,6 +189,109 @@ class TestConditionalLoglik:
         a = conditional_loglik_values(x, z, vals)
         b = conditional_loglik_values(x[:, perm], z, vals_p)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("x_rows, z_rows", [(3, 1), (1, 3)], ids=["x-more", "z-more"])
+    def test_row_count_mismatch_raises(self, x_rows, z_rows):
+        """Rows of x and z pair one to one; neither side broadcasts."""
+        vals = random_values(np.random.default_rng(14))
+        x = np.zeros((x_rows, 4), dtype=np.int64)
+        z = np.zeros((z_rows, 2))
+        with pytest.raises(dk.ShapeError, match=rf"\({x_rows}, 4\).*\({z_rows}, 2\)"):
+            conditional_loglik_values(x, z, vals)
+        with pytest.raises(dk.ShapeError):
+            joint_logprob_values(x, z, vals)
+
+    def test_item_count_mismatch_raises(self):
+        vals = random_values(np.random.default_rng(15))
+        x = np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(dk.ShapeError, match=r"\(2, 5\).*\(2, 2\) and 4 items"):
+            conditional_loglik_values(x, np.zeros((2, 2)), vals)
+
+
+def _category_probs_oracle(z, values):
+    """category_probs as it was before the level-major rewrite: the sigmoid
+    (`sigmoid` above, the kernel's former form) of every level of the
+    boundary table, then differences along it."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    cats = np.array([len(a) + 1 for a in values.intercepts])
+    K = cats.max() - 1
+    cuts = np.zeros((values.n_items, K))
+    cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
+    t = (z @ values.loadings.T)[:, :, None] + dk.boundary_table(cuts, cats)[None, :, :]
+    bnd = sigmoid(t)
+    return bnd[:, :, :-1] - bnd[:, :, 1:]
+
+
+def _conditional_loglik_oracle(x, z, values):
+    """conditional_loglik_values as it was before: log of the whole clamped
+    table, then the gather."""
+    logp = np.log(np.maximum(_category_probs_oracle(z, values), grm._PROB_FLOOR))
+    sel = np.take_along_axis(logp, np.maximum(x, 0)[:, :, None], axis=2)[:, :, 0]
+    return (sel * (x != MISSING)).sum(axis=1)
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestPlainArrayBitIdentity:
+    """The finite-level, level-major kernels give the same bits as the
+    straightforward full-table forms they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), binary=st.booleans(),
+           n=st.integers(1, 40), z_scale=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+           missing=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
+           chunk=st.sampled_from([1, 50, grm._CHUNK_VALUES]))
+    @example(cats=[2, 2, 2], binary=True, n=1, z_scale=1e3, missing=0.3, seed=0,
+             chunk=grm._CHUNK_VALUES)
+    @example(cats=[6, 2, 4], binary=False, n=1, z_scale=1.0, missing=0.0, seed=1,
+             chunk=grm._CHUNK_VALUES)
+    def test_matches_full_table_oracle(self, cats, binary, n, z_scale, missing, seed, chunk):
+        """chunk sets how many sigmoids category_probs takes per row chunk:
+        1 gives one row per chunk, 50 a few rows and a short last chunk."""
+        rng = np.random.default_rng(seed)
+        cats = np.full(len(cats), 2) if binary else np.asarray(cats)
+        M, P = len(cats), 2
+        raw = rng.normal(0.0, 3.0, size=(M, cats.max() - 1))
+        cuts = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, P)),
+                           intercepts=[row[:c - 1] for row, c in zip(cuts, cats)],
+                           factor_corr=np.eye(P))
+        z = rng.normal(0.0, z_scale, size=(n, P))
+        x = np.stack([rng.integers(0, c, size=n) for c in cats], axis=1)
+        x[rng.random(x.shape) < missing] = MISSING
+
+        with mock.patch.object(grm, "_CHUNK_VALUES", chunk):
+            probs = category_probs(z, values)
+            loglik = conditional_loglik_values(x, z, values)
+        assert probs.shape == (n, M, cats.max())
+        assert_same_bits(probs, _category_probs_oracle(z, values))
+        assert_same_bits(loglik, _conditional_loglik_oracle(x, z, values))
+
+    def test_saturated_sigmoids_reach_the_floor(self):
+        """At logits of +-1e3 every observed category in the first two rows
+        has probability exactly 0, so each contributes the floor's log."""
+        values = GrmValues(loadings=np.array([[1.0], [-1.0]]),
+                           intercepts=[np.array([0.5, -0.5]), np.array([0.0])],
+                           factor_corr=np.eye(1))
+        z = np.array([[1e3], [-1e3], [0.0]])
+        x = np.array([[0, 1], [2, 0], [MISSING, 1]])
+        assert category_probs(z, values)[0, 0, 0] == 0.0
+        got = conditional_loglik_values(x, z, values)
+        floor = math.log(grm._PROB_FLOOR)
+        np.testing.assert_allclose(got, [2 * floor, 2 * floor, math.log(0.5)], rtol=1e-15)
+        assert_same_bits(got, _conditional_loglik_oracle(x, z, values))
+
+    def test_sigmoid_at_special_values(self):
+        xs = np.array([np.inf, -np.inf, 800.0, -800.0, 0.0, -0.0, np.nan, 36.0, -37.0,
+                       1e-300, -1e-300])
+        got = dk._sigmoid_values(xs)
+        assert_same_bits(got, sigmoid(xs))
+        np.testing.assert_array_equal(got[:6], [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
+        assert np.isnan(got[6])
+        assert_same_bits(dk._sigmoid_values(xs.reshape(1, -1)[:, ::2]), sigmoid(xs[::2])[None])
 
 
 class TestJointLogprob:
