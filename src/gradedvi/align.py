@@ -40,9 +40,6 @@ class AlignmentMap:
     permutation: np.ndarray      # aligned[:, q] = signs[q] * candidate[:, permutation[q]]
     signs: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"permutation": self.permutation.tolist(), "signs": self.signs.tolist()}
-
 
 def _geomin_rows(loadings: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """l_jp^2 + eps and the per-row terms (prod_p (l_jp^2 + eps))^(1/P)."""
@@ -217,13 +214,6 @@ class AlignmentReport:
     congruence: np.ndarray
     equivalent: bool
     post_mse: float
-
-    def to_dict(self) -> dict:
-        return {"permutation": self.amap.permutation.tolist(),
-                "signs": self.amap.signs.tolist(),
-                "congruence": self.congruence.tolist(),
-                "equivalent": self.equivalent,
-                "post_mse": self.post_mse}
 
 
 def align_to_reference(candidate: np.ndarray, reference: np.ndarray) -> AlignmentReport:

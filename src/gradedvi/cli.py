@@ -202,11 +202,9 @@ def run_fit(responses_path: Path, config: FitConfig, out_dir: Path,
     _dump_json(fit_path, result.to_json_dict())
     diag_path = out_dir / "diagnostics.csv"
     with open(diag_path, "w") as fh:
-        fh.write("iteration,batch_iw_elbo,disc_loss,lr_encoder,lr_disc\n")
-        tr = result.trace
-        for k in range(len(tr["iteration"])):
-            fh.write(f'{tr["iteration"][k]},{tr["batch_iw_elbo"][k]!r},'
-                     f'{tr["disc_loss"][k]!r},{tr["lr_encoder"][k]!r},{tr["lr_disc"][k]!r}\n')
+        fh.write(",".join(result.trace) + "\n")
+        for row in zip(*result.trace.values()):
+            fh.write(",".join(map(repr, row)) + "\n")
     write_manifest(out_dir, command, config.to_dict(),
                    {"master": config.seed,
                     "substreams": ["grm-init", "net-init", "noise", "batches", "holdout"]},
@@ -376,7 +374,7 @@ def cmd_heldout(args) -> int:
     try:
         report = heldout_loglik(responses.subset(ids), params, encoder, rng,
                                 R_eval=r_eval, disc=disc,
-                                adaptive_contrast=config.resolved_adaptive_contrast)
+                                adaptive_contrast=config.estimator == "IWAVB")
     except NUMERICAL_ERRORS as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -413,7 +411,7 @@ def _scree_one(packed):
     report = heldout_loglik(
         responses.subset(hold_idx), result.params, result.encoder, rng,
         R_eval=config.r_eval, disc=result.disc,
-        adaptive_contrast=config.resolved_adaptive_contrast)
+        adaptive_contrast=config.estimator == "IWAVB")
     fit_dir = Path(out_dir) / f"P{p}"
     fit_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(fit_dir / "fit.json", result.to_json_dict())

@@ -10,10 +10,10 @@ Four estimators share one decoder:
            matched Gaussian; weights combine its logit with the analytic
            pieces of the surrogate posterior density.
 
-Their settings live on `fitting.FitConfig`, the only settings object, which
-checks the rules among them and resolves an unset adaptive contrast
-(`FitConfig.resolved_adaptive_contrast`).  The functions here take R, S and
-adaptive contrast as plain arguments.
+Their settings live on `fitting.FitConfig`, the only settings object; the
+estimator alone decides adaptive contrast, which IWAVB uses and the others
+do not.  The functions here take R, S and adaptive contrast as plain
+arguments.
 
 Row layout is respondent-major everywhere: sample (i, s, r) lives at row
 (i*S + s)*R + r, so reshaping to (B*S, R) lines importance samples up per

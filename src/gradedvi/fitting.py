@@ -12,11 +12,9 @@ classification loss.  The forward on the encoder draws is split: the output
 the weight path reads sends its gradient to the draws only, and the output
 the loss reads sends its gradient to psi only.
 
-`FitConfig` is the one settings object for a fit.  `FitConfig.validate`
-checks every estimator rule (VAE needs R = 1, IWAVB is AVB with adaptive
-contrast, VAE and IWAE never use it), and the read-only
-`FitConfig.resolved_adaptive_contrast` resolves an unset adaptive contrast:
-on for IWAVB, off for the others.
+`FitConfig` is the one settings object for a fit, and `FitConfig.validate`
+checks every estimator rule (VAE needs R = 1).  The estimator alone decides
+adaptive contrast: IWAVB uses it, and VAE, IWAE and AVB do not.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ class FitConfig:
     eps_stab: float = 1e-8
     seed: int = 0
     dreg: bool = True
-    adaptive_contrast: bool | None = None
     loading_structure: str = "exploratory"
     loading_positivity: bool = False
     holdout_fraction: float = 0.25
@@ -88,10 +85,6 @@ class FitConfig:
             raise ConfigError("R: must be >= 1 (and exactly 1 for VAE)")
         if self.S < 1:
             raise ConfigError("S: must be >= 1")
-        if self.estimator == "IWAVB" and self.adaptive_contrast is False:
-            raise ConfigError("adaptive_contrast: IWAVB always uses adaptive contrast")
-        if self.estimator in ("VAE", "IWAE") and self.adaptive_contrast:
-            raise ConfigError("adaptive_contrast: applies only to AVB and IWAVB")
         if self.batch_size < 1:
             raise ConfigError("batch_size: must be >= 1")
         if self.base_lr < 0 or self.disc_base_lr < 0:
@@ -119,13 +112,6 @@ class FitConfig:
         if self.noise_dim is not None and self.noise_dim < 1:
             raise ConfigError("noise_dim: must be >= 1 when set")
 
-    @property
-    def resolved_adaptive_contrast(self) -> bool:
-        """adaptive_contrast, with None meaning on for IWAVB only."""
-        if self.adaptive_contrast is None:
-            return self.estimator == "IWAVB"
-        return self.adaptive_contrast
-
     def resolved_encoder_hidden(self) -> list[int]:
         if self.encoder_hidden is not None:
             return list(self.encoder_hidden)
@@ -136,6 +122,11 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
+        """The config a JSON document names.  The key "adaptive_contrast" of
+        older files is dropped when null or equal to (estimator == IWAVB),
+        and a ConfigError otherwise."""
+        doc = dict(doc)
+        contrast = doc.pop("adaptive_contrast", None)
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(doc) - known
         if unknown:
@@ -144,6 +135,12 @@ class FitConfig:
         for name, value in doc.items():
             if not _has_type(value, hints[name]):
                 raise ConfigError(f"{name}: expected {hints[name]}, got {value!r}")
+        if not _has_type(contrast, bool | None):
+            raise ConfigError(f"adaptive_contrast: expected bool | None, got {contrast!r}")
+        estimator = doc.get("estimator", cls.estimator)
+        if not (contrast is None or contrast is (estimator == "IWAVB")):
+            raise ConfigError(f"adaptive_contrast: {contrast!r} disagrees with estimator "
+                              f"{estimator!r}; only IWAVB uses adaptive contrast")
         # an int in a float field becomes a float, so equal configs serialize
         # (and hash) the same
         return cls(**{name: float(value) if hints[name] is float else value
@@ -290,7 +287,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
         else:  # AVB / IWAVB
             eps = rng.standard_normal((b * tile, encoder.noise_dim))
             zeta = rng.standard_normal((b * tile, P))
-            adaptive_contrast = config.resolved_adaptive_contrast
+            adaptive_contrast = config.estimator == "IWAVB"
             moment_eps = None
             if adaptive_contrast and tile < 8:
                 moment_eps = rng.standard_normal((b * (8 - tile), encoder.noise_dim))

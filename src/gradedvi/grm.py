@@ -93,7 +93,7 @@ class GrmValues:
     """Effective (reconstructed) decoder values, plain arrays."""
 
     loadings: np.ndarray            # (M, P)
-    intercepts: list[np.ndarray]    # per item, (C_j - 1,) strictly increasing
+    intercepts: list[np.ndarray]    # per item, (C_j - 1,) strictly decreasing
     factor_corr: np.ndarray         # (P, P) correlation matrix
 
     @property

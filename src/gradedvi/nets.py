@@ -1,7 +1,9 @@
 """Feed-forward networks for the three amortized roles: Gaussian encoder
 (VAE/IWAE), implicit noise-injecting encoder (AVB/IWAVB), and the
-density-ratio discriminator.  Hidden activations are exact GELU, outputs are
-linear, and weights start from uniform Kaiming draws.
+density-ratio discriminator.  A layer's position decides its activation:
+exact GELU follows every hidden layer and every layer of the Gaussian
+encoder's trunk, and outputs are linear.  Weights start from uniform Kaiming
+draws.
 
 Every network runs through one tape op, `dk.feedforward`, which records a
 whole chain of layers as a single node; the `*_values` methods call it
@@ -20,9 +22,6 @@ from . import diffkernel as dk
 from .diffkernel import Tape, Tensor2
 from .grm import MISSING
 
-ACT_GELU = "gelu"
-ACT_IDENTITY = "identity"
-
 
 def kaiming_init(fan_in: int, fan_out: int, rng: np.random.Generator):
     """Weights and biases i.i.d. uniform on +-sqrt(3 / fan_in)."""
@@ -35,14 +34,11 @@ def kaiming_init(fan_in: int, fan_out: int, rng: np.random.Generator):
 
 
 class Layer:
-    """One affine map plus activation tag; weight is (fan_in, fan_out)."""
+    """One affine map; weight is (fan_in, fan_out)."""
 
-    def __init__(self, weight: Tensor2, bias: Tensor2, activation: str):
-        if activation not in (ACT_GELU, ACT_IDENTITY):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, weight: Tensor2, bias: Tensor2):
         self.weight = weight
         self.bias = bias
-        self.activation = activation
 
     @property
     def fan_in(self) -> int:
@@ -52,22 +48,26 @@ class Layer:
     def fan_out(self) -> int:
         return self.weight.cols
 
-    def spec(self) -> tuple[Tensor2, Tensor2, bool]:
-        """(weight, bias, gelu), one layer as `dk.feedforward` takes it."""
-        return self.weight, self.bias, self.activation == ACT_GELU
-
     def to_dict(self) -> dict:
-        return {"weight": self.weight.data.tolist(), "bias": self.bias.data.tolist(),
-                "activation": self.activation}
+        return {"weight": self.weight.data.tolist(), "bias": self.bias.data.tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict, name: str = "layer") -> "Layer":
+        """Any "activation" key, written by older versions, is ignored."""
         return cls(dk.parameter(doc["weight"], name=f"{name}.weight"),
-                   dk.parameter(doc["bias"], name=f"{name}.bias"), doc["activation"])
+                   dk.parameter(doc["bias"], name=f"{name}.bias"))
+
+
+def _chain(layers: list[Layer], gelu_output: bool = False) -> list:
+    """(weight, bias, gelu) triples for `dk.feedforward`: GELU follows every
+    layer but the last, and the last too when gelu_output."""
+    last = len(layers) - 1
+    return [(layer.weight, layer.bias, gelu_output or i < last)
+            for i, layer in enumerate(layers)]
 
 
 class FeedForwardNet:
-    """Chain of layers; hidden activations GELU, final activation identity."""
+    """Chain of layers; GELU after each hidden layer, a linear output."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -75,8 +75,6 @@ class FeedForwardNet:
         for a, b in zip(layers, layers[1:]):
             if a.fan_out != b.fan_in:
                 raise ValueError(f"layer dims do not chain: {a.fan_out} -> {b.fan_in}")
-        if layers[-1].activation != ACT_IDENTITY:
-            raise ValueError("final activation must be identity")
         self.layers = layers
 
     @classmethod
@@ -84,9 +82,8 @@ class FeedForwardNet:
         layers = []
         for i, (fi, fo) in enumerate(zip(dims, dims[1:])):
             w, b = kaiming_init(fi, fo, rng)
-            act = ACT_IDENTITY if i == len(dims) - 2 else ACT_GELU
             layers.append(Layer(dk.parameter(w, name=f"{name}.w{i}"),
-                                dk.parameter(b, name=f"{name}.b{i}"), act))
+                                dk.parameter(b, name=f"{name}.b{i}")))
         return cls(layers)
 
     @property
@@ -101,8 +98,7 @@ class FeedForwardNet:
                 split: bool = False):
         """The net at h, or at [repeat_rows(x, t), h] when x is given; with
         split, the (to_inputs, to_weights) pair of `dk.feedforward`."""
-        return dk.feedforward(tape, h, [layer.spec() for layer in self.layers],
-                              x=x, split=split)
+        return dk.feedforward(tape, h, _chain(self.layers), x=x, split=split)
 
     def parameters(self) -> list[Tensor2]:
         out = []
@@ -120,7 +116,10 @@ class FeedForwardNet:
 
 
 class GaussianEncoder:
-    """Amortized diagonal-Gaussian inference network: x -> (mu, sigma)."""
+    """Amortized diagonal-Gaussian inference network: x -> (mu, sigma).
+
+    GELU follows every trunk layer, the last one too; the two linear heads
+    read the trunk's output, and sigma = exp(log_std_head)."""
 
     def __init__(self, trunk: FeedForwardNet, mean_head: Layer, log_std_head: Layer):
         self.trunk = trunk
@@ -135,19 +134,18 @@ class GaussianEncoder:
         ws, bs = kaiming_init(hidden[-1], latent_dim, rng)
         return cls(trunk,
                    Layer(dk.parameter(wm, name="encoder.mean.w"),
-                         dk.parameter(bm, name="encoder.mean.b"), ACT_IDENTITY),
+                         dk.parameter(bm, name="encoder.mean.b")),
                    Layer(dk.parameter(ws, name="encoder.logstd.w"),
-                         dk.parameter(bs, name="encoder.logstd.b"), ACT_IDENTITY))
+                         dk.parameter(bs, name="encoder.logstd.b")))
 
     @property
     def latent_dim(self) -> int:
         return self.mean_head.fan_out
 
     def heads(self, tape: Tape | None, x: Tensor2):
-        *hidden, (w, b, _) = [layer.spec() for layer in self.trunk.layers]
-        h = dk.feedforward(tape, x, [*hidden, (w, b, True)])    # GELU follows the trunk
-        mu = dk.feedforward(tape, h, [self.mean_head.spec()])
-        sigma = dk.exp(tape, dk.feedforward(tape, h, [self.log_std_head.spec()]))
+        h = dk.feedforward(tape, x, _chain(self.trunk.layers, gelu_output=True))
+        mu = dk.feedforward(tape, h, _chain([self.mean_head]))
+        sigma = dk.exp(tape, dk.feedforward(tape, h, _chain([self.log_std_head])))
         return mu, sigma
 
     def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2):

@@ -42,11 +42,13 @@ def write_config(path, **kw):
     return doc
 
 
-# estimator and adaptive-contrast pairs that FitConfig.validate rejects
+# legacy adaptive_contrast keys that disagree with the estimator, which
+# FitConfig.from_dict rejects: only IWAVB uses adaptive contrast
 CONTRAST_MISMATCHES = pytest.mark.parametrize("mismatch", [
     {"estimator": "IWAE", "adaptive_contrast": True},
     {"estimator": "IWAVB", "adaptive_contrast": False},
-], ids=["iwae-with-contrast", "iwavb-without-contrast"])
+    {"estimator": "AVB", "adaptive_contrast": True},
+], ids=["iwae-with-contrast", "iwavb-without-contrast", "avb-with-contrast"])
 
 
 def params_from_values(values: GrmValues, mask, categories) -> GrmParams:
@@ -165,6 +167,22 @@ class TestFit:
             "iteration,batch_iw_elbo,disc_loss,lr_encoder,lr_disc"
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("estimator", ["VAE", "IWAVB"])
+    def test_diagnostics_csv_matches_column_writer(self, estimator, dataset, tmp_path):
+        # the writer that named each column, kept as an oracle
+        resp_path, _ = dataset
+        config = FitConfig.from_dict({"estimator": estimator, "n_factors": 2,
+                                      "R": 1 if estimator == "VAE" else 3, "batch_size": 30,
+                                      "max_iterations": 12, "encoder_hidden": [8],
+                                      "disc_hidden": [8], "seed": 3})
+        _, result = cli.run_fit(resp_path, config, tmp_path / "fit")
+        tr = result.trace
+        expected = "iteration,batch_iw_elbo,disc_loss,lr_encoder,lr_disc\n" + "".join(
+            f'{tr["iteration"][k]},{tr["batch_iw_elbo"][k]!r},'
+            f'{tr["disc_loss"][k]!r},{tr["lr_encoder"][k]!r},{tr["lr_disc"][k]!r}\n'
+            for k in range(len(tr["iteration"])))
+        assert (tmp_path / "fit" / "diagnostics.csv").read_bytes() == expected.encode()
+
     def test_determinism_byte_identical(self, dataset, tmp_path):
         resp_path, _ = dataset
         cfg = tmp_path / "config.json"
@@ -249,7 +267,8 @@ class TestFit:
         code = main(["fit", "--config", str(cfg), "--responses", str(resp_path),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: adaptive_contrast: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: adaptive_contrast: ") and "only IWAVB" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, flags, message", [
@@ -283,11 +302,10 @@ class TestFitConfig:
         parser = cli.build_parser()
         args = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o",
                                   "--noise-dim", "3", "--beta1", "0.5", "--dreg", "false",
-                                  "--encoder-hidden", "8,4", "--estimator", "AVB",
-                                  "--adaptive-contrast", "yes"])
+                                  "--encoder-hidden", "8,4", "--estimator", "AVB"])
         assert args.noise_dim == 3 and isinstance(args.noise_dim, int)
         assert args.beta1 == 0.5 and isinstance(args.beta1, float)
-        assert args.dreg is False and args.adaptive_contrast is True
+        assert args.dreg is False
         assert args.encoder_hidden == [8, 4]
         assert args.estimator == "AVB"
         bare = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o"])
@@ -301,6 +319,7 @@ class TestFitConfig:
                                               "--dreg", text, "--loading-positivity", text])
         assert args.dreg is value and args.loading_positivity is value
 
+    # --adaptive-contrast is gone, so every value of it is refused the same way
     @pytest.mark.parametrize("flag", ["--dreg", "--loading-positivity", "--adaptive-contrast"])
     @pytest.mark.parametrize("text", ["banana", "on", "off", "y", "2", ""])
     def test_bad_bool_flag_exits_2(self, flag, text, tmp_path, capsys):
@@ -309,6 +328,15 @@ class TestFitConfig:
                   flag, text])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_adaptive_contrast_flag_is_gone(self, tmp_path, capsys):
+        # the estimator decides adaptive contrast; IWAVB is the way to ask for it
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--responses", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o"),
+                  "--estimator", "AVB", "--adaptive-contrast", "yes"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --adaptive-contrast" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_from_dict_makes_ints_in_float_fields_floats(self):
@@ -320,8 +348,7 @@ class TestFitConfig:
 
     def test_from_dict_accepts_every_declared_type(self):
         doc = {"R": 4, "base_lr": 1, "noise_dim": None, "encoder_hidden": [8, 4],
-               "adaptive_contrast": None, "dreg": False, "estimator": "IWAE",
-               "min_delta": 0.5}
+               "dreg": False, "estimator": "IWAE", "min_delta": 0.5}
         config = FitConfig.from_dict(doc)
         config.validate()
         assert config.base_lr == 1 and config.encoder_hidden == [8, 4]
@@ -722,7 +749,8 @@ class TestHeldout:
         code = main(["heldout", "--fit", str(bad), "--responses", str(resp_path),
                      "--r-eval", "4", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: adaptive_contrast: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: adaptive_contrast: ") and "only IWAVB" in err
         assert not out.exists()
 
 

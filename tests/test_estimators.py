@@ -56,8 +56,8 @@ def sample_toy_data(rng, N=100, M=8, P=1, C=3):
 
 
 class TestEstimatorConfig:
-    """The estimator rules of FitConfig.validate, and how an unset adaptive
-    contrast resolves."""
+    """The estimator rules of FitConfig.validate, and how FitConfig.from_dict
+    reads the adaptive_contrast key of older files."""
 
     def test_vae_requires_single_sample(self):
         with pytest.raises(ConfigError, match="R:"):
@@ -65,17 +65,16 @@ class TestEstimatorConfig:
         FitConfig(estimator="VAE", R=1).validate()
 
     def test_iwavb_forces_adaptive_contrast(self):
-        cfg = FitConfig(estimator="IWAVB")
-        cfg.validate()
-        assert cfg.resolved_adaptive_contrast is True
-        with pytest.raises(ConfigError, match="adaptive_contrast"):
-            FitConfig(estimator="IWAVB", adaptive_contrast=False).validate()
+        FitConfig.from_dict({"estimator": "IWAVB", "adaptive_contrast": True}).validate()
+        with pytest.raises(ConfigError, match="adaptive_contrast.*IWAVB"):
+            FitConfig.from_dict({"estimator": "IWAVB", "adaptive_contrast": False})
 
     def test_gaussian_kinds_reject_adaptive_contrast(self):
         for kind in ("VAE", "IWAE"):
-            with pytest.raises(ConfigError, match="adaptive_contrast"):
-                FitConfig(estimator=kind, R=1, adaptive_contrast=True).validate()
-            FitConfig(estimator=kind, R=1, adaptive_contrast=False).validate()
+            with pytest.raises(ConfigError, match="adaptive_contrast.*IWAVB"):
+                FitConfig.from_dict({"estimator": kind, "R": 1, "adaptive_contrast": True})
+            FitConfig.from_dict({"estimator": kind, "R": 1,
+                                 "adaptive_contrast": False}).validate()
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="estimator"):
@@ -86,17 +85,19 @@ class TestEstimatorConfig:
         with pytest.raises(ConfigError, match=f"{key}:"):
             FitConfig(**{key: 0}).validate()
 
-    @pytest.mark.parametrize("kind, setting, resolved", [
-        ("VAE", None, False), ("IWAE", None, False), ("IWAE", False, False),
-        ("AVB", None, False), ("AVB", False, False), ("AVB", True, True),
-        ("IWAVB", None, True), ("IWAVB", True, True),
-    ])
-    def test_resolved_adaptive_contrast(self, kind, setting, resolved):
-        cfg = FitConfig(estimator=kind, R=1, adaptive_contrast=setting)
-        cfg.validate()
-        assert cfg.resolved_adaptive_contrast is resolved
-        assert cfg.adaptive_contrast is setting
-        assert "resolved_adaptive_contrast" not in cfg.to_dict()
+    @pytest.mark.parametrize("setting", [None, True, False])
+    @pytest.mark.parametrize("kind", ["VAE", "IWAE", "AVB", "IWAVB"])
+    def test_legacy_adaptive_contrast_key(self, kind, setting):
+        # the key is dropped when it agrees with the estimator (null always
+        # does) and refused otherwise, AVB with contrast included
+        doc = {"estimator": kind, "R": 1}
+        if setting is None or setting is (kind == "IWAVB"):
+            cfg = FitConfig.from_dict(doc | {"adaptive_contrast": setting})
+            assert cfg == FitConfig.from_dict(doc)
+            assert "adaptive_contrast" not in cfg.to_dict()
+        else:
+            with pytest.raises(ConfigError, match="adaptive_contrast.*only IWAVB"):
+                FitConfig.from_dict(doc | {"adaptive_contrast": setting})
 
 
 def _zeroed_gaussian_encoder(feat_dim, P, mean_bias=0.0):
@@ -537,7 +538,7 @@ class TestHeldoutParity:
         resp, result = trained_adversarial
         hold = resp.subset(np.arange(10))
         R = 300
-        adaptive_contrast = result.config.resolved_adaptive_contrast
+        adaptive_contrast = result.config.estimator == "IWAVB"
         rep = heldout_loglik(hold, result.params, result.encoder, np.random.default_rng(4),
                              R_eval=R, disc=result.disc, adaptive_contrast=adaptive_contrast)
         feats, _ = encode_responses(hold.data, hold.categories)
@@ -570,7 +571,7 @@ class TestHeldoutBlocks:
     def test_surrogate(self, monkeypatch, trained_adversarial):
         resp, result = trained_adversarial
         self._compare(monkeypatch, result, resp.subset(np.arange(12)), disc=result.disc,
-                      adaptive_contrast=result.config.resolved_adaptive_contrast)
+                      adaptive_contrast=result.config.estimator == "IWAVB")
 
 
 def _constant_copy(obj):
@@ -600,7 +601,7 @@ def _two_tape_step(state, x, feats, rng):
     else:
         eps = rng.standard_normal((b * tile, state.encoder.noise_dim))
         zeta = rng.standard_normal((b * tile, state.encoder.latent_dim))
-        adaptive_contrast = config.resolved_adaptive_contrast
+        adaptive_contrast = config.estimator == "IWAVB"
         moment_eps = None
         if adaptive_contrast and tile < 8:
             moment_eps = rng.standard_normal((b * (8 - tile), state.encoder.noise_dim))
@@ -636,14 +637,12 @@ class TestSingleTapeParity:
     gradient the two-pass construction gives it."""
 
     @pytest.mark.parametrize("dreg", [True, False])
-    @pytest.mark.parametrize("kind,adaptive_contrast",
-                             [("IWAE", None), ("AVB", None), ("IWAVB", None), ("AVB", True)])
-    def test_gradients_match_two_tape_reference(self, kind, adaptive_contrast, dreg):
+    @pytest.mark.parametrize("kind", ["IWAE", "AVB", "IWAVB"])
+    def test_gradients_match_two_tape_reference(self, kind, dreg):
         rng = np.random.default_rng(25)
         resp, _ = sample_toy_data(rng, N=40, M=5, P=2, C=3)
         cfg = FitConfig(estimator=kind, n_factors=2, R=3, S=2, batch_size=20,
-                        encoder_hidden=[8], disc_hidden=[8], seed=25, dreg=dreg,
-                        adaptive_contrast=adaptive_contrast)
+                        encoder_hidden=[8], disc_hidden=[8], seed=25, dreg=dreg)
         state, feats, _ = init_state(resp, cfg)
         x, f = resp.data[:20], feats[:20]
         groups = {"theta": state.params.parameters(), "phi": state.encoder.parameters(),

@@ -8,8 +8,6 @@ from scipy.special import erf
 from gradedvi import diffkernel as dk
 from gradedvi.grm import MISSING
 from gradedvi.nets import (
-    ACT_GELU,
-    ACT_IDENTITY,
     BlackBoxEncoder,
     Discriminator,
     FeedForwardNet,
@@ -63,15 +61,18 @@ class TestFeedForwardNet:
 
     def test_final_activation_is_identity(self):
         net = FeedForwardNet.build([4, 8, 8, 2], np.random.default_rng(4))
-        assert [l.activation for l in net.layers] == [ACT_GELU, ACT_GELU, ACT_IDENTITY]
+        x = np.random.default_rng(5).normal(size=(6, 4))
+        (w0, b0), (w1, b1), (w2, b2) = [(l.weight.data, l.bias.data) for l in net.layers]
+        expected = gelu_np(gelu_np(x @ w0 + b0) @ w1 + b1) @ w2 + b2
+        np.testing.assert_allclose(net.forward(None, dk.const(x)).data, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_dims_must_chain(self):
         rng = np.random.default_rng(5)
         a = FeedForwardNet.build([3, 4], rng).layers[0]
         b = FeedForwardNet.build([5, 2], rng).layers[0]
         with pytest.raises(ValueError, match="chain"):
-            FeedForwardNet(
-                [type(a)(a.weight, a.bias, ACT_GELU), b])
+            FeedForwardNet([a, b])
 
     def test_to_inputs_output_gives_weights_no_gradient(self):
         rng = np.random.default_rng(7)
@@ -85,7 +86,9 @@ class TestFeedForwardNet:
 
     def test_serialization_roundtrip(self):
         net = FeedForwardNet.build([3, 4, 2], np.random.default_rng(8))
-        clone = FeedForwardNet.from_dict(net.to_dict())
+        doc = net.to_dict()
+        assert all(set(layer) == {"weight", "bias"} for layer in doc["layers"])
+        clone = FeedForwardNet.from_dict(doc)
         x = np.random.default_rng(9).normal(size=(2, 3))
         np.testing.assert_array_equal(net.forward(None, dk.const(x)).data,
                                       clone.forward(None, dk.const(x)).data)
@@ -270,9 +273,9 @@ class TestDiscriminator:
 
 def _net_by_hand(net, inp):
     h = inp
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         h = h @ layer.weight.data + layer.bias.data
-        if layer.activation == ACT_GELU:
+        if i < len(net.layers) - 1:
             h = gelu_np(h)
     return h
 
