@@ -2,17 +2,21 @@
 recovery, compute heldout likelihood, and run scree analyses.
 
 All commands are driven by JSON config files whose flat keys are mirrored as
-flags (flags win).  Every output directory gets a manifest recording the
-config hash, seeds, input digests and artifact paths.  Exit codes: 0 success,
-2 input/config error, 3 numerical failure (for scree: no factor count
-produced a row).
+flags (flags win).  The output directories of simulate, fit and scree get
+a manifest recording the config hash, seeds, input digests, artifact paths
+and the software environment, and for a fit its convergence status and
+iteration count.  Exit codes: 0 success, 2 input/config error, 3 numerical
+failure (for scree: no factor count produced a row).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 import types
@@ -21,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .align import align_correlations, align_to_reference, geomin_rotate
 from .diffkernel import DomainError
@@ -69,9 +74,26 @@ def _dump_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+@functools.cache
+def _environment() -> dict:
+    """The software and machine a run used, under the key names of the
+    benchmark's run records; computed once per process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "0")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+            "blas_threads": int(threads) if threads.isdigit() else threads,
+            "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count())}
+
+
 def write_manifest(out_dir: Path, command: str, config_doc: dict,
                    seeds: dict, inputs: list[Path], artifacts: list[Path],
-                   wall_time: float) -> Path:
+                   run: dict) -> Path:
+    """Write manifest.json: config and its hash, seeds, input digests,
+    artifact paths, the `run` entries ("wall_time_seconds", and for a fit
+    its "convergence" status and iteration count) and the environment."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -80,7 +102,8 @@ def write_manifest(out_dir: Path, command: str, config_doc: dict,
         "seeds": seeds,
         "input_digests": {str(p): _sha256_file(Path(p)) for p in inputs},
         "artifacts": [str(p) for p in artifacts],
-        "wall_time_seconds": wall_time,
+        **run,
+        "environment": dict(_environment()),
     }
     path = out_dir / "manifest.json"
     _dump_json(path, doc)
@@ -143,7 +166,8 @@ def cmd_simulate(args) -> int:
     artifacts = [p for pair in produced for p in pair]
     write_manifest(out_dir, "simulate", doc | {"n_replications": n_reps},
                    {"master": design.seed}, [Path(args.design)],
-                   [Path(p) for p in artifacts], time.perf_counter() - t0)
+                   [Path(p) for p in artifacts],
+                   {"wall_time_seconds": time.perf_counter() - t0})
     print(f"wrote {n_reps} replication(s) to {out_dir}")
     return EXIT_OK
 
@@ -208,7 +232,9 @@ def run_fit(responses_path: Path, config: FitConfig, out_dir: Path,
     write_manifest(out_dir, command, config.to_dict(),
                    {"master": config.seed,
                     "substreams": ["grm-init", "net-init", "noise", "batches", "holdout"]},
-                   [responses_path], [fit_path, diag_path], result.wall_time)
+                   [responses_path], [fit_path, diag_path],
+                   {"wall_time_seconds": result.wall_time,
+                    "convergence": {"status": result.status, "iterations": result.iterations}})
     return fit_path, result
 
 
@@ -469,7 +495,7 @@ def cmd_scree(args) -> int:
     write_manifest(out_dir, "scree", {"config": config_doc, "factors": p_list},
                    {"master": config_doc.get("seed", 0)},
                    [Path(args.responses), Path(args.config)],
-                   [csv_path], time.perf_counter() - t0)
+                   [csv_path], {"wall_time_seconds": time.perf_counter() - t0})
     print(f"wrote {csv_path} ({len(rows)}/{len(p_list)} fits succeeded)")
     return EXIT_OK
 

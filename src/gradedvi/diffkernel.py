@@ -8,8 +8,9 @@ reductions, a handful of structural helpers (reshape, repeat_rows,
 stop_gradient, triangular inverse), `feedforward`, which runs a whole
 network as one node (its first layer can repeat per-respondent rows next to
 per-draw rows, and a split forward returns one output per gradient route),
-`ordered_cuts` for the decoder's intercepts, and one fused cumulative-logit
-likelihood over the `boundary_table` that `grm.category_probs` shares.
+`ordered_cuts` for the decoder's intercepts, one fused cumulative-logit
+likelihood over the `boundary_table` that `grm.category_probs` shares, and
+`gaussian_kl`, the VAE's closed-form KL against N(0, I) as one node.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -382,6 +383,38 @@ def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
         _accum(x, _gelu_derivative(xd, cdf) * g)
 
     return _make(tape, "gelu", (x,), xd * cdf, backward)
+
+
+def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
+    """Per-row KL(N(mu, diag sigma^2) || N(0, I)),
+        0.5 * sum_p (mu^2 + sigma^2 - 1 - 2 log sigma),
+    as one node; (n, P) -> (n, 1).  sigma must be strictly positive.
+
+    Forward and backward run the arithmetic of the equivalent chain of
+    square, add, sub, log, mul and sum_rows nodes operation for operation,
+    down to the order sigma's two gradient terms are added in, so the bits
+    equal that chain's.
+    """
+    if mu.shape != sigma.shape:
+        raise ShapeError(f"gaussian_kl: mu {mu.shape} vs sigma {sigma.shape}")
+    m, s = mu.data, sigma.data
+    if np.any(s <= 0.0):
+        idx = tuple(int(v) for v in np.argwhere(s <= 0.0)[0])
+        raise DomainError(f"gaussian_kl: non-positive sigma {s[idx]!r} at index {idx}")
+    terms = m * m
+    terms += s * s
+    terms -= 1.0
+    terms -= np.log(s) * 2.0
+    out_data = terms.sum(axis=1, keepdims=True)
+    out_data *= 0.5
+
+    def backward(g):
+        g = np.broadcast_to(g * 0.5, s.shape)
+        _accum(sigma, (-g * 2.0) / s)
+        _accum(sigma, 2.0 * s * g)
+        _accum(mu, 2.0 * m * g)
+
+    return _make(tape, "gaussian_kl", (mu, sigma), out_data, backward)
 
 
 # ---------------------------------------------------------------------------

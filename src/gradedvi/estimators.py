@@ -2,7 +2,9 @@
 
 Four estimators share one decoder:
 
-* VAE    - Gaussian encoder, single-sample ELBO with closed-form KL.
+* VAE    - Gaussian encoder, single-sample ELBO with closed-form KL (one
+           `diffkernel.gaussian_kl` node); it scores no prior, so its step
+           builds no factor-correlation chain.
 * IWAE   - Gaussian encoder, importance-weighted ELBO (optionally DReG).
 * AVB    - implicit encoder, discriminator contrasts q(z|x) against the prior.
 * IWAVB  - implicit encoder with adaptive contrast: the discriminator sees
@@ -143,11 +145,7 @@ def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
     recon = grm_mod.conditional_loglik(tape, eff, z, sel, tile=S)
-    # KL(N(mu, sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - 1 - 2 log sigma)
-    kl_terms = dk.sub(tape, dk.add(tape, dk.square(tape, mu), dk.square(tape, sigma)), 1.0)
-    kl_terms = dk.sub(tape, kl_terms, dk.mul(tape, dk.log(tape, sigma), 2.0))
-    kl_row = dk.mul(tape, dk.sum_rows(tape, kl_terms), 0.5)
-    per_draw = dk.sub(tape, recon, kl_row)
+    per_draw = dk.sub(tape, recon, dk.gaussian_kl(tape, mu, sigma))
     per_resp = dk.reshape(tape, per_draw, B, S)
     return dk.mul(tape, dk.sum_rows(tape, per_resp), 1.0 / S)
 

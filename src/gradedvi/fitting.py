@@ -4,13 +4,15 @@ artifact.
 
 Each step builds one tape and runs the encoder and the decoder once, and
 (for AVB and IWAVB) the discriminator once on the encoder draws and once on
-the prior draws.  Its root is the negated batch objective plus, for the
+the prior draws; the VAE step scores no prior and so builds no factor
+correlation chain.  Its root is the negated batch objective plus, for the
 adversarial estimators, the discriminator's classification loss: theta gets
 the importance-weighted decoder gradient, phi the encoder gradient (DReG's
 squared weights through a row scale at z when enabled), and psi only its
 classification loss.  The forward on the encoder draws is split: the output
 the weight path reads sends its gradient to the draws only, and the output
-the loss reads sends its gradient to psi only.
+the loss reads sends its gradient to psi only.  A non-finite objective or
+discriminator loss stops the step before any optimizer moves.
 
 `FitConfig` is the one settings object for a fit, and `FitConfig.validate`
 checks every estimator rule (VAE needs R = 1).  The estimator alone decides
@@ -258,7 +260,9 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     One tape per step: theta and phi ascend the estimator objective (IW-ELBO
     or ELBO; with DReG, phi's gradient comes from the row scale at z), and
     psi descends the discriminator classification loss on the same tape.
-    With zero learning rates the state is a fixed point.
+    With zero learning rates the state is a fixed point.  A non-finite
+    batch objective or discriminator loss raises NumericalError naming the
+    iteration before any optimizer moves.
     """
     config = state.config
     params = state.params
@@ -298,11 +302,13 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
             row_scale = (graph["z"], dreg_phi_surrogate(graph["log_w"], R))
     root = dk.mul(tape, dk.tmean(tape, per), -1.0)
     diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
+    _check_finite("objective", diag["iw_elbo"], state.t)
     if state.disc is not None:
         # t_q's gradient reaches only psi, so the loss moves only psi
         dloss = avb_discriminator_loss(tape, state.disc, feats_batch, graph["t_q"], zeta)
         root = dk.add(tape, root, dloss)
         diag["disc_loss"] = float(dloss.item())
+        _check_finite("discriminator loss", diag["disc_loss"], state.t)
     tape.backward(root, row_scale=row_scale)
 
     updates = [(state.opt_theta, lr_gen), (state.opt_phi, lr_gen)]
@@ -313,6 +319,12 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     diag["lr_encoder"] = lr_gen
     diag["lr_disc"] = lr_disc if state.opt_psi is not None else math.nan
     return diag
+
+
+def _check_finite(what: str, value: float, t: int) -> None:
+    """NumericalError before any optimizer moves when a step's value is not finite."""
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite {what} at iteration {t}; last good iteration {t - 1}")
 
 
 def fit(responses: ResponseMatrix, config: FitConfig, step_callback=None) -> FitResult:
@@ -346,9 +358,6 @@ def fit(responses: ResponseMatrix, config: FitConfig, step_callback=None) -> Fit
         lr_disc = sched_disc.lr(t)
         diag = training_step(state, responses.data[idx], feats[idx], lr_gen, lr_disc)
         iterations = t + 1
-        if not math.isfinite(diag["iw_elbo"]):
-            raise NumericalError(
-                f"non-finite objective at iteration {t}; last good iteration {t - 1}")
         trace["iteration"].append(t)
         trace["batch_iw_elbo"].append(diag["iw_elbo"])
         trace["disc_loss"].append(diag["disc_loss"])

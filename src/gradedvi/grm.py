@@ -1,9 +1,13 @@
 """Graded response decoder: ordered-category probabilities, conditional and
 joint log-likelihoods, and the constrained trainable parameterization.
 
-The constrained map from raw leaves to loadings, intercepts and the factor
-correlation exists once, as `GrmParams.effective` on the tape;
-`GrmParams.values` runs it without a tape.  The intercepts are one (M, K)
+The constrained map from raw leaves to loadings and intercepts exists once,
+as `GrmParams.effective` on the tape, and the factor correlation's Cholesky
+factor and log determinant once, as `GrmParams.factor_cholesky`;
+`GrmParams.values` runs both without a tape.  Only the prior
+(`prior_logpdf`) builds the factor chain on the tape, once per effective
+dict, so a step that scores no prior, such as the VAE step with its
+closed-form KL, records none of it.  The intercepts are one (M, K)
 matrix throughout: one raw leaf, one `diffkernel.ordered_cuts` node, and one
 (M, K) input to the likelihood.  The training likelihood
 (`conditional_loglik`, `joint_logprob`) is a logit matmul plus one fused
@@ -146,21 +150,30 @@ class GrmParams:
     # -- effective values ------------------------------------------------
 
     def values(self) -> GrmValues:
-        """`effective` without a tape, as plain arrays."""
+        """`effective` and `factor_cholesky` without a tape, as plain arrays."""
         eff = self.effective(None)
         intercepts = [row[:c - 1] for row, c in zip(eff["alpha"].data, self.categories)]
-        chol = eff["chol"].data
+        chol = self.factor_cholesky(None)["chol"].data
         return GrmValues(loadings=eff["beta"].data, intercepts=intercepts,
                          factor_corr=chol @ chol.T)
 
     def effective(self, tape: Tape | None) -> dict:
-        """Build effective tensors on the tape."""
+        """Loadings "beta" and intercepts "alpha" on the tape.
+
+        The factor correlation is not built here: "params" lets
+        `prior_logpdf` build `factor_cholesky` on the first prior it scores
+        from this dict, so a likelihood without a prior records none of it.
+        """
         raw = self.loadings_raw
         if self.loading_positivity:
             raw = dk.log1p_exp(tape, raw)
         beta = dk.mul(tape, raw, dk.const(self.loading_mask))
         alpha = dk.ordered_cuts(tape, self.intercept_raw, _GAP)
+        return {"beta": beta, "alpha": alpha, "params": self}
 
+    def factor_cholesky(self, tape: Tape | None) -> dict:
+        """Cholesky factor "chol" of the factor correlation and its
+        "logdet" = log det Sigma on the tape."""
         P = self.n_factors
         raw_l = self.chol_raw
         eye = np.eye(P)
@@ -171,7 +184,7 @@ class GrmParams:
         chol = dk.mul_colvec(tape, unnorm, dk.pow_const(tape, norm2, -0.5))
         diag_vec = dk.sum_rows(tape, dk.mul(tape, chol, dk.const(eye)))
         logdet = dk.mul(tape, dk.tsum(tape, dk.log(tape, diag_vec)), 2.0)
-        return {"beta": beta, "alpha": alpha, "chol": chol, "logdet": logdet}
+        return {"chol": chol, "logdet": logdet}
 
     # -- serialization ----------------------------------------------------
 
@@ -365,7 +378,11 @@ def conditional_loglik(tape: Tape | None, eff: dict, z: Tensor2,
 
 
 def prior_logpdf(tape: Tape | None, eff: dict, z: Tensor2) -> Tensor2:
-    """log N(z; 0, Sigma) per row, (n, 1) on the tape."""
+    """log N(z; 0, Sigma) per row, (n, 1) on the tape.  The first call on
+    an `effective` dict adds its `factor_cholesky` to it, so later priors
+    scored from the same dict share one factor chain."""
+    if "chol" not in eff:
+        eff.update(eff["params"].factor_cholesky(tape))
     P = z.cols
     kinv = dk.tril_inverse(tape, eff["chol"])
     w = dk.matmul(tape, z, dk.transpose(tape, kinv))

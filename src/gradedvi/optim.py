@@ -1,5 +1,11 @@
 """AdamW with decoupled weight decay, triangular cyclical learning rates,
-and the moving-average convergence monitor used to stop fitting."""
+and the moving-average convergence monitor used to stop fitting.
+
+Each AdamW group keeps its moments as one flat vector per moment and runs
+every update expression once over the whole group.  A step gathers the
+group's gradients once and checks them once; `step_all` does the gathering
+and checking for every group before any group moves.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +28,11 @@ class AdamW:
         v <- b2*v + (1-b2)*g^2
         mhat = m / (1 - b1^t),  vhat = v / (1 - b2^t)
         w <- w - lr * mhat / (sqrt(vhat) + eps) - lr * lam * w
+
+    Each moment is one flat vector, and `_m`/`_v` are per-tensor views of
+    it.  A missing gradient counts as zeros, and every parameter is written
+    back as a view of the new flat weights.  The arithmetic is the
+    per-tensor update's, elementwise and in the same order: same bits.
     """
 
     def __init__(self, params: list[Tensor2], beta1: float = 0.9, beta2: float = 0.999,
@@ -32,34 +43,53 @@ class AdamW:
         self.weight_decay = weight_decay
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def check_finite(self) -> None:
-        """Raise NumericalError if any gradient holds a non-finite entry."""
+        self._spans = []  # (start, stop, shape) of each parameter in the flat vectors
+        size = 0
         for p in self.params:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NumericalError(f"non-finite gradient in parameter {p.name or '<unnamed>'}")
+            self._spans.append((size, size + p.data.size, p.data.shape))
+            size += p.data.size
+        self._m_flat = np.zeros(size)
+        self._v_flat = np.zeros(size)
+        self._m = [self._m_flat[a:b].reshape(shape) for a, b, shape in self._spans]
+        self._v = [self._v_flat[a:b].reshape(shape) for a, b, shape in self._spans]
+        self._gathered = None  # flat gradient checked by step_all, used by the next step
+
+    def _gather(self) -> np.ndarray:
+        """The group's gradients as one checked flat vector; NumericalError
+        names the first parameter holding a non-finite entry."""
+        g = np.zeros(self._m_flat.size)
+        for p, (a, b, _) in zip(self.params, self._spans):
+            if p.grad is not None:
+                g[a:b] = p.grad.ravel()
+        if not np.isfinite(g).all():
+            bad = next(p for p, (a, b, _) in zip(self.params, self._spans)
+                       if not np.isfinite(g[a:b]).all())
+            raise NumericalError(f"non-finite gradient in parameter {bad.name or '<unnamed>'}")
+        return g
 
     def step(self, lr: float) -> None:
         """One update of every parameter; all checks run before anything moves."""
         _check_lr(lr)
-        self.check_finite()
+        g, self._gathered = self._gathered, None
+        if g is None:
+            g = self._gather()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps) - lr * self.weight_decay * p.data
+        m, v = self._m_flat, self._v_flat
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        mhat = m / bc1
+        vhat = v / bc2
+        w = np.empty(m.size)
+        for p, (a, b, _) in zip(self.params, self._spans):
+            w[a:b] = p.data.ravel()
+        w = w - lr * mhat / (np.sqrt(vhat) + self.eps) - lr * self.weight_decay * w
+        for p, (a, b, shape) in zip(self.params, self._spans):
+            p.data = w[a:b].reshape(shape)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -74,15 +104,21 @@ def _check_lr(lr: float) -> None:
 def step_all(updates: list[tuple[AdamW, float]]) -> None:
     """Step several optimizers as one update.
 
-    Every learning rate and every gradient of every optimizer is checked
-    before any of them moves, so a failure leaves all steps, moments and
-    parameters as they were.
+    Every learning rate is checked, and every optimizer's gradients are
+    gathered and checked, before any of them moves, so a failure leaves all
+    steps, moments and parameters as they were.  Each step then uses the
+    gradient gathered here instead of gathering it again.
     """
-    for opt, lr in updates:
+    for _, lr in updates:
         _check_lr(lr)
-        opt.check_finite()
-    for opt, lr in updates:
-        opt.step(lr)
+    try:
+        for opt, _ in updates:
+            opt._gathered = opt._gather()
+        for opt, lr in updates:
+            opt.step(lr)
+    finally:
+        for opt, _ in updates:
+            opt._gathered = None
 
 
 @dataclass

@@ -2,10 +2,12 @@
 output, manifests, and the 0/2/3 exit-code contract."""
 
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gradedvi import cli
 from gradedvi import diffkernel as dk
@@ -166,6 +168,35 @@ class TestFit:
         assert (out / "diagnostics.csv").read_text().splitlines()[0] == \
             "iteration,batch_iw_elbo,disc_loss,lr_encoder,lr_disc"
         assert (out / "manifest.json").exists()
+
+    def test_manifests_record_environment_and_convergence(self, tmp_path, monkeypatch):
+        """simulate and fit manifests carry the environment block under the
+        benchmark's key names, and a fit's its convergence from fit.json."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cli._environment.cache_clear()
+        design = tmp_path / "design.json"
+        write_design(design)
+        sims = tmp_path / "sims"
+        assert main(["simulate", "--design", str(design), "--out", str(sims)]) == 0
+        cfg = tmp_path / "config.json"
+        write_config(cfg, max_iterations=25)
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--responses",
+                     str(sims / "responses_rep000.csv"), "--out", str(out)]) == 0
+        fit_manifest = json.loads((out / "manifest.json").read_text())
+        sim_manifest = json.loads((sims / "manifest.json").read_text())
+        env = fit_manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "nproc"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["blas_threads"] == 1 and env["nproc"] >= 1 and env["blas"]
+        assert sim_manifest["environment"] == env
+        assert "convergence" not in sim_manifest
+        doc = json.loads((out / "fit.json").read_text())
+        assert fit_manifest["convergence"] == doc["convergence"]
+        assert fit_manifest["convergence"] == {"status": "max_iterations", "iterations": 25}
+        assert fit_manifest["wall_time_seconds"] > 0
+        cli._environment.cache_clear()
 
     @pytest.mark.parametrize("estimator", ["VAE", "IWAVB"])
     def test_diagnostics_csv_matches_column_writer(self, estimator, dataset, tmp_path):

@@ -63,6 +63,7 @@ OPS = {
     "repeat_rows": (1, lambda tape, a: dk.repeat_rows(tape, a, 3), None),
     "ordinal_loglik": (2, None, None),
     "ordered_cuts": (1, lambda tape, a: dk.ordered_cuts(tape, a, 1e-6), None),
+    "gaussian_kl": (2, lambda tape, mu, sigma: dk.gaussian_kl(tape, mu, sigma), None),
 }
 
 # dk.feedforward, one entry per variant "feedforward:<variant>": the layer
@@ -131,6 +132,9 @@ def _build_inputs(name, rng):
         # logits, then strictly decreasing boundary intercepts per item
         cut1 = rng.uniform(0.2, 1.0, size=(3, 1))
         return [draw((6, 3)), np.hstack([cut1, cut1 - rng.uniform(0.5, 1.5, size=(3, 1))])]
+    if name == "gaussian_kl":
+        # mu of either sign, sigma strictly positive
+        return [draw((3, 4)), _shift_pos(draw((3, 4)))]
     if name == "ordered_cuts":
         # first intercept and two raw gaps per item, over both softplus tails
         return [rng.uniform(-3.0, 3.0, size=(3, 3))]
@@ -644,6 +648,59 @@ class TestOrderedCuts:
         assert np.all(raw.grad[[0, 2], 1] != 0.0)
         num = fd_gradient(lambda x: objective(dk.const(x)).item(), raw0)
         assert rel_err(raw.grad, num) < 1e-6
+
+
+def _kl_chain(tape, mu, sigma):
+    """The closed-form KL as the nine nodes `gaussian_kl` replaced."""
+    kl_terms = dk.sub(tape, dk.add(tape, dk.square(tape, mu), dk.square(tape, sigma)), 1.0)
+    kl_terms = dk.sub(tape, kl_terms, dk.mul(tape, dk.log(tape, sigma), 2.0))
+    return dk.mul(tape, dk.sum_rows(tape, kl_terms), 0.5)
+
+
+class TestGaussianKl:
+    def test_hand_values(self):
+        out = dk.gaussian_kl(None, dk.const([[0.0, 0.0], [1.0, 0.0]]),
+                             dk.const([[1.0, 1.0], [1.0, math.e]])).data
+        np.testing.assert_allclose(out, [[0.0], [0.5 + 0.5 * (math.e ** 2 - 3.0)]],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_node_chain_bit_for_bit(self, seed):
+        """Value and both gradients equal the chain's exactly, also when
+        sigma and mu already hold gradient from other consumers."""
+        rng = np.random.default_rng(seed)
+        mu0 = rng.normal(size=(7, 3)) * 3.0
+        sigma0 = np.exp(rng.normal(size=(7, 3)) * 2.0)
+        w = rng.uniform(0.5, 1.5, size=(7, 1))
+        results = []
+        for op in (dk.gaussian_kl, _kl_chain):
+            mu, sigma = dk.parameter(mu0), dk.parameter(sigma0)
+            tape = dk.Tape()
+            kl = op(tape, mu, sigma)
+            # a later consumer runs its backward first, so the KL's terms
+            # accumulate onto gradients the leaves already hold
+            post = dk.tsum(tape, dk.mul(tape, mu, sigma))
+            root = dk.add(tape, dk.tsum(tape, dk.mul(tape, kl, dk.const(w))), post)
+            tape.backward(root)
+            results.append((kl.data, mu.grad, sigma.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_node(self):
+        tape = dk.Tape()
+        dk.gaussian_kl(tape, dk.parameter(np.zeros((2, 2))), dk.parameter(np.ones((2, 2))))
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_sigma_is_a_domain_error(self, bad):
+        sigma = np.ones((2, 2))
+        sigma[1, 0] = bad
+        with pytest.raises(dk.DomainError, match="gaussian_kl"):
+            dk.gaussian_kl(None, dk.const(np.zeros((2, 2))), dk.const(sigma))
+
+    def test_shapes_must_match(self):
+        with pytest.raises(dk.ShapeError):
+            dk.gaussian_kl(None, dk.const(np.zeros((2, 2))), dk.const(np.ones((1, 1))))
 
 
 def test_every_tape_op_has_a_finite_difference_entry():

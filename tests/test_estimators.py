@@ -756,6 +756,85 @@ class TestTrainingStep:
                 np.testing.assert_array_equal(p.data, d)
                 np.testing.assert_array_equal(m_now, m)
 
+    @staticmethod
+    def _everything(state):
+        """t, and each group's step count, parameters and both moments."""
+        opts = [o for o in (state.opt_theta, state.opt_phi, state.opt_psi) if o is not None]
+        return state.t, [(o.t, [p.data.copy() for p in o.params], [m.copy() for m in o._m],
+                          [v.copy() for v in o._v]) for o in opts]
+
+    def _assert_unchanged(self, state, before):
+        t, groups = self._everything(state)
+        assert t == before[0]
+        for (st, data, m, v), (st0, data0, m0, v0) in zip(groups, before[1]):
+            assert st == st0
+            for a, b in zip(data + m + v, data0 + m0 + v0):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["VAE", "IWAE", "AVB", "IWAVB"])
+    def test_nonfinite_objective_with_finite_gradients_moves_nothing(self, kind, monkeypatch):
+        """A NaN constant on the tape makes the objective NaN while every
+        gradient stays finite; the step refuses before any group moves."""
+        state, resp, feats = self._state(kind)
+        training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        for name in ("elbo_gaussian", "iw_elbo_from_log_w"):
+            original = getattr(fitting_mod, name)
+
+            def nan_objective(tape, *args, original=original, **kwargs):
+                return dk.add(tape, original(tape, *args, **kwargs), math.nan)
+
+            monkeypatch.setattr(fitting_mod, name, nan_objective)
+        before = self._everything(state)
+        with pytest.raises(NumericalError, match="objective at iteration 1"):
+            training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        self._assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("kind", ["AVB", "IWAVB"])
+    def test_nonfinite_discriminator_loss_with_finite_gradients_moves_nothing(
+            self, kind, monkeypatch):
+        state, resp, feats = self._state(kind)
+        original = fitting_mod.avb_discriminator_loss
+
+        def nan_loss(tape, *args, **kwargs):
+            return dk.add(tape, original(tape, *args, **kwargs), math.nan)
+
+        monkeypatch.setattr(fitting_mod, "avb_discriminator_loss", nan_loss)
+        before = self._everything(state)
+        with pytest.raises(NumericalError, match="discriminator loss at iteration 0"):
+            training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        self._assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("kind,chains", [("VAE", 0), ("IWAE", 1), ("AVB", 1), ("IWAVB", 1)])
+    def test_factor_chain_built_only_where_a_prior_is_scored(self, kind, chains, monkeypatch):
+        """The VAE step scores no prior, so it records no factor-chain node
+        and chol_raw gets no gradient; the others build the chain once,
+        though plain AVB scores the prior twice."""
+        state, resp, feats = self._state(kind)
+        built = []
+        original = G.GrmParams.factor_cholesky
+
+        def factor_cholesky(self, tape):
+            built.append(tape)
+            return original(self, tape)
+
+        monkeypatch.setattr(G.GrmParams, "factor_cholesky", factor_cholesky)
+        ops = []
+        record = dk.Tape.record
+
+        def spy(self, op, *args):
+            ops.append(op)
+            return record(self, op, *args)
+
+        monkeypatch.setattr(dk.Tape, "record", spy)
+        training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
+        assert len(built) == chains
+        if kind == "VAE":
+            assert not {"pow_const", "mul_colvec", "log", "tril_inverse"} & set(ops)
+            assert ops.count("gaussian_kl") == 1
+            assert state.params.chol_raw.grad is None
+        else:
+            assert state.params.chol_raw.grad is not None
+
     def test_smoke_train_improves_moving_average(self):
         rng = np.random.default_rng(24)
         resp, _ = sample_toy_data(rng, N=150, M=10, P=1, C=3)

@@ -1,7 +1,10 @@
-"""AdamW recursions, CLR triangle wave, and convergence-window counting."""
+"""AdamW recursions (the flat update against the per-tensor loop it
+replaced), CLR triangle wave, and convergence-window counting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedvi.diffkernel import parameter
 from gradedvi.optim import (AdamW, ClrSchedule, ConvergenceMonitor, NumericalError,
@@ -139,6 +142,122 @@ class TestAdamW:
             assert t0 == t1
             for x, y in zip(d0, d1):
                 np.testing.assert_array_equal(x, y)
+
+
+def _per_tensor_step(opt, moments, lr):
+    """The per-tensor AdamW loop the flat update replaced, kept as the
+    oracle: one moment pair per tensor in `moments`, updated in place, and
+    every expression in its original evaluation order."""
+    t = opt.t + 1
+    b1, b2 = opt.beta1, opt.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for p, (m, v) in zip(opt.params, moments):
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.data)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        mhat = m / bc1
+        vhat = v / bc2
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + opt.eps) - lr * opt.weight_decay * p.data
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatAdamW:
+    """The flat update gives the per-tensor loop's bits, and `_m`/`_v` are
+    views of the flat moments."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+                           max_size=5),
+           missing=st.lists(st.booleans(), min_size=5, max_size=5),
+           weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+           lrs=st.lists(st.sampled_from([0.0, 1e-3, 0.05, 1.0]), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_per_tensor_loop_bit_for_bit(self, shapes, missing, weight_decay, lrs, seed):
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=s) * 10 ** rng.uniform(-3, 3) for s in shapes]
+        flat = AdamW([parameter(a) for a in init], weight_decay=weight_decay)
+        loop = AdamW([parameter(a) for a in init], weight_decay=weight_decay)
+        moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+        for lr in lrs:
+            for i, s in enumerate(shapes):
+                g = None if missing[i] else rng.normal(size=s) * 10 ** rng.uniform(-4, 4)
+                flat.params[i].grad = g
+                loop.params[i].grad = None if g is None else g.copy()
+            flat.step(lr)
+            _per_tensor_step(loop, moments, lr)
+            loop.t += 1
+            assert flat.t == loop.t
+            for p, q, m, v, (m_ref, v_ref) in zip(flat.params, loop.params, flat._m, flat._v,
+                                                  moments):
+                assert _same_bits(p.data, q.data)
+                assert _same_bits(m, m_ref) and _same_bits(v, v_ref)
+        for m, v in zip(flat._m, flat._v):
+            assert np.shares_memory(m, flat._m_flat) and np.shares_memory(v, flat._v_flat)
+        np.testing.assert_array_equal(np.concatenate([m.ravel() for m in flat._m]),
+                                      flat._m_flat)
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in flat._v]),
+                                      flat._v_flat)
+
+    def test_step_all_matches_the_loop_and_gathers_each_group_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        groups = [[rng.normal(size=(2, 3)), rng.normal(size=(1, 4))],
+                  [rng.normal(size=(3, 3))]]
+        opts = [AdamW([parameter(a) for a in g]) for g in groups]
+        refs = [AdamW([parameter(a) for a in g]) for g in groups]
+        moments = [[(np.zeros(a.shape), np.zeros(a.shape)) for a in g] for g in groups]
+        calls = []
+        original = AdamW._gather
+
+        def gather(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AdamW, "_gather", gather)
+        for _ in range(3):
+            for opt, ref in zip(opts, refs):
+                for p, q in zip(opt.params, ref.params):
+                    p.grad = rng.normal(size=p.data.shape)
+                    q.grad = p.grad.copy()
+            calls.clear()
+            step_all([(opts[0], 0.01), (opts[1], 0.1)])
+            assert calls == opts
+            for ref, mom, lr in zip(refs, moments, (0.01, 0.1)):
+                _per_tensor_step(ref, mom, lr)
+                ref.t += 1
+            for opt, ref in zip(opts, refs):
+                for p, q in zip(opt.params, ref.params):
+                    assert _same_bits(p.data, q.data)
+
+    def test_failed_step_all_leaves_no_gradient_for_a_later_step(self):
+        """A step after a refused step_all gathers the gradients it finds
+        then, not the ones step_all had gathered."""
+        rng = np.random.default_rng(8)
+        a = AdamW([parameter(rng.normal(size=(2, 2)))])
+        b = AdamW([parameter(rng.normal(size=(2, 2)), name="bad")])
+        a.params[0].grad = rng.normal(size=(2, 2))
+        b.params[0].grad = np.full((2, 2), np.nan)
+        with pytest.raises(NumericalError, match="bad"):
+            step_all([(a, 0.01), (b, 0.01)])
+        ref = AdamW([parameter(a.params[0].data.copy())])
+        a.params[0].grad = rng.normal(size=(2, 2))
+        ref.params[0].grad = a.params[0].grad.copy()
+        a.step(0.01)
+        _per_tensor_step(ref, [(np.zeros((2, 2)), np.zeros((2, 2)))], 0.01)
+        assert _same_bits(a.params[0].data, ref.params[0].data)
+
+    def test_empty_group_steps(self):
+        opt = AdamW([])
+        opt.step(0.1)
+        step_all([(opt, 0.1)])
+        assert opt.t == 2
 
 
 class TestClr:
