@@ -395,6 +395,8 @@ def cmd_heldout(args) -> int:
                "total_loglik": report.total,
                "per_respondent_mean": report.per_respondent_mean,
                "surrogate_density": report.surrogate_density,
+               "ess_min": float(report.ess.min()),
+               "ess_median": float(np.median(report.ess)),
                "high_variance": report.r_eval < 64}
     if args.out:
         _dump_json(Path(args.out), out_doc)

@@ -16,16 +16,32 @@ Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
 with tape=None: it computes its value and records nothing, which is how
 evaluation runs the training code.
+
+The exact GELU (`gelu` and the GELU layers of `feedforward`) runs through
+`_split_rows`, which hands the upper half of the rows of a kernel of at
+least `_SPLIT_MIN_VALUES` values to one persistent worker thread while the
+calling thread does the lower half; `grm.category_probs` uses it too.  Each
+value is computed by the same elementwise operations either way, so the
+bits do not depend on the number of CPUs.  Both kernels work through their
+rows in cache-sized chunks whose scratch buffers the calling thread
+allocates, so GELU makes no temporary as large as its input and the worker
+allocates no arrays.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SPLIT_MIN_VALUES = 1 << 16  # smallest kernel _split_rows runs on two threads
+_GELU_CHUNK_VALUES = 1 << 16  # values per GELU row chunk (512 KB of Phi)
 
 
 class ShapeError(ValueError):
@@ -188,6 +204,88 @@ def _binary_shapes(op: str, a: Tensor2, b: Tensor2) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# two-thread row split
+
+
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+_in_split = threading.local()
+
+
+def _reset_worker() -> None:
+    """Forget the parent's worker in a forked child, which has no such thread."""
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_half(fn, lo: int, hi: int) -> None:
+    _in_split.active = True  # the worker thread runs nothing but split halves
+    fn(lo, hi)
+
+
+def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
+    """Run fn(lo, hi) over rows [0, n_rows), on two threads when it pays.
+
+    fn(0, h) runs on the calling thread and fn(h, n_rows) on one persistent
+    worker thread, with h the multiple of `grain` nearest n_rows / 2.  It is
+    one call fn(0, n_rows) instead when the kernel has fewer than
+    `_SPLIT_MIN_VALUES` values, when this process may use fewer than two
+    CPUs (`os.sched_getaffinity`, so `taskset -c 0` makes every call
+    serial), when h would leave a half empty, or when the call comes from
+    inside a split (a thread-local guard, so nested use cannot deadlock).
+
+    Rules that keep the results and the process the same:
+    - fn must compute each row from that row alone, with the same
+      operations whatever [lo, hi) is; then the bits do not depend on
+      where, or whether, the rows are split.
+    - fn writes only into arrays that the calling thread allocated, its
+      scratch buffers included (`_chunk_slot`), so the worker's malloc
+      arena does not grow the peak RSS.
+    - fn never calls a public gradedvi function: span tracers keep one
+      stack per process, and a span opened on the worker would take a
+      parent from the calling thread.
+    - The worker is created lazily, on the first call that splits, and
+      forgotten in a forked child (`os.register_at_fork`), which starts
+      its own when it first splits.
+    - The worker half runs in a copy of the caller's context
+      (`contextvars.copy_context`), so the caller's `np.errstate` holds
+      there too.
+    - An exception in either half is raised only after both halves have
+      finished; the calling thread's own exception wins.
+    """
+    global _worker
+    h = grain * round(n_rows / (2 * grain))
+    if (n_values < _SPLIT_MIN_VALUES or not 0 < h < n_rows
+            or getattr(_in_split, "active", False) or _cpu_count() < 2):
+        fn(0, n_rows)
+        return
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gradedvi-split")
+        upper = _worker.submit(contextvars.copy_context().run, _worker_half, fn, h, n_rows)
+    _in_split.active = True
+    try:
+        fn(0, h)
+    finally:
+        _in_split.active = False
+        error = upper.exception()
+    if error is not None:
+        raise error
+
+
+# ---------------------------------------------------------------------------
 # linear algebra
 
 
@@ -346,26 +444,37 @@ def _softplus_values(xd: np.ndarray) -> np.ndarray:
                     np.log1p(np.exp(np.minimum(xd, 0.0))))
 
 
-def _sigmoid_values(xd: np.ndarray) -> np.ndarray:
-    """where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|), in a fresh array.
+def _sigmoid_values(xd: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|), into out.
 
-    Works in place on e and the result, the only two allocations.  The
-    select is branch-free: since 0 <= e <= 1, max(e, [x >= 0]) is exactly 1
-    where x >= 0 and e elsewhere (NaN stays NaN).
+    Works in place on e and the result: out and scratch, which holds e and
+    may be xd itself, are fresh arrays when not given.  The select is
+    branch-free: since 0 <= e <= 1, max(e, [x >= 0]) is exactly 1 where
+    x >= 0 and e elsewhere (NaN stays NaN).
     """
-    e = np.abs(xd)
+    out = np.greater_equal(xd, 0.0, out=np.empty(xd.shape) if out is None else out)
+    e = np.abs(xd, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.greater_equal(xd, 0.0, out=np.empty(e.shape))
     np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out
 
 
-def _gelu_derivative(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/du u * Phi(u) = Phi(u) + u * phi(u), in a fresh array."""
-    d = np.multiply(-0.5, u)
+def _chunk_slot(buf: np.ndarray, lo: int, rows: int) -> np.ndarray:
+    """The first axis' slot of a scratch buffer of min(n, 2 * step) rows that
+    a chunk of `rows` rows uses inside a half that `_split_rows` started at
+    lo: the lower half takes the front and the upper half the back, so the
+    two threads never share rows."""
+    return buf[:rows] if lo == 0 else buf[len(buf) - rows:]
+
+
+def _gelu_derivative(u: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d/du u * Phi(u) = Phi(u) + u * phi(u), into out (a fresh array when
+    out is None)."""
+    d = np.multiply(-0.5, u, out=out)
     d *= u
     np.exp(d, out=d)
     d *= _INV_SQRT_2PI
@@ -374,15 +483,40 @@ def _gelu_derivative(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return d
 
 
+def _gelu_rows(u: np.ndarray, keep: bool) -> np.ndarray | None:
+    """Exact GELU in place, u <- u * Phi(u), split over u's rows by
+    `_split_rows`; returns the derivative at the input when keep is true.
+
+    Phi goes through a scratch buffer of at most two chunks of about
+    `_GELU_CHUNK_VALUES` values (`_chunk_slot`), never larger than u."""
+    n, width = u.shape
+    step = max(1, _GELU_CHUNK_VALUES // max(width, 1))
+    cdf = np.empty((min(n, 2 * step), width))
+    d = np.empty_like(u) if keep else None
+
+    def rows(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            c = _chunk_slot(cdf, lo, b - a)
+            ndtr(u[a:b], out=c)
+            if keep:
+                _gelu_derivative(u[a:b], c, out=d[a:b])
+            u[a:b] *= c
+
+    _split_rows(rows, n, u.size)
+    return d
+
+
 def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
-    """Exact x * Phi(x) with Phi the standard normal CDF."""
-    xd = x.data
-    cdf = ndtr(xd)
+    """Exact x * Phi(x) with Phi the standard normal CDF, by the kernel that
+    `feedforward`'s GELU layers run."""
+    out = x.data.copy()
+    d = _gelu_rows(out, keep=tape is not None and x.requires_grad)
 
     def backward(g):
-        _accum(x, _gelu_derivative(xd, cdf) * g)
+        _accum(x, d * g)
 
-    return _make(tape, "gelu", (x,), xd * cdf, backward)
+    return _make(tape, "gelu", (x,), out, backward)
 
 
 def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
@@ -466,12 +600,7 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
         else:
             u = a @ w.data
         u += b.data
-        d = None
-        if gelu_on:
-            cdf = ndtr(u)
-            if keep:
-                d = _gelu_derivative(u, cdf)
-            u *= cdf
+        d = _gelu_rows(u, keep) if gelu_on else None
         if keep:
             acts.append(a)
             derivs.append(d)

@@ -47,7 +47,10 @@ encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
 functions the training objectives use.  Only the GRM likelihood has a
 separate plain-array form there (`grm.joint_logprob_values`): per block it
 builds the draws' category-probability table level-major, gathers each
-draw's observed categories and logs only those.
+draw's observed categories and logs only those.  The two kernels that
+dominate it, the networks' exact GELU and the table's sigmoids, run on two
+threads when they are large (`diffkernel._split_rows`), with the same bits
+as on one.
 """
 
 from __future__ import annotations
@@ -316,6 +319,8 @@ class HeldoutReport:
     r_eval: int
     surrogate_density: bool = False
     per_respondent: np.ndarray = field(default=None, repr=False)
+    # per respondent, 1 / sum of its squared normalized weights, in [1, r_eval]
+    ess: np.ndarray = field(default=None, repr=False)
 
 
 def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
@@ -332,6 +337,8 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
     respondents, at least one per block); the networks see each block's
     feature rows once per respondent.  Noise is drawn block by block in
     respondent order, so the estimates do not depend on the block size.
+    The report's `ess` is each respondent's effective sample size,
+    1 / sum_r w_tilde_r^2 over its R_eval normalized weights.
     """
     values = params.values()
     x = x_holdout.data
@@ -342,6 +349,7 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
     gaussian = isinstance(encoder, GaussianEncoder)
     block = max(1, _HELDOUT_BLOCK_ROWS // R_eval)
     per_resp = np.empty(H)
+    ess = np.empty(H)
     for start in range(0, H, block):
         stop = min(H, start + block)
         nb = stop - start
@@ -368,9 +376,12 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
         x_rows = tile_rows(x[start:stop], R_eval)
         logp = (grm_mod.joint_logprob_values(x_rows, z, values) if gaussian or adaptive_contrast
                 else grm_mod.conditional_loglik_values(x_rows, z, values))
-        per_resp[start:stop] = logmeanexp((logp - logq).reshape(nb, R_eval), axis=1)
+        log_w = (logp - logq).reshape(nb, R_eval)
+        per_resp[start:stop] = logmeanexp(log_w, axis=1)
+        w = normalized_weights(log_w)
+        ess[start:stop] = 1.0 / (w * w).sum(axis=1)
     return HeldoutReport(total=float(per_resp.sum()),
                          per_respondent_mean=float(per_resp.mean()),
                          n_respondents=H, r_eval=R_eval,
                          surrogate_density=not gaussian,
-                         per_respondent=per_resp)
+                         per_respondent=per_resp, ess=ess)

@@ -18,7 +18,8 @@ The plain-array likelihood (`*_values` functions plus
 oracles and heldout evaluation.  Both read their boundaries from
 `diffkernel.boundary_table`, and a parity test keeps them equal.
 `category_probs` runs the sigmoid only on the inner boundary levels,
-level-major and in cache-sized row chunks, and `conditional_loglik_values`
+level-major and in cache-sized row chunks, which a large table shares out
+between two threads (`diffkernel._split_rows`), and `conditional_loglik_values`
 logs only each row's observed-category probabilities; both give the same
 bits as the plain full-table forms, which the tests keep as oracles.
 """
@@ -282,8 +283,12 @@ def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
     s_k - s_{k+1} and the last is s_K.  The sigmoid runs only on the K
     inner levels (a padded level is -inf and gives exactly 0), level-major
     as (rows, K, M) so every pass runs over contiguous item rows, and in row
-    chunks of about `_CHUNK_VALUES` so its temporaries stay in cache.  The
-    result is an (n, M, maxC) view of the level-major (n, maxC, M) array.
+    chunks of about `_CHUNK_VALUES` so its two scratch buffers stay in
+    cache.  A large table splits between two threads at a chunk boundary
+    (`diffkernel._split_rows`), so every chunk holds the same rows either
+    way; each thread's chunks use their own slot of the scratch buffers.
+    The result is an (n, M, maxC) view of the level-major (n, maxC, M)
+    array.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cats = np.array([len(a) + 1 for a in values.intercepts])
@@ -293,14 +298,23 @@ def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
     cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
     levels = dk.boundary_table(cuts, cats)[:, 1:-1].T                # (K, M)
     logits = (z @ values.loadings.T)[:, None, :]                     # (n, 1, M)
-    probs = np.empty((z.shape[0], K + 1, M))
+    n = z.shape[0]
+    probs = np.empty((n, K + 1, M))
     step = max(1, _CHUNK_VALUES // (K * M))
-    for lo in range(0, z.shape[0], step):
-        s = dk._sigmoid_values(logits[lo:lo + step] + levels)
-        out = probs[lo:lo + step]
-        np.subtract(1.0, s[:, 0], out=out[:, 0])
-        np.subtract(s[:, :-1], s[:, 1:], out=out[:, 1:K])
-        out[:, K] = s[:, K - 1]
+    t_buf = np.empty((min(n, 2 * step), K, M))
+    s_buf = np.empty_like(t_buf)
+
+    def chunks(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            t = np.add(logits[a:b], levels, out=dk._chunk_slot(t_buf, lo, b - a))
+            s = dk._sigmoid_values(t, out=dk._chunk_slot(s_buf, lo, b - a), scratch=t)
+            out = probs[a:b]
+            np.subtract(1.0, s[:, 0], out=out[:, 0])
+            np.subtract(s[:, :-1], s[:, 1:], out=out[:, 1:K])
+            out[:, K] = s[:, K - 1]
+
+    dk._split_rows(chunks, n, n * K * M, grain=step)
     return probs.transpose(0, 2, 1)
 
 

@@ -696,6 +696,7 @@ class TestHeldout:
         doc = json.loads(out.read_text())
         assert doc["n_holdout"] == 125
         assert len(doc["holdout_ids"]) == 125
+        assert 1.0 - 1e-9 <= doc["ess_min"] <= doc["ess_median"] <= 8.0 + 1e-9
 
     def test_r_eval_one_flagged_high_variance(self, big_fit, tmp_path):
         resp_path, fit_path = big_fit

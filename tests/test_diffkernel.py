@@ -1,6 +1,11 @@
 """Tape autodiff: frozen scalar examples plus finite-difference gradient checks."""
 
 import math
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -380,6 +385,189 @@ class TestGelu:
         erf_form = x * 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
         diff = np.abs(dk.gelu(None, dk.const(x)).data - erf_form)
         assert np.all(diff <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+
+SERIAL = 1 << 62  # a _SPLIT_MIN_VALUES no kernel reaches
+
+
+def _split_and_serial(monkeypatch, compute):
+    """compute() with every kernel split and GELU in chunks of 12 values,
+    then with every kernel serial and GELU in chunks of the default size."""
+    out = []
+    for threshold, chunk in ((1, 12), (SERIAL, dk._GELU_CHUNK_VALUES)):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+        monkeypatch.setattr(dk, "_GELU_CHUNK_VALUES", chunk)
+        out.append(compute())
+    return out
+
+
+def _two_cpus():
+    return dk._cpu_count() >= 2
+
+
+def _split_in_child():
+    out = np.zeros(8)
+
+    def fill(lo, hi):
+        out[lo:hi] = np.arange(lo, hi)
+
+    dk._split_rows(fill, 8, 8)
+    return out.tolist()
+
+
+class TestSplitRows:
+    """`dk._split_rows` and the kernels that use it give the same bits split
+    and serial; the helper itself splits only where it is safe."""
+
+    @pytest.mark.parametrize("variant", ["plain", "x", "split"])
+    def test_feedforward_split_matches_serial(self, monkeypatch, variant):
+        def run():
+            rng = np.random.default_rng(5)
+            x = None if variant == "plain" else dk.parameter(rng.normal(size=(7, 2)))
+            h = dk.parameter(rng.normal(size=(35, 3)))
+            width = 3 if x is None else 5
+            layers = [(dk.parameter(rng.normal(size=(a, b))), dk.parameter(rng.normal(size=(1, b))),
+                       gelu_on) for a, b, gelu_on in ((width, 6, True), (6, 6, True), (6, 2, False))]
+            tape = dk.Tape()
+            out = dk.feedforward(tape, h, layers, x=x, split=variant == "split")
+            outs = out if variant == "split" else (out,)
+            root = scalarize(tape, outs[0])
+            for o in outs[1:]:
+                root = dk.add(tape, root, scalarize(tape, o))
+            tape.backward(root)
+            leaves = [h] + ([] if x is None else [x]) + [p for w, b, _ in layers for p in (w, b)]
+            assert all(p.grad is not None for p in leaves)
+            return [o.data for o in outs] + [p.grad for p in leaves]
+
+        split, serial = _split_and_serial(monkeypatch, run)
+        for a, b in zip(split, serial, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(37, 6), (4001, 64)])
+    def test_gelu_split_matches_serial(self, monkeypatch, shape):
+        """(4001, 64) keeps both threads busy for a while in many chunks."""
+        def run():
+            x = dk.parameter(np.random.default_rng(6).normal(0.0, 3.0, size=shape))
+            tape = dk.Tape()
+            out = dk.gelu(tape, x)
+            tape.backward(scalarize(tape, out))
+            return out.data, x.grad
+
+        split, serial = _split_and_serial(monkeypatch, run)
+        for a, b in zip(split, serial, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_split_halves_run_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        calls = []
+        dk._split_rows(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), 10, 10,
+                       grain=3)
+        spans = sorted(c[:2] for c in calls)
+        if _two_cpus():  # the cut is the multiple of the grain nearest the middle
+            assert spans == [(0, 6), (6, 10)]
+            assert len({c[2] for c in calls}) == 2
+        else:
+            assert spans == [(0, 10)]
+
+    def test_small_split_calls_once_without_a_worker(self, monkeypatch):
+        monkeypatch.setattr(dk, "_worker", None)
+        calls = []
+        dk._split_rows(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), 8,
+                       dk._SPLIT_MIN_VALUES - 1)
+        assert calls == [(0, 8, threading.get_ident())]
+        assert dk._worker is None
+
+    def test_nested_split_runs_serially_and_returns(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        inner = []
+
+        def outer(lo, hi):
+            dk._split_rows(lambda a, b: inner.append((lo, a, b)), 4, 4)
+
+        caller = threading.Thread(target=dk._split_rows, args=(outer, 8, 8), daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        halves = (0, 4) if _two_cpus() else (0,)
+        assert sorted(inner) == [(lo, 0, 4) for lo in halves]
+
+    def test_worker_split_exception_propagates_after_both_halves(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        finished = []
+
+        def fn(lo, hi):
+            if hi == 8:
+                raise ValueError("upper half failed")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match="upper half failed"):
+            dk._split_rows(fn, 8, 8)
+        assert finished == ([0] if _two_cpus() else [])
+
+    def test_caller_split_exception_waits_for_the_worker(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        finished = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("lower half failed")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match="lower half failed"):
+            dk._split_rows(fn, 8, 8)
+        assert finished == ([4] if _two_cpus() else [])
+
+    def test_split_worker_sees_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        seen = {}
+
+        def fn(lo, hi):
+            seen[lo] = np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            dk._split_rows(fn, 8, 8)
+        assert set(seen) == ({0, 4} if _two_cpus() else {0})
+        assert set(seen.values()) == {"ignore"}
+
+    def test_concurrent_callers_share_the_split_worker(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        outs = [np.zeros(64) for _ in range(4)]
+
+        def caller(out):
+            for k in range(1, 201):
+                def fill(lo, hi):
+                    out[lo:hi] += k
+                dk._split_rows(fill, out.size, out.size)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(out,), daemon=True) for out in outs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for out in outs:  # every row of every call was filled exactly once
+            assert np.array_equal(out, np.full(64, 200 * 201 / 2))
+
+    def test_forked_child_completes_a_split(self, monkeypatch):
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        dk._split_rows(lambda lo, hi: None, 8, 8)  # the parent's worker is running
+        with futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
+            done = pool.submit(_split_in_child)
+            try:
+                got = done.result(timeout=60)
+            except futures.TimeoutError:
+                for proc in pool._processes.values():
+                    proc.kill()
+                raise
+        assert got == list(range(8))
 
 
 class TestElementwise:

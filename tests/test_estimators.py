@@ -533,6 +533,9 @@ class TestHeldoutParity:
         g = gaussian_log_weights(None, hold.data, feats, result.encoder, result.params, R, 1, u)
         expected = logmeanexp(g["log_w"].data.reshape(12, R))
         np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
+        w = normalized_weights(g["log_w"].data.reshape(12, R))
+        np.testing.assert_allclose(rep.ess, 1.0 / (w * w).sum(axis=1), rtol=1e-8)
+        assert np.all((rep.ess >= 1.0 - 1e-9) & (rep.ess <= R * (1.0 + 1e-12)))
 
     def test_surrogate_matches_avb_log_weights(self, trained_adversarial):
         resp, result = trained_adversarial
@@ -548,6 +551,32 @@ class TestHeldoutParity:
         expected = logmeanexp(graph["log_w"].data.reshape(10, R))
         assert rep.surrogate_density
         np.testing.assert_allclose(rep.per_respondent, expected, rtol=0, atol=1e-10)
+        w = normalized_weights(graph["log_w"].data.reshape(10, R))
+        np.testing.assert_allclose(rep.ess, 1.0 / (w * w).sum(axis=1), rtol=1e-8)
+        assert np.all((rep.ess >= 1.0 - 1e-9) & (rep.ess <= R * (1.0 + 1e-12)))
+
+
+class TestHeldoutSplit:
+    """Heldout estimates have the same bits whether the networks' GELU and
+    the likelihood's sigmoid table run on one thread or two."""
+
+    def _split_and_serial(self, monkeypatch, result, hold, **kw):
+        got = []
+        for threshold in (1, 1 << 62):  # every kernel split, then none
+            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+            got.append(heldout_loglik(hold, result.params, result.encoder,
+                                      np.random.default_rng(8), R_eval=301, **kw))
+        assert np.array_equal(got[0].per_respondent, got[1].per_respondent)
+        assert np.array_equal(got[0].ess, got[1].ess)
+
+    def test_gaussian_heldout_split_matches_serial(self, monkeypatch, trained):
+        resp, result = trained
+        self._split_and_serial(monkeypatch, result, resp.subset(np.arange(7)))
+
+    def test_surrogate_heldout_split_matches_serial(self, monkeypatch, trained_adversarial):
+        resp, result = trained_adversarial
+        self._split_and_serial(monkeypatch, result, resp.subset(np.arange(7)), disc=result.disc,
+                               adaptive_contrast=result.config.estimator == "IWAVB")
 
 
 class TestHeldoutBlocks:

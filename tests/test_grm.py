@@ -270,6 +270,24 @@ class TestPlainArrayBitIdentity:
         assert_same_bits(probs, _category_probs_oracle(z, values))
         assert_same_bits(loglik, _conditional_loglik_oracle(x, z, values))
 
+    @pytest.mark.parametrize("M, n, chunk", [(3, 9, 24), (50, 1500, grm._CHUNK_VALUES)])
+    def test_category_probs_split_matches_serial(self, monkeypatch, M, n, chunk):
+        """Five row chunks, an odd count: of 2 rows at M=3, and of 327 rows
+        at the study's M=50, with four boundaries per item."""
+        rng = np.random.default_rng(16)
+        raw = rng.normal(0.0, 3.0, size=(M, 4))
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, 2)),
+                           intercepts=list(dk.ordered_cuts(None, dk.const(raw), 1e-6).data),
+                           factor_corr=np.eye(2))
+        z = rng.normal(size=(n, 2))
+        monkeypatch.setattr(grm, "_CHUNK_VALUES", chunk)
+        got = []
+        for threshold in (1, 1 << 62):  # every table split, then none
+            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+            got.append(category_probs(z, values))
+        assert_same_bits(got[0], got[1])
+        assert_same_bits(got[0], _category_probs_oracle(z, values))
+
     def test_saturated_sigmoids_reach_the_floor(self):
         """At logits of +-1e3 every observed category in the first two rows
         has probability exactly 0, so each contributes the floor's log."""
