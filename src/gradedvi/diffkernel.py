@@ -17,15 +17,18 @@ training step; they are never shared between workers.  Every op also runs
 with tape=None: it computes its value and records nothing, which is how
 evaluation runs the training code.
 
-The exact GELU (`gelu` and the GELU layers of `feedforward`) runs through
-`_split_rows`, which hands the upper half of the rows of a kernel of at
-least `_SPLIT_MIN_VALUES` values to one persistent worker thread while the
-calling thread does the lower half; `grm.category_probs` uses it too.  Each
-value is computed by the same elementwise operations either way, so the
-bits do not depend on the number of CPUs.  Both kernels work through their
-rows in cache-sized chunks whose scratch buffers the calling thread
-allocates, so GELU makes no temporary as large as its input and the worker
-allocates no arrays.
+Large row kernels run through `_split_rows`, which hands the upper half of
+the rows of a kernel of at least `_SPLIT_MIN_VALUES` values to one
+persistent worker thread while the calling thread does the lower half:
+each layer of `feedforward` (its matmul, per-respondent feature add, bias
+and exact GELU), `gelu`, and both forms of `grm.category_probs`.  Each row
+is computed by the same operations either way, so the bits do not depend
+on the number of CPUs; a layer's matmul splits only at a multiple of
+`_ROW_GRAIN` rows and where BLAS takes the same kernel for the halves as
+for the whole (`_matmul_splits_exactly`), and runs whole first otherwise.
+The kernels work through their rows in cache-sized chunks whose scratch
+buffers and outputs the calling thread allocates, so GELU makes no
+temporary as large as its input and the worker allocates no arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from scipy.special import ndtr
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SPLIT_MIN_VALUES = 1 << 16  # smallest kernel _split_rows runs on two threads
 _GELU_CHUNK_VALUES = 1 << 16  # values per GELU row chunk (512 KB of Phi)
+_ROW_GRAIN = 64  # rows: a split fn that calls BLAS cuts at a multiple of this
+_BLAS_SMALL_GEMM = 100 ** 3  # multiply-adds up to which OpenBLAS may take its small dgemm kernel
 
 
 class ShapeError(ValueError):
@@ -235,11 +240,40 @@ def _worker_half(fn, lo: int, hi: int) -> None:
     fn(lo, hi)
 
 
+def _split_point(n_rows: int, grain: int) -> int:
+    """The row where `_split_rows` cuts: the multiple of grain nearest the
+    middle."""
+    return grain * round(n_rows / (2 * grain))
+
+
+def _matmul_splits_exactly(n_rows: int, inner: int, cols: int) -> bool:
+    """Whether an (n_rows, inner) @ (inner, cols) matmul gives the same bits
+    computed as the two row halves of a `_ROW_GRAIN` split.
+
+    BLAS computes each output row from that row alone, by the same micro-
+    kernel wherever the row sits, provided the cut is a multiple of the
+    kernel's row block (`_ROW_GRAIN`) and the rows take the same kernel.
+    Two things can change the kernel, as measured with OpenBLAS 0.3.31 on
+    an AVX-512 Xeon: a half of one row, which numpy hands to gemv (65 rows
+    cut at 64 differed by up to 5e-14), and OpenBLAS's small-matrix dgemm
+    kernel of the SkylakeX-class x86 targets, taken at no more than
+    `_BLAS_SMALL_GEMM` multiply-adds and rounding differently (a (3200, 50)
+    @ (50, 10) product cut at row 1600 differed by up to 2e-14).  So both
+    halves must hold at least `_ROW_GRAIN` rows, and the whole and the
+    halves must lie on the same side of that size.
+    """
+    h = _split_point(n_rows, _ROW_GRAIN)
+    half = min(h, n_rows - h)
+    per_row = inner * cols
+    return half >= _ROW_GRAIN and (n_rows * per_row <= _BLAS_SMALL_GEMM
+                                   or half * per_row > _BLAS_SMALL_GEMM)
+
+
 def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
     """Run fn(lo, hi) over rows [0, n_rows), on two threads when it pays.
 
     fn(0, h) runs on the calling thread and fn(h, n_rows) on one persistent
-    worker thread, with h the multiple of `grain` nearest n_rows / 2.  It is
+    worker thread, with h = `_split_point(n_rows, grain)`.  It is
     one call fn(0, n_rows) instead when the kernel has fewer than
     `_SPLIT_MIN_VALUES` values, when this process may use fewer than two
     CPUs (`os.sched_getaffinity`, so `taskset -c 0` makes every call
@@ -250,9 +284,13 @@ def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
     - fn must compute each row from that row alone, with the same
       operations whatever [lo, hi) is; then the bits do not depend on
       where, or whether, the rows are split.
+    - A fn that calls BLAS splits with grain=`_ROW_GRAIN` and runs a
+      matmul over its rows only where `_matmul_splits_exactly` allows it:
+      BLAS sums a row the same way only when the cut falls on the kernel's
+      row blocks and both halves take the same kernel.
     - fn writes only into arrays that the calling thread allocated, its
-      scratch buffers included (`_chunk_slot`), so the worker's malloc
-      arena does not grow the peak RSS.
+      scratch buffers and `out=` matmul targets included (`_chunk_slot`),
+      so the worker's malloc arena does not grow the peak RSS.
     - fn never calls a public gradedvi function: span tracers keep one
       stack per process, and a span opened on the worker would take a
       parent from the calling thread.
@@ -266,7 +304,7 @@ def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
       finished; the calling thread's own exception wins.
     """
     global _worker
-    h = grain * round(n_rows / (2 * grain))
+    h = _split_point(n_rows, grain)
     if (n_values < _SPLIT_MIN_VALUES or not 0 < h < n_rows
             or getattr(_in_split, "active", False) or _cpu_count() < 2):
         fn(0, n_rows)
@@ -483,35 +521,35 @@ def _gelu_derivative(u: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = No
     return d
 
 
-def _gelu_rows(u: np.ndarray, keep: bool) -> np.ndarray | None:
-    """Exact GELU in place, u <- u * Phi(u), split over u's rows by
-    `_split_rows`; returns the derivative at the input when keep is true.
-
-    Phi goes through a scratch buffer of at most two chunks of about
-    `_GELU_CHUNK_VALUES` values (`_chunk_slot`), never larger than u."""
-    n, width = u.shape
+def _gelu_scratch(n: int, width: int) -> tuple[int, np.ndarray]:
+    """(rows per chunk, Phi buffer) for `_gelu_range` over n rows of `width`
+    values: chunks of about `_GELU_CHUNK_VALUES` values and a buffer of two
+    chunks (`_chunk_slot`), never larger than the n rows."""
     step = max(1, _GELU_CHUNK_VALUES // max(width, 1))
-    cdf = np.empty((min(n, 2 * step), width))
-    d = np.empty_like(u) if keep else None
+    return step, np.empty((min(n, 2 * step), width))
 
-    def rows(lo, hi):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            c = _chunk_slot(cdf, lo, b - a)
-            ndtr(u[a:b], out=c)
-            if keep:
-                _gelu_derivative(u[a:b], c, out=d[a:b])
-            u[a:b] *= c
 
-    _split_rows(rows, n, u.size)
-    return d
+def _gelu_range(u: np.ndarray, d: np.ndarray | None, cdf: np.ndarray, step: int,
+                lo: int, hi: int) -> None:
+    """Exact GELU in place on rows [lo, hi) of u, u <- u * Phi(u), `step`
+    rows at a time with Phi in this half's slot of cdf; the derivative at
+    the input goes into d[lo:hi] when d is given."""
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        c = _chunk_slot(cdf, lo, b - a)
+        ndtr(u[a:b], out=c)
+        if d is not None:
+            _gelu_derivative(u[a:b], c, out=d[a:b])
+        u[a:b] *= c
 
 
 def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
     """Exact x * Phi(x) with Phi the standard normal CDF, by the kernel that
     `feedforward`'s GELU layers run."""
     out = x.data.copy()
-    d = _gelu_rows(out, keep=tape is not None and x.requires_grad)
+    step, cdf = _gelu_scratch(*out.shape)
+    d = np.empty_like(out) if tape is not None and x.requires_grad else None
+    _split_rows(lambda lo, hi: _gelu_range(out, d, cdf, step, lo, hi), out.shape[0], out.size)
 
     def backward(g):
         _accum(x, d * g)
@@ -555,6 +593,20 @@ def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
 # feed-forward networks
 
 
+def _add_per_respondent(u: np.ndarray, xw: np.ndarray, t: int, lo: int, hi: int) -> None:
+    """u[r] += xw[r // t] for the rows r in [lo, hi), in place and without
+    temporaries; [lo, hi) may start or end inside a respondent's t rows."""
+    first, last = -(-lo // t), hi // t  # the respondents wholly inside [lo, hi)
+    if first > last:
+        u[lo:hi] += xw[lo // t]
+        return
+    u[lo:first * t] += xw[lo // t]
+    whole = u[first * t:last * t].reshape(last - first, t, u.shape[1])
+    whole += xw[first:last, None, :]
+    if last * t < hi:
+        u[last * t:hi] += xw[last]
+
+
 def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                 split: bool = False):
     """A whole feed-forward net as one node.
@@ -564,6 +616,8 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     true.  The first input is h, or [repeat_rows(x, t), h] with
     t = h.rows // x.rows when x is given; then x @ weight[:F] is computed
     once per row of x and added to each of its t rows of h @ weight[F:].
+    Each layer of a large net runs its rows in two halves on two threads
+    (`_split_rows`), with the same bits as on one.
 
     With split=True the net runs once and returns (to_inputs, to_weights):
     two tensors with the same values, whose gradients reach only h and x,
@@ -591,16 +645,30 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     # kept for backward only: acts[l] is the input of layer l (acts[0] is
     # h.data), derivs[l] the GELU derivative at u_l or None for identity
     acts, derivs = [], []
+    n = h.rows
     a = h.data
     for l, (w, b, gelu_on) in enumerate(layers):
+        wd, xw = w.data, None
         if l == 0 and x is not None:
-            u = a @ w.data[F:]
-            view = u.reshape(B, t, -1)
-            view += (x.data @ w.data[:F])[:, None, :]
-        else:
-            u = a @ w.data
-        u += b.data
-        d = _gelu_rows(u, keep) if gelu_on else None
+            xw = x.data @ wd[:F]  # once per respondent, added to each of its t rows
+            wd = wd[F:]
+        u = np.empty((n, wd.shape[1]))
+        d = np.empty_like(u) if keep and gelu_on else None
+        step, cdf = _gelu_scratch(n, u.shape[1]) if gelu_on else (0, None)
+        rows_matmul = _matmul_splits_exactly(n, *wd.shape)
+        if not rows_matmul:
+            np.matmul(a, wd, out=u)
+
+        def rows(lo, hi):
+            if rows_matmul:
+                np.matmul(a[lo:hi], wd, out=u[lo:hi])
+            if xw is not None and t:  # t is 0 only when there are no rows
+                _add_per_respondent(u, xw, t, lo, hi)
+            u[lo:hi] += b.data
+            if gelu_on:
+                _gelu_range(u, d, cdf, step, lo, hi)
+
+        _split_rows(rows, n, a.size + u.size, grain=_ROW_GRAIN)
         if keep:
             acts.append(a)
             derivs.append(d)

@@ -46,11 +46,10 @@ Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
 functions the training objectives use.  Only the GRM likelihood has a
 separate plain-array form there (`grm.joint_logprob_values`): per block it
-builds the draws' category-probability table level-major, gathers each
-draw's observed categories and logs only those.  The two kernels that
-dominate it, the networks' exact GELU and the table's sigmoids, run on two
-threads when they are large (`diffkernel._split_rows`), with the same bits
-as on one.
+computes only each draw's observed-category probabilities, from two
+boundary sigmoids per item, and logs those.  That likelihood and the
+networks' layers, matmul and exact GELU included, run on two threads when
+they are large (`diffkernel._split_rows`), with the same bits as on one.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ from .nets import BlackBoxEncoder, Discriminator, GaussianEncoder, encode_respon
 _LOG_2PI = math.log(2.0 * math.pi)
 # Latent draws per heldout block; a block holds at least one respondent's
 # R_eval draws.  At the study size, 5,000 draws keep each of the block's
-# (draws, hidden) and (draws, items, categories) temporaries near 10 MB
-# instead of hundreds of MB.
+# (draws, hidden) layer outputs near 10 MB and its (draws, items) likelihood
+# arrays near 2 MB, instead of hundreds of MB.
 _HELDOUT_BLOCK_ROWS = 5_000
 
 

@@ -19,9 +19,10 @@ oracles and heldout evaluation.  Both read their boundaries from
 `diffkernel.boundary_table`, and a parity test keeps them equal.
 `category_probs` runs the sigmoid only on the inner boundary levels,
 level-major and in cache-sized row chunks, which a large table shares out
-between two threads (`diffkernel._split_rows`), and `conditional_loglik_values`
-logs only each row's observed-category probabilities; both give the same
-bits as the plain full-table forms, which the tests keep as oracles.
+between two threads (`diffkernel._split_rows`).  Given the observed
+categories, it computes only their probabilities, two boundary sigmoids
+per cell, which is all `conditional_loglik_values` logs.  Both give the
+same bits as the plain full-table forms, which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -275,20 +276,28 @@ def simple_structure_mask(n_items: int, n_factors: int) -> np.ndarray:
 # plain-array evaluation
 
 
-def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
-    """(n, M, maxC) category probabilities; padded categories get 0.
+def category_probs(z: np.ndarray, values: GrmValues,
+                   observed: np.ndarray | None = None) -> np.ndarray:
+    """(n, M, maxC) category probabilities, padded categories 0; with
+    `observed`, only the (n, M) probabilities of those categories.
 
     With s_k the sigmoid of the logits plus level k of
-    `diffkernel.boundary_table`, category 0 is 1 - s_1, category k is
-    s_k - s_{k+1} and the last is s_K.  The sigmoid runs only on the K
-    inner levels (a padded level is -inf and gives exactly 0), level-major
-    as (rows, K, M) so every pass runs over contiguous item rows, and in row
-    chunks of about `_CHUNK_VALUES` so its two scratch buffers stay in
-    cache.  A large table splits between two threads at a chunk boundary
-    (`diffkernel._split_rows`), so every chunk holds the same rows either
-    way; each thread's chunks use their own slot of the scratch buffers.
-    The result is an (n, M, maxC) view of the level-major (n, maxC, M)
-    array.
+    `diffkernel.boundary_table`, category k has probability s_k - s_{k+1}.
+    Level 0 is +inf and levels from C_j on are -inf, whose sigmoids are
+    exactly 1 and 0, so category 0 is 1 - s_1 and the last is s_K to the
+    bit.  The work runs in row chunks of about `_CHUNK_VALUES` values,
+    through scratch buffers the calling thread allocates, and a large call
+    splits between two threads (`diffkernel._split_rows`).
+
+    Without `observed` the sigmoid runs only on the K inner levels, level-
+    major as (rows, K, M) so every pass runs over contiguous item rows; the
+    result is an (n, M, maxC) view of the level-major array.
+
+    observed is an (n, M) integer array of categories in [0, C_j), with
+    MISSING entries already mapped to any valid category; an entry outside
+    that range raises DataError naming its item.  Each cell then takes its
+    two boundaries with one `take` from the flattened table and runs two
+    sigmoids, where the full table runs one per level.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cats = np.array([len(a) + 1 for a in values.intercepts])
@@ -296,9 +305,12 @@ def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
     M = values.n_items
     cuts = np.zeros((M, K))
     cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
-    levels = dk.boundary_table(cuts, cats)[:, 1:-1].T                # (K, M)
-    logits = (z @ values.loadings.T)[:, None, :]                     # (n, 1, M)
+    table = dk.boundary_table(cuts, cats)                            # (M, K + 2)
+    if observed is not None:
+        return _observed_probs(z @ values.loadings.T, table, cats, observed)
     n = z.shape[0]
+    levels = table[:, 1:-1].T                                        # (K, M)
+    logits = (z @ values.loadings.T)[:, None, :]                     # (n, 1, M)
     probs = np.empty((n, K + 1, M))
     step = max(1, _CHUNK_VALUES // (K * M))
     t_buf = np.empty((min(n, 2 * step), K, M))
@@ -318,6 +330,44 @@ def category_probs(z: np.ndarray, values: GrmValues) -> np.ndarray:
     return probs.transpose(0, 2, 1)
 
 
+def _observed_probs(logits: np.ndarray, table: np.ndarray, cats: np.ndarray,
+                    observed: np.ndarray) -> np.ndarray:
+    """`category_probs` at the observed categories: (n, M) logits, the
+    (M, K + 2) boundary table and (n, M) categories."""
+    n, M = logits.shape
+    observed = np.asarray(observed)
+    if observed.shape != (n, M):
+        raise dk.ShapeError(f"category_probs: observed {observed.shape} vs {n} rows "
+                            f"and {M} items")
+    if n and (observed.min() < 0 or (observed.max(axis=0) >= cats).any()):
+        i, j = np.argwhere((observed < 0) | (observed >= cats))[0]
+        raise DataError(f"item {j}: category {observed[i, j]} outside [0, {cats[j]})")
+    flat = table.ravel()  # table[j, x] is flat[j * (K + 2) + x], table[j, x + 1] one on
+    base = np.arange(M) * table.shape[1]
+    probs = np.empty((n, M))
+    step = max(1, _CHUNK_VALUES // M)
+    rows = min(n, 2 * step)
+    cell_buf = np.empty((rows, M), dtype=np.int64)
+    t_buf = np.empty((rows, M))
+    s_buf = np.empty((rows, M))
+
+    def chunks(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            cell = np.add(observed[a:b], base, out=dk._chunk_slot(cell_buf, lo, b - a))
+            # mode="clip": the range is checked above, and "raise" buffers out
+            t = np.take(flat, cell, out=dk._chunk_slot(t_buf, lo, b - a), mode="clip")
+            t += logits[a:b]
+            s_hi = dk._sigmoid_values(t, out=dk._chunk_slot(s_buf, lo, b - a), scratch=t)
+            np.take(flat[1:], cell, out=t, mode="clip")
+            t += logits[a:b]
+            s_lo = dk._sigmoid_values(t, out=probs[a:b], scratch=t)
+            np.subtract(s_hi, s_lo, out=s_lo)
+
+    dk._split_rows(chunks, n, n * M)
+    return probs
+
+
 def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
     """(n, M, maxC) log category probabilities, clamped before the log."""
     probs = category_probs(z, values)
@@ -327,17 +377,18 @@ def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
 def conditional_loglik_values(x: np.ndarray, z: np.ndarray, values: GrmValues) -> np.ndarray:
     """Sum over items of log p_{i,j,x_ij}; MISSING entries contribute 0.
 
-    Gathers each observed category's probability first and logs only that
-    (n, M) selection.  x must be (n, M) for n rows of z.
+    Computes only each observed category's probability
+    (`category_probs(..., observed=)`) and logs that (n, M) selection.  x
+    must be (n, M) for n rows of z, each entry MISSING or in [0, C_j);
+    any other entry raises DataError naming its item.
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if x.shape != (z.shape[0], values.n_items):
         raise dk.ShapeError(f"conditional_loglik_values: responses {x.shape} vs latents "
                             f"{z.shape} and {values.n_items} items")
-    probs = category_probs(z, values)
     mask = x != MISSING
-    p = np.take_along_axis(probs, np.maximum(x, 0)[:, :, None], axis=2)[:, :, 0]
+    p = category_probs(z, values, observed=np.where(mask, x, 0))
     sel = np.log(np.maximum(p, _PROB_FLOOR))
     return (sel * mask).sum(axis=1)
 

@@ -10,9 +10,10 @@ whole chain of layers as a single node; the `*_values` methods call it
 without a tape, on plain arrays.  The implicit encoder and the
 discriminator take one feature row per respondent: the op computes the
 feature part of their first layer once per respondent, and the weight stays
-one matrix, as serialized.  `Discriminator.forward(..., split=True)` returns
-the two gradient routes of one forward: to the draws only, and to the
-discriminator's weights only."""
+one matrix, as serialized.  A large forward runs each layer's rows in two
+halves on two threads, with the same bits (`dk.feedforward`).
+`Discriminator.forward(..., split=True)` returns the two gradient routes of
+one forward: to the draws only, and to the discriminator's weights only."""
 
 from __future__ import annotations
 

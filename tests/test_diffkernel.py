@@ -401,6 +401,11 @@ def _split_and_serial(monkeypatch, compute):
     return out
 
 
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _two_cpus():
     return dk._cpu_count() >= 2
 
@@ -442,6 +447,67 @@ class TestSplitRows:
         split, serial = _split_and_serial(monkeypatch, run)
         for a, b in zip(split, serial, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("B, t, grain", [(128, 25, 64), (1, 5000, 64), (3, 7, 16),
+                                             (3, 50, 64), (1, 4999, 64)],
+                             ids=["batch", "heldout-block", "tiny", "cut-in-respondent",
+                                  "odd-rows"])
+    @pytest.mark.parametrize("route", [None, "split"])
+    def test_feedforward_layer_split_matches_serial(self, monkeypatch, B, t, grain, route):
+        """A discriminator-shaped net (10 feature and 5 latent columns, GELU
+        layers of 256 and 128, one output) at training's 128 x 25 draws, a
+        heldout block of 5,000 draws and an odd row count; at 3 x 7 rows a
+        16-row grain cuts respondent 2 and its 5-row half keeps the matmuls
+        whole, and at 3 x 50 the 64-row cut falls inside respondent 1.
+        Values and every gradient keep their bits."""
+        monkeypatch.setattr(dk, "_ROW_GRAIN", grain)
+
+        def run():
+            rng = np.random.default_rng(11)
+            x = dk.parameter(rng.normal(size=(B, 10)))
+            h = dk.parameter(rng.normal(size=(B * t, 5)))
+            layers = [(dk.parameter(rng.normal(0.0, 0.3, size=(a, b))),
+                       dk.parameter(rng.normal(size=(1, b))), gelu_on)
+                      for a, b, gelu_on in ((15, 256, True), (256, 128, True), (128, 1, False))]
+            tape = dk.Tape()
+            out = dk.feedforward(tape, h, layers, x=x, split=route == "split")
+            outs = out if route == "split" else (out,)
+            root = scalarize(tape, outs[0])
+            for o in outs[1:]:
+                root = dk.add(tape, root, scalarize(tape, o))
+            tape.backward(root)
+            leaves = [h, x] + [p for w, b, _ in layers for p in (w, b)]
+            return [o.data for o in outs] + [p.grad for p in leaves]
+
+        split, serial = _split_and_serial(monkeypatch, run)
+        for a, b in zip(split, serial, strict=True):
+            _assert_same_bits(a, b)
+
+    def test_feedforward_split_keeps_each_matmul_on_one_blas_kernel(self, monkeypatch):
+        """3,200 rows of 50 -> 10 are 1.6e6 multiply-adds and each half
+        0.8e6, on either side of OpenBLAS's small-kernel switch, so that
+        matmul runs whole; the next layer's halves stay below it and
+        split."""
+        assert not dk._matmul_splits_exactly(3200, 50, 10)
+        assert dk._matmul_splits_exactly(3200, 10, 1)
+        assert dk._matmul_splits_exactly(5000, 5, 256) and dk._matmul_splits_exactly(5000, 128, 1)
+        assert not dk._matmul_splits_exactly(65, 300, 128)  # a 1-row half
+
+        def run():
+            rng = np.random.default_rng(12)
+            h = dk.parameter(rng.normal(size=(3200, 50)))
+            layers = [(dk.parameter(rng.normal(0.0, 0.2, size=(50, 10))),
+                       dk.parameter(rng.normal(size=(1, 10))), True),
+                      (dk.parameter(rng.normal(size=(10, 1))), dk.parameter(np.zeros((1, 1))),
+                       False)]
+            tape = dk.Tape()
+            out = dk.feedforward(tape, h, layers)
+            tape.backward(scalarize(tape, out))
+            return [out.data, h.grad] + [p.grad for w, b, _ in layers for p in (w, b)]
+
+        split, serial = _split_and_serial(monkeypatch, run)
+        for a, b in zip(split, serial, strict=True):
+            _assert_same_bits(a, b)
 
     @pytest.mark.parametrize("shape", [(37, 6), (4001, 64)])
     def test_gelu_split_matches_serial(self, monkeypatch, shape):

@@ -288,6 +288,70 @@ class TestPlainArrayBitIdentity:
         assert_same_bits(got[0], got[1])
         assert_same_bits(got[0], _category_probs_oracle(z, values))
 
+    @settings(max_examples=120, deadline=None)
+    @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), n=st.integers(1, 40),
+           z_max=st.sampled_from([1.0, 10.0, 40.0]), missing=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2 ** 32 - 1), chunk=st.sampled_from([1, 50, grm._CHUNK_VALUES]))
+    @example(cats=[2, 6, 3], n=2, z_max=40.0, missing=0.0, seed=2, chunk=grm._CHUNK_VALUES)
+    def test_observed_probs_split_match_table_gather(self, cats, n, z_max, missing, seed, chunk):
+        """category_probs(observed=...) equals the full table's gather bit
+        for bit, split or serial: mixed category counts, MISSING entries
+        mapped to 0, a row of category 0 and a row of category C_j - 1, and
+        latents up to +-40 where the sigmoids saturate."""
+        rng = np.random.default_rng(seed)
+        cats = np.asarray(cats)
+        M, P = len(cats), 2
+        raw = rng.normal(0.0, 3.0, size=(M, cats.max() - 1))
+        cuts = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, P)),
+                           intercepts=[row[:c - 1] for row, c in zip(cuts, cats)],
+                           factor_corr=np.eye(P))
+        z = rng.uniform(-z_max, z_max, size=(n, P))
+        z[0] = [z_max, -z_max]
+        x = np.stack([rng.integers(0, c, size=n) for c in cats], axis=1)
+        x[rng.random(x.shape) < missing] = MISSING
+        x[0] = 0
+        x[-1] = cats - 1
+        observed = np.where(x == MISSING, 0, x)
+        want = np.take_along_axis(_category_probs_oracle(z, values), observed[:, :, None],
+                                  axis=2)[:, :, 0]
+        for threshold in (1, 1 << 62):  # every call split, then none
+            with mock.patch.object(grm, "_CHUNK_VALUES", chunk), \
+                    mock.patch.object(dk, "_SPLIT_MIN_VALUES", threshold):
+                assert_same_bits(category_probs(z, values, observed=observed), want)
+
+    def test_observed_probs_split_at_study_size(self, monkeypatch):
+        """A heldout block's shape, 5,000 draws of 50 five-category items,
+        in row chunks on two threads and on one."""
+        rng = np.random.default_rng(17)
+        raw = rng.normal(0.0, 3.0, size=(50, 4))
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(50, 5)),
+                           intercepts=list(dk.ordered_cuts(None, dk.const(raw), 1e-6).data),
+                           factor_corr=np.eye(5))
+        z = rng.normal(size=(5000, 5))
+        x = rng.integers(0, 5, size=(5000, 50))
+        got = []
+        for threshold in (1, 1 << 62):
+            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+            got.append(category_probs(z, values, observed=x))
+        assert_same_bits(got[0], got[1])
+        assert_same_bits(got[0], np.take_along_axis(_category_probs_oracle(z, values),
+                                                    x[:, :, None], axis=2)[:, :, 0])
+
+    @pytest.mark.parametrize("item, value", [(0, 2), (1, 4), (1, -2), (2, 9)],
+                             ids=["at-C_j", "past-max", "negative", "past-table"])
+    def test_out_of_range_response_raises_data_error(self, item, value):
+        """Categories run over [0, C_j) and MISSING; an entry of item 0
+        (C=2) at 2 would read item 1's first boundary."""
+        values = GrmValues(loadings=np.ones((3, 1)),
+                           intercepts=[np.array([0.0]), np.array([1.0, 0.0, -1.0]),
+                                       np.array([0.5, -0.5])],
+                           factor_corr=np.eye(1))
+        x = np.array([[0, 3, 2], [MISSING, 0, MISSING]])
+        x[1, item] = value
+        with pytest.raises(grm.DataError, match=rf"item {item}: category {value} outside"):
+            conditional_loglik_values(x, np.zeros((2, 1)), values)
+
     def test_saturated_sigmoids_reach_the_floor(self):
         """At logits of +-1e3 every observed category in the first two rows
         has probability exactly 0, so each contributes the floor's log."""
