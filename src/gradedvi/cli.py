@@ -280,7 +280,9 @@ def cmd_eval(args) -> int:
     exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma),
     and each rotation is recorded under "rotations"; a non-finite fit or a
     factor correlation that is not positive definite exits 2, and so does a
-    fit whose category count for some item differs from the truth's."""
+    fit whose category count for some item differs from the truth's, or
+    whose loading structure differs from the first fit's: rotated and
+    unrotated estimates do not average."""
     fit_files = sorted(Path(args.fits).glob("**/fit*.json"))
     truth_files = sorted(Path(args.truths).glob("**/truth*.json"))
     if not fit_files or len(fit_files) != len(truth_files):
@@ -289,7 +291,7 @@ def cmd_eval(args) -> int:
     estimates = []
     rotations = []
     truth_values = None
-    exploratory = False
+    structure = None
     for fit_path, truth_path in zip(fit_files, truth_files):
         # LinAlgError, from a factor_corr that is not positive definite, is a ValueError
         try:
@@ -308,8 +310,12 @@ def cmd_eval(args) -> int:
                 if len(a) != len(t):
                     raise ValueError(f"item {j + 1} has {len(a) + 1} categories in the "
                                      f"fit but {len(t) + 1} in {truth_path}")
-            exploratory = config.loading_structure == "exploratory"
-            if exploratory and values.n_factors >= 2:
+            if structure is None:
+                structure = config.loading_structure
+            elif config.loading_structure != structure:
+                raise ValueError(f"loading structure {config.loading_structure!r} differs "
+                                 f"from {structure!r} of {fit_files[0]}")
+            if structure == "exploratory" and values.n_factors >= 2:
                 rot = geomin_rotate(values.loadings @ np.linalg.cholesky(values.factor_corr),
                                     seed=config.seed)
                 rep = align_to_reference(rot.loadings, truth_values.loadings)
@@ -326,7 +332,7 @@ def cmd_eval(args) -> int:
     report = mse_bias(estimates, truth_values)
     out_doc = {"schema_version": SCHEMA_VERSION,
                "n_replications": len(estimates),
-               "aligned": exploratory,
+               "aligned": structure == "exploratory",
                "blocks": {k: v.to_dict() for k, v in report.items()},
                "rotations": rotations}
     _dump_json(Path(args.out), out_doc)

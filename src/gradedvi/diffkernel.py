@@ -20,15 +20,18 @@ evaluation runs the training code.
 Large row kernels run through `_split_rows`, which hands the upper half of
 the rows of a kernel of at least `_SPLIT_MIN_VALUES` values to one
 persistent worker thread while the calling thread does the lower half:
-each layer of `feedforward` (its matmul, per-respondent feature add, bias
-and exact GELU), `gelu`, and both forms of `grm.category_probs`.  Each row
-is computed by the same operations either way, so the bits do not depend
-on the number of CPUs; a layer's matmul splits only at a multiple of
-`_ROW_GRAIN` rows and where BLAS takes the same kernel for the halves as
-for the whole (`_matmul_splits_exactly`), and runs whole first otherwise.
-The kernels work through their rows in cache-sized chunks whose scratch
-buffers and outputs the calling thread allocates, so GELU makes no
-temporary as large as its input and the worker allocates no arrays.
+each layer of `feedforward`, forward (its matmul, per-respondent feature
+add, bias and exact GELU) and backward (the input gradient's matmul and
+GELU-derivative product, the weight gradient split over the fan-in, and
+the first layer's per-respondent sums), `gelu`, `ordinal_loglik` forward
+and backward, and both forms of `grm.category_probs`.  Each output row is
+computed by the same operations either way, so the bits do not depend on
+the number of CPUs; a matmul splits only at a multiple of `_ROW_GRAIN`
+rows and where BLAS takes the same kernel for the halves as for the whole
+(`_matmul_splits_exactly`), and runs whole first otherwise.  The kernels
+work through their rows in cache-sized chunks whose scratch buffers and
+outputs the calling thread allocates, so GELU makes no temporary as large
+as its input and the worker allocates no arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SPLIT_MIN_VALUES = 1 << 16  # smallest kernel _split_rows runs on two threads
-_GELU_CHUNK_VALUES = 1 << 16  # values per GELU row chunk (512 KB of Phi)
+_CHUNK_VALUES = 1 << 16  # values per row chunk of a chunked kernel (512 KB of float64)
 _ROW_GRAIN = 64  # rows: a split fn that calls BLAS cuts at a multiple of this
 _BLAS_SMALL_GEMM = 100 ** 3  # multiply-adds up to which OpenBLAS may take its small dgemm kernel
 
@@ -280,14 +283,22 @@ def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
     serial), when h would leave a half empty, or when the call comes from
     inside a split (a thread-local guard, so nested use cannot deadlock).
 
-    Rules that keep the results and the process the same:
-    - fn must compute each row from that row alone, with the same
+    The rows are those of the kernel's output: a layer's rows forward and
+    for the input gradient, its fan-in for the weight gradient
+    (`_weight_grad`), respondents for per-respondent sums and
+    `ordinal_loglik`.  Rules that keep the results and the process the
+    same:
+    - fn must compute each row from its own inputs alone, with the same
       operations whatever [lo, hi) is; then the bits do not depend on
-      where, or whether, the rows are split.
+      where, or whether, the rows are split.  A sum over the draws of
+      many rows, like a weight gradient's, is never cut.
     - A fn that calls BLAS splits with grain=`_ROW_GRAIN` and runs a
       matmul over its rows only where `_matmul_splits_exactly` allows it:
       BLAS sums a row the same way only when the cut falls on the kernel's
-      row blocks and both halves take the same kernel.
+      row blocks and both halves take the same kernel.  This holds with
+      BLAS on one thread, as perfbench runs it: OpenBLAS's own threads
+      cut a product by its size, and a (192, 100) weight gradient then
+      differs from its halves in the last bits.
     - fn writes only into arrays that the calling thread allocated, its
       scratch buffers and `out=` matmul targets included (`_chunk_slot`),
       so the worker's malloc arena does not grow the peak RSS.
@@ -523,9 +534,9 @@ def _gelu_derivative(u: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = No
 
 def _gelu_scratch(n: int, width: int) -> tuple[int, np.ndarray]:
     """(rows per chunk, Phi buffer) for `_gelu_range` over n rows of `width`
-    values: chunks of about `_GELU_CHUNK_VALUES` values and a buffer of two
+    values: chunks of about `_CHUNK_VALUES` values and a buffer of two
     chunks (`_chunk_slot`), never larger than the n rows."""
-    step = max(1, _GELU_CHUNK_VALUES // max(width, 1))
+    step = max(1, _CHUNK_VALUES // max(width, 1))
     return step, np.empty((min(n, 2 * step), width))
 
 
@@ -607,6 +618,59 @@ def _add_per_respondent(u: np.ndarray, xw: np.ndarray, t: int, lo: int, hi: int)
         u[last * t:hi] += xw[last]
 
 
+def _backprop_rows(g: np.ndarray, wt: np.ndarray | None, d: np.ndarray | None) -> np.ndarray:
+    """(g @ wt) * d, the gradient one layer lower times the GELU derivative
+    there, by rows on two threads when large; wt=None leaves out the matmul
+    and d=None the product.  The matmul splits where `_matmul_splits_exactly`
+    allows and runs whole on the calling thread otherwise."""
+    n = g.shape[0]
+    out = np.empty((n, g.shape[1] if wt is None else wt.shape[1]))
+    rows_matmul = wt is not None and _matmul_splits_exactly(n, *wt.shape)
+    if wt is not None and not rows_matmul:
+        np.matmul(g, wt, out=out)
+        if d is None:
+            return out
+    src = g if wt is None else out
+
+    def rows(lo, hi):
+        if rows_matmul:
+            np.matmul(g[lo:hi], wt, out=out[lo:hi])
+        if d is not None:
+            np.multiply(d[lo:hi], src[lo:hi], out=out[lo:hi])
+
+    _split_rows(rows, n, g.size + out.size, grain=_ROW_GRAIN)
+    return out
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a.T @ g, a layer's weight gradient, on two threads when large.
+
+    The split runs over a's columns, the rows of the result (the layer's
+    fan-in), and never over the draw rows that each value sums: a cut there
+    would change how BLAS adds them up.  Each value then sums all the draws
+    in one BLAS call, as in the whole product, under the rules of a row
+    split (`_matmul_splits_exactly`).  Those rules matter here too: a
+    (128, 5) gradient at 3,200 draws cut at fan-in row 27 differed from the
+    whole by 4e-13.
+    """
+    fan_in = a.shape[1]
+    out = np.empty((fan_in, g.shape[1]))
+    if not _matmul_splits_exactly(fan_in, a.shape[0], g.shape[1]):
+        return np.matmul(a.T, g, out=out)
+    _split_rows(lambda lo, hi: np.matmul(a[:, lo:hi].T, g, out=out[lo:hi]), fan_in,
+                a.size + g.size, grain=_ROW_GRAIN)
+    return out
+
+
+def _respondent_sums(g: np.ndarray, B: int, t: int) -> np.ndarray:
+    """(B, k) sums of each respondent's t rows of g, split between
+    respondents; zeros when t is 0."""
+    g3 = g.reshape(B, t, g.shape[1])
+    out = np.empty((B, g.shape[1]))
+    _split_rows(lambda lo, hi: np.sum(g3[lo:hi], axis=1, out=out[lo:hi]), B, g.size)
+    return out
+
+
 def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                 split: bool = False):
     """A whole feed-forward net as one node.
@@ -617,7 +681,9 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     t = h.rows // x.rows when x is given; then x @ weight[:F] is computed
     once per row of x and added to each of its t rows of h @ weight[F:].
     Each layer of a large net runs its rows in two halves on two threads
-    (`_split_rows`), with the same bits as on one.
+    (`_split_rows`), with the same bits as on one, forward and backward;
+    backward splits the weight gradient over the layer's fan-in instead
+    (`_weight_grad`).
 
     With split=True the net runs once and returns (to_inputs, to_weights):
     two tensors with the same values, whose gradients reach only h and x,
@@ -675,27 +741,31 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
         a = u
 
     def run_backward(g, to_inputs: bool, to_weights: bool):
-        for l in range(len(layers) - 1, -1, -1):
+        last = len(layers) - 1
+        if derivs[last] is not None:
+            g = _backprop_rows(g, None, derivs[last])
+        g_sum = None  # the first layer's gradient summed over each respondent's t rows
+        for l in range(last, -1, -1):
             w, b, _ = layers[l]
-            if derivs[l] is not None:
-                g = derivs[l] * g
             if to_weights:
                 if b.requires_grad:
                     _accum(b, g.sum(axis=0, keepdims=True))
                 if w.requires_grad:
                     if l == 0 and x is not None:
-                        g_sum = g.reshape(B, t, -1).sum(axis=1)
-                        _accum(w, np.vstack([x.data.T @ g_sum, acts[0].T @ g]))
+                        g_sum = _respondent_sums(g, B, t)
+                        _accum(w, np.vstack([x.data.T @ g_sum, _weight_grad(acts[0], g)]))
                     else:
-                        _accum(w, acts[l].T @ g)
+                        _accum(w, _weight_grad(acts[l], g))
             if l > 0:
-                g = g @ w.data.T
+                g = _backprop_rows(g, w.data.T, derivs[l - 1])
         if to_inputs:
             w = layers[0][0].data
             if h.requires_grad:
-                _accum(h, g @ w[F:].T)
+                _accum(h, _backprop_rows(g, w[F:].T, None))
             if x is not None and x.requires_grad:
-                _accum(x, g.reshape(B, t, -1).sum(axis=1) @ w[:F].T)
+                if g_sum is None:
+                    g_sum = _respondent_sums(g, B, t)
+                _accum(x, g_sum @ w[:F].T)
 
     if not split:
         out = Tensor2(a, requires_grad=inputs_live or any_weights)
@@ -832,33 +902,74 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
 
     The two boundary intercepts of each observed category are gathered once
     per respondent from `boundary_table` and broadcast over the tile rows.
-    Entries whose probability sits at the floor get zero gradient.
+    Entries whose probability sits at the floor get zero gradient.  Forward
+    and backward run in chunks of whole respondents, split between two
+    threads when large (`_split_rows`); each respondent's sums over its
+    tile rows are taken inside the chunks, and the cut gradient's sum over
+    respondents runs on the calling thread.
     """
     B, M = levels.shape
     if logits.shape != (B * tile, M):
         raise ShapeError(f"ordinal_loglik: logits {logits.shape} vs {B} respondents "
                          f"x {tile} rows and {M} items")
     table = boundary_table(cuts.data, categories)
-    observed = ~np.asarray(missing, dtype=bool)
+    missing = np.asarray(missing, dtype=bool)
+    observed = ~missing
     upper = np.where(observed, levels, 0)
     items = np.arange(M)[None, :]
+    hi_cut, lo_cut = table[items, upper], table[items, upper + 1]
     t = logits.data.reshape(B, tile, M)
-    s_hi = _sigmoid_values(t + table[items, upper][:, None, :])
-    s_lo = _sigmoid_values(t + table[items, upper + 1][:, None, :])
-    p = np.where(observed[:, None, :], s_hi - s_lo, 1.0)
-    out_data = np.log(np.maximum(p, floor)).reshape(B * tile, M).sum(axis=1, keepdims=True)
+    step = max(1, _CHUNK_VALUES // max(tile * M, 1))  # respondents per chunk
+    scratch = np.empty((min(B, 2 * step), tile, M))
+    s_hi, s_lo, p = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
+    out_data = np.empty((B * tile, 1))
+
+    def forward_rows(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            sh, sl, pc = s_hi[a:b], s_lo[a:b], p[a:b]
+            u = np.add(t[a:b], hi_cut[a:b, None, :], out=_chunk_slot(scratch, lo, b - a))
+            _sigmoid_values(u, out=sh, scratch=u)
+            np.add(t[a:b], lo_cut[a:b, None, :], out=u)
+            _sigmoid_values(u, out=sl, scratch=u)
+            np.subtract(sh, sl, out=pc)
+            np.copyto(pc, 1.0, where=missing[a:b, None, :])
+            np.log(np.maximum(pc, floor, out=u), out=u)
+            np.sum(u.reshape(-1, M), axis=1, keepdims=True, out=out_data[a * tile:b * tile])
+
+    _split_rows(forward_rows, B, t.size)
 
     def backward(g):
-        live = observed[:, None, :] & (p > floor)
-        scale = np.divide(g.reshape(B, tile, 1), p, out=np.zeros_like(p), where=live)
-        d_hi = s_hi * (1.0 - s_hi) * scale       # d log p / d(upper boundary logit)
-        d_lo = s_lo * (1.0 - s_lo) * scale       # -d log p / d(lower boundary logit)
-        _accum(logits, (d_hi - d_lo).reshape(B * tile, M))
+        g = g.reshape(B, tile, 1)
+        grad = np.empty(t.shape)  # d_hi - d_lo, the logits' gradient
+        live = np.empty(scratch.shape, dtype=bool)
+        scale, d_hi = np.empty_like(scratch), np.empty_like(scratch)
+        sums = np.empty((2, B, M))  # d_hi and d_lo summed over each respondent's rows
+
+        def backward_rows(lo, hi):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                lv, sc, dh = (_chunk_slot(buf, lo, b - a) for buf in (live, scale, d_hi))
+                dl = grad[a:b]
+                np.logical_and(observed[a:b, None, :], np.greater(p[a:b], floor, out=lv),
+                               out=lv)
+                sc.fill(0.0)
+                np.divide(g[a:b], p[a:b], out=sc, where=lv)
+                for s, d in ((s_hi[a:b], dh), (s_lo[a:b], dl)):
+                    np.subtract(1.0, s, out=d)
+                    d *= s
+                    d *= sc  # d log p / d(upper boundary logit), and minus the lower's
+                np.sum(dh, axis=1, out=sums[0, a:b])
+                np.sum(dl, axis=1, out=sums[1, a:b])
+                np.subtract(dh, dl, out=dl)
+
+        _split_rows(backward_rows, B, t.size)
+        _accum(logits, grad.reshape(B * tile, M))
         if not cuts.requires_grad:
             return
         cells = (np.arange(M) * table.shape[1])[None, :] + upper
-        grad = (np.bincount(cells.ravel(), weights=d_hi.sum(axis=1).ravel(), minlength=table.size)
-                - np.bincount((cells + 1).ravel(), weights=d_lo.sum(axis=1).ravel(),
+        grad = (np.bincount(cells.ravel(), weights=sums[0].ravel(), minlength=table.size)
+                - np.bincount((cells + 1).ravel(), weights=sums[1].ravel(),
                               minlength=table.size)).reshape(table.shape)
         _accum(cuts, grad[:, 1:-1], own=False)
 

@@ -11,7 +11,9 @@ without a tape, on plain arrays.  The implicit encoder and the
 discriminator take one feature row per respondent: the op computes the
 feature part of their first layer once per respondent, and the weight stays
 one matrix, as serialized.  A large forward runs each layer's rows in two
-halves on two threads, with the same bits (`dk.feedforward`).
+halves on two threads, and so does its backward, which splits each
+weight gradient between the halves of the layer's fan-in; the bits are
+those of one thread (`dk.feedforward`).
 `Discriminator.forward(..., split=True)` returns the two gradient routes of
 one forward: to the draws only, and to the discriminator's weights only."""
 

@@ -587,6 +587,28 @@ class TestEval:
             doc = self._fake_fit_doc(values, mask, np.full(values.n_items, 3))
             (fits / f"fit_rep{rep:03d}.json").write_text(json.dumps(doc))
 
+    @pytest.mark.parametrize("structures", [("exploratory", "simple"),
+                                            ("simple", "exploratory")])
+    def test_mixed_loading_structures_exit_2(self, structures, tmp_path, capsys):
+        """Rotated and unrotated estimates do not average: eval names the
+        first fit whose structure differs from the first fit's."""
+        truth = simulate(SimDesign(n_items=12, n_factors=2, categories=3, seed=5))
+        fits, truths = tmp_path / "fits", tmp_path / "truths"
+        fits.mkdir()
+        truths.mkdir()
+        for rep, structure in enumerate(structures + structures[1:]):
+            doc = self._fake_fit_doc(truth.values, truth.loading_mask,
+                                     truth.responses.categories, structure=structure)
+            (fits / f"fit_rep{rep:03d}.json").write_text(json.dumps(doc))
+            write_truth_json(truths / f"truth_rep{rep:03d}.json", truth)
+        out = tmp_path / "report.json"
+        code = main(["eval", "--fits", str(fits), "--truths", str(truths), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {fits / 'fit_rep001.json'}: loading structure {structures[1]!r} differs "
+            f"from {structures[0]!r} of {fits / 'fit_rep000.json'}")
+        assert not out.exists()
+
     def test_replications_share_one_truth(self, tmp_path):
         design = tmp_path / "design.json"
         write_design(design, n_replications=2)

@@ -1,11 +1,15 @@
 """Tape autodiff: frozen scalar examples plus finite-difference gradient checks."""
 
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +368,23 @@ class TestFeedforward:
         with pytest.raises(dk.ShapeError, match="feedforward"):
             dk.feedforward(None, h, [layers[0], layers[0]], x=x)
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_zero_draw_rows_give_zero_gradients(self, split):
+        """Two respondents with no draws: a (0, 1) output, and every
+        gradient comes out as zeros of its tensor's shape."""
+        x, h, layers = self._net(t=0)
+        tape = dk.Tape()
+        out = dk.feedforward(tape, h, layers, x=x, split=split)
+        outs = out if split else (out,)
+        assert all(o.shape == (0, 1) for o in outs)
+        root = dk.tsum(tape, outs[0])
+        for o in outs[1:]:
+            root = dk.add(tape, root, dk.tsum(tape, o))
+        tape.backward(root)
+        for p in [x, h] + [p for w, b, _ in layers for p in (w, b)]:
+            assert p.grad.shape == p.shape
+            assert not p.grad.any()
+
 
 class TestGelu:
     def test_zero(self):
@@ -394,9 +415,9 @@ def _split_and_serial(monkeypatch, compute):
     """compute() with every kernel split and GELU in chunks of 12 values,
     then with every kernel serial and GELU in chunks of the default size."""
     out = []
-    for threshold, chunk in ((1, 12), (SERIAL, dk._GELU_CHUNK_VALUES)):
+    for threshold, chunk in ((1, 12), (SERIAL, dk._CHUNK_VALUES)):
         monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
-        monkeypatch.setattr(dk, "_GELU_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(dk, "_CHUNK_VALUES", chunk)
         out.append(compute())
     return out
 
@@ -408,6 +429,29 @@ def _assert_same_bits(got, want):
 
 def _two_cpus():
     return dk._cpu_count() >= 2
+
+
+# weight-gradient shapes (fan-in, fan-out) and draw counts of the fan-in split tests
+WEIGHT_GRAD_SHAPES = [(256, 128), (128, 256), (55, 256), (128, 5), (128, 1), (256, 1), (64, 64),
+                      (192, 100)]
+WEIGHT_GRAD_DRAWS = [128, 200, 3200]
+
+# argv[1]: JSON list of (n, fan_in, fan_out); prints the cases whose split
+# weight gradient differs from a.T @ g, and how many cases split
+_WEIGHT_GRAD_CHILD = """
+import json, sys
+import numpy as np
+from gradedvi import diffkernel as dk
+dk._SPLIT_MIN_VALUES = 1
+differ, split = [], 0
+for n, fan_in, fan_out in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(13)
+    a, g = rng.normal(size=(n, fan_in)), rng.normal(size=(n, fan_out))
+    split += dk._matmul_splits_exactly(fan_in, n, fan_out)
+    if dk._weight_grad(a, g).tobytes() != (a.T @ g).tobytes():
+        differ.append([n, fan_in, fan_out])
+print(json.dumps({"differ": differ, "split": split}))
+"""
 
 
 def _split_in_child():
@@ -508,6 +552,104 @@ class TestSplitRows:
         split, serial = _split_and_serial(monkeypatch, run)
         for a, b in zip(split, serial, strict=True):
             _assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("n", WEIGHT_GRAD_DRAWS)
+    @pytest.mark.parametrize("fan_in, fan_out", WEIGHT_GRAD_SHAPES)
+    def test_weight_grad_fan_in_split_guard(self, monkeypatch, n, fan_in, fan_out):
+        """A layer's weight gradient splits between its fan-in rows where
+        `_matmul_splits_exactly` allows, and equals `a.T @ g` either way.
+        The guard keeps whole a fan-in with a half under 64 rows (55, 64),
+        and at 128 draws the (192, 100) gradient, whose 2.5e6 multiply-adds
+        lie above OpenBLAS's small-kernel size and its 64-row half's 0.8e6
+        below."""
+        monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", 1)
+        rng = np.random.default_rng(13)
+        a, g = rng.normal(size=(n, fan_in)), rng.normal(size=(n, fan_out))
+        splits = dk._matmul_splits_exactly(fan_in, n, fan_out)
+        assert splits == (fan_in >= 128 and (n, fan_in, fan_out) != (128, 192, 100))
+        calls = []
+        real = dk._split_rows
+        monkeypatch.setattr(dk, "_split_rows", lambda fn, *args, **kw: (calls.append(args),
+                                                                        real(fn, *args, **kw)))
+        np.testing.assert_allclose(dk._weight_grad(a, g), a.T @ g, rtol=1e-13, atol=1e-12)
+        assert calls == ([(fan_in, a.size + g.size)] if splits else [])
+
+    def test_weight_grad_fan_in_split_matches_whole_on_one_blas_thread(self):
+        """The split weight gradients of the guard test have the bits of
+        `a.T @ g`, in a child process whose BLAS runs one thread, as
+        perfbench pins it: OpenBLAS's own threads cut a product by its size,
+        and then a (192, 100) gradient differs by 1e-13 from its halves."""
+        src = str(Path(dk.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cases = [(n, fi, fo) for n in WEIGHT_GRAD_DRAWS for fi, fo in WEIGHT_GRAD_SHAPES]
+        done = subprocess.run([sys.executable, "-c", _WEIGHT_GRAD_CHILD, json.dumps(cases)],
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert json.loads(done.stdout) == {"differ": [], "split": 17}
+
+    @pytest.mark.parametrize("B, tile, chunk", [(128, 25, None), (3, 25, 12), (5, 1, None)],
+                             ids=["study", "cut-in-respondent-rows", "one-row-each"])
+    def test_ordinal_loglik_split_matches_serial_and_unchunked(self, monkeypatch, B, tile,
+                                                                chunk):
+        """Values and both gradients of `ordinal_loglik` keep their bits split
+        and serial, and equal the unchunked arithmetic, with MISSING entries,
+        probabilities at the floor (one logit in 20 scaled by 30), items of
+        2 to 6 categories and the split cut between respondents: at 3 x 25
+        rows it falls at row 50, where a cut by rows would fall at row 38,
+        inside respondent 1, and 12-value chunks hold less than one
+        respondent."""
+        M = 50
+        rng = np.random.default_rng(14)
+        categories = rng.integers(2, 7, size=M)
+        levels = rng.integers(0, categories, size=(B, M))
+        missing = rng.random((B, M)) < 0.1
+        logits = rng.normal(0.0, 2.0, size=(B * tile, M))
+        logits[rng.random(logits.shape) < 0.05] *= 30.0  # both sigmoids round alike
+        steps = np.sort(rng.uniform(0.05, 1.5, size=(M, 5)), axis=1)
+        cuts_arr = rng.normal(size=(M, 1)) - np.cumsum(steps, axis=1) + steps[:, :1]
+        want = self._ordinal_unchunked(logits, cuts_arr, levels, missing, categories, tile)
+        floored = want[3]
+        assert floored.any() and not floored.all()
+
+        def run():
+            lg, cuts = dk.parameter(logits), dk.parameter(cuts_arr)
+            tape = dk.Tape()
+            out = dk.ordinal_loglik(tape, lg, cuts, levels, missing, categories, 1e-300,
+                                    tile=tile)
+            tape.backward(scalarize(tape, out))
+            return out.data, lg.grad, cuts.grad
+
+        if chunk is not None:
+            monkeypatch.setattr(dk, "_CHUNK_VALUES", chunk)
+        for threshold in (1, SERIAL):
+            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+            for got, expected in zip(run(), want[:3], strict=True):
+                _assert_same_bits(got, expected)
+
+    @staticmethod
+    def _ordinal_unchunked(logits, cuts, levels, missing, categories, tile):
+        """`ordinal_loglik`'s arithmetic on whole arrays, at the gradient
+        `scalarize` sends: (values, logits' and cuts' gradients, floored)."""
+        B, M = levels.shape
+        table = dk.boundary_table(cuts, categories)
+        observed = ~missing
+        upper = np.where(observed, levels, 0)
+        items = np.arange(M)[None, :]
+        t = logits.reshape(B, tile, M)
+        s_hi = dk._sigmoid_values(t + table[items, upper][:, None, :])
+        s_lo = dk._sigmoid_values(t + table[items, upper + 1][:, None, :])
+        p = np.where(observed[:, None, :], s_hi - s_lo, 1.0)
+        out = np.log(np.maximum(p, 1e-300)).reshape(B * tile, M).sum(axis=1, keepdims=True)
+        g = np.linspace(0.5, 1.5, B * tile).reshape(B, tile, 1)
+        live = observed[:, None, :] & (p > 1e-300)
+        scale = np.divide(g, p, out=np.zeros_like(p), where=live)
+        d_hi = s_hi * (1.0 - s_hi) * scale
+        d_lo = s_lo * (1.0 - s_lo) * scale
+        cells = (np.arange(M) * table.shape[1])[None, :] + upper
+        grad = (np.bincount(cells.ravel(), weights=d_hi.sum(axis=1).ravel(), minlength=table.size)
+                - np.bincount((cells + 1).ravel(), weights=d_lo.sum(axis=1).ravel(),
+                              minlength=table.size)).reshape(table.shape)
+        return out, (d_hi - d_lo).reshape(B * tile, M), grad[:, 1:-1], observed[:, None] & ~live
 
     @pytest.mark.parametrize("shape", [(37, 6), (4001, 64)])
     def test_gelu_split_matches_serial(self, monkeypatch, shape):

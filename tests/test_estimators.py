@@ -4,6 +4,7 @@ substitution, DReG against a conjugate linear-Gaussian oracle, quadrature
 self-checks, heldout/objective parity, and training-step mechanics."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from gradedvi import diffkernel as dk
 from gradedvi import estimators as estimators_mod
 from gradedvi import fitting as fitting_mod
 from gradedvi import grm as G
+from gradedvi.cli import main
 from gradedvi.estimators import (
     DegeneratePosteriorError,
     HeldoutReport,
@@ -39,6 +41,7 @@ from gradedvi.nets import (
     encode_responses,
 )
 from gradedvi.optim import NumericalError
+from gradedvi.simlab import SimDesign, simulate, write_responses_csv
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -578,6 +581,33 @@ class TestHeldoutSplit:
         resp, result = trained_adversarial
         self._split_and_serial(monkeypatch, result, resp.subset(np.arange(7)), disc=result.disc,
                                adaptive_contrast=result.config.estimator == "IWAVB")
+
+
+class TestTrainingSplit:
+    """A seeded fit writes the same fit.json bytes on one CPU as on two:
+    at the study's batch of 128 respondents, 25 draws and 50 items, the
+    networks' forward and backward and the likelihood all split."""
+
+    @pytest.mark.parametrize("estimator", ["IWAE", "IWAVB"])
+    def test_seeded_fit_split_matches_one_cpu(self, monkeypatch, tmp_path, estimator):
+        truth = simulate(SimDesign(n_respondents=150, n_items=50, n_factors=2,
+                                   categories=[2, 3, 4, 5, 6] * 10, seed=9))
+        data = truth.responses.data.copy()
+        data[np.random.default_rng(10).random(data.shape) < 0.05] = G.MISSING
+        responses = tmp_path / "responses.csv"
+        write_responses_csv(responses, ResponseMatrix(data, truth.responses.categories))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": estimator, "n_factors": 2, "R": 25,
+                                      "batch_size": 128, "max_iterations": 3, "seed": 4}))
+        found = []
+        for cpus in (None, 1):  # this machine's CPUs, then one
+            if cpus is not None:
+                monkeypatch.setattr(dk, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"fit-{cpus}"
+            assert main(["fit", "--config", str(config), "--responses", str(responses),
+                         "--out", str(out)]) == 0
+            found.append((out / "fit.json").read_bytes())
+        assert found[0] == found[1]
 
 
 class TestHeldoutBlocks:
