@@ -448,6 +448,9 @@ def cmd_scree(args) -> int:
         config.validate()
         if config.loading_structure == "simple" and n_items % p:
             raise ValueError(f"simple structure needs P | M, got M={n_items}, P={p}")
+        if config.estimator == "IWAVB" and config.r_eval < 2:
+            raise ValueError(f"r_eval = {config.r_eval}: IWAVB's adaptive contrast needs "
+                             f"R_eval >= 2 draws per respondent")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

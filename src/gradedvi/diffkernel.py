@@ -24,7 +24,8 @@ each layer of `feedforward`, forward (its matmul, per-respondent feature
 add, bias and exact GELU) and backward (the input gradient's matmul and
 GELU-derivative product, the weight gradient split over the fan-in, and
 the first layer's per-respondent sums), `gelu`, `ordinal_loglik` forward
-and backward, and both forms of `grm.category_probs`.  Each output row is
+and backward, and `grm.category_probs` at the observed categories.  Every
+matmul among them runs through `_split_matmul`.  Each output row is
 computed by the same operations either way, so the bits do not depend on
 the number of CPUs; a matmul splits only at a multiple of `_ROW_GRAIN`
 rows and where BLAS takes the same kernel for the halves as for the whole
@@ -285,7 +286,7 @@ def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
 
     The rows are those of the kernel's output: a layer's rows forward and
     for the input gradient, its fan-in for the weight gradient
-    (`_weight_grad`), respondents for per-respondent sums and
+    (`_split_matmul`), respondents for per-respondent sums and
     `ordinal_loglik`.  Rules that keep the results and the process the
     same:
     - fn must compute each row from its own inputs alone, with the same
@@ -604,61 +605,52 @@ def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
 # feed-forward networks
 
 
-def _add_per_respondent(u: np.ndarray, xw: np.ndarray, t: int, lo: int, hi: int) -> None:
-    """u[r] += xw[r // t] for the rows r in [lo, hi), in place and without
-    temporaries; [lo, hi) may start or end inside a respondent's t rows."""
+def _add_per_respondent(out: np.ndarray, u: np.ndarray, xw: np.ndarray, t: int,
+                        lo: int) -> None:
+    """out[i] = u[i] + xw[(lo + i) // t] for every row i of u, rows
+    [lo, lo + len(u)) of an array with t rows per row of xw, without
+    temporaries; out may be u itself, and the span may start or end inside
+    a respondent's t rows."""
+    hi = lo + u.shape[0]
     first, last = -(-lo // t), hi // t  # the respondents wholly inside [lo, hi)
     if first > last:
-        u[lo:hi] += xw[lo // t]
+        np.add(u, xw[lo // t], out=out)
         return
-    u[lo:first * t] += xw[lo // t]
-    whole = u[first * t:last * t].reshape(last - first, t, u.shape[1])
-    whole += xw[first:last, None, :]
-    if last * t < hi:
-        u[last * t:hi] += xw[last]
+    a, b = first * t - lo, last * t - lo
+    np.add(u[:a], xw[lo // t], out=out[:a])
+    shape = (last - first, t, u.shape[1])
+    np.add(u[a:b].reshape(shape), xw[first:last, None, :], out=out[a:b].reshape(shape))
+    if b < u.shape[0]:
+        np.add(u[b:], xw[last], out=out[b:])
 
 
-def _backprop_rows(g: np.ndarray, wt: np.ndarray | None, d: np.ndarray | None) -> np.ndarray:
-    """(g @ wt) * d, the gradient one layer lower times the GELU derivative
-    there, by rows on two threads when large; wt=None leaves out the matmul
-    and d=None the product.  The matmul splits where `_matmul_splits_exactly`
-    allows and runs whole on the calling thread otherwise."""
-    n = g.shape[0]
-    out = np.empty((n, g.shape[1] if wt is None else wt.shape[1]))
-    rows_matmul = wt is not None and _matmul_splits_exactly(n, *wt.shape)
-    if wt is not None and not rows_matmul:
-        np.matmul(g, wt, out=out)
-        if d is None:
+def _split_matmul(a: np.ndarray, w: np.ndarray, then=None) -> np.ndarray:
+    """a @ w by rows on two threads when large, followed by then(out, lo, hi)
+    on each half's rows [lo, hi) of the result when given.
+
+    The matmul splits where `_matmul_splits_exactly` allows and otherwise
+    runs whole on the calling thread first; a's values and the result's
+    count toward `_SPLIT_MIN_VALUES`.  A layer's weight gradient is
+    `_split_matmul(acts.T, g)`: its rows are the fan-in, never the draws
+    each value sums, so each value sums all the draws in one BLAS call, as
+    in the whole product.  The rules of `_matmul_splits_exactly` hold there
+    too: a (128, 5) gradient at 3,200 draws cut at fan-in row 27 differed
+    from the whole by 4e-13."""
+    n = a.shape[0]
+    out = np.empty((n, w.shape[1]))
+    by_rows = _matmul_splits_exactly(n, *w.shape)
+    if not by_rows:
+        np.matmul(a, w, out=out)
+        if then is None:
             return out
-    src = g if wt is None else out
 
     def rows(lo, hi):
-        if rows_matmul:
-            np.matmul(g[lo:hi], wt, out=out[lo:hi])
-        if d is not None:
-            np.multiply(d[lo:hi], src[lo:hi], out=out[lo:hi])
+        if by_rows:
+            np.matmul(a[lo:hi], w, out=out[lo:hi])
+        if then is not None:
+            then(out, lo, hi)
 
-    _split_rows(rows, n, g.size + out.size, grain=_ROW_GRAIN)
-    return out
-
-
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """a.T @ g, a layer's weight gradient, on two threads when large.
-
-    The split runs over a's columns, the rows of the result (the layer's
-    fan-in), and never over the draw rows that each value sums: a cut there
-    would change how BLAS adds them up.  Each value then sums all the draws
-    in one BLAS call, as in the whole product, under the rules of a row
-    split (`_matmul_splits_exactly`).  Those rules matter here too: a
-    (128, 5) gradient at 3,200 draws cut at fan-in row 27 differed from the
-    whole by 4e-13.
-    """
-    fan_in = a.shape[1]
-    out = np.empty((fan_in, g.shape[1]))
-    if not _matmul_splits_exactly(fan_in, a.shape[0], g.shape[1]):
-        return np.matmul(a.T, g, out=out)
-    _split_rows(lambda lo, hi: np.matmul(a[:, lo:hi].T, g, out=out[lo:hi]), fan_in,
-                a.size + g.size, grain=_ROW_GRAIN)
+    _split_rows(rows, n, a.size + out.size, grain=_ROW_GRAIN)
     return out
 
 
@@ -683,7 +675,7 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     Each layer of a large net runs its rows in two halves on two threads
     (`_split_rows`), with the same bits as on one, forward and backward;
     backward splits the weight gradient over the layer's fan-in instead
-    (`_weight_grad`).
+    (`_split_matmul`).
 
     With split=True the net runs once and returns (to_inputs, to_weights):
     two tensors with the same values, whose gradients reach only h and x,
@@ -718,23 +710,17 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
         if l == 0 and x is not None:
             xw = x.data @ wd[:F]  # once per respondent, added to each of its t rows
             wd = wd[F:]
-        u = np.empty((n, wd.shape[1]))
-        d = np.empty_like(u) if keep and gelu_on else None
-        step, cdf = _gelu_scratch(n, u.shape[1]) if gelu_on else (0, None)
-        rows_matmul = _matmul_splits_exactly(n, *wd.shape)
-        if not rows_matmul:
-            np.matmul(a, wd, out=u)
+        d = np.empty((n, wd.shape[1])) if keep and gelu_on else None
+        step, cdf = _gelu_scratch(n, wd.shape[1]) if gelu_on else (0, None)
 
-        def rows(lo, hi):
-            if rows_matmul:
-                np.matmul(a[lo:hi], wd, out=u[lo:hi])
+        def epilogue(u, lo, hi):
             if xw is not None and t:  # t is 0 only when there are no rows
-                _add_per_respondent(u, xw, t, lo, hi)
+                _add_per_respondent(u[lo:hi], u[lo:hi], xw, t, lo)
             u[lo:hi] += b.data
             if gelu_on:
                 _gelu_range(u, d, cdf, step, lo, hi)
 
-        _split_rows(rows, n, a.size + u.size, grain=_ROW_GRAIN)
+        u = _split_matmul(a, wd, then=epilogue)
         if keep:
             acts.append(a)
             derivs.append(d)
@@ -743,7 +729,7 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     def run_backward(g, to_inputs: bool, to_weights: bool):
         last = len(layers) - 1
         if derivs[last] is not None:
-            g = _backprop_rows(g, None, derivs[last])
+            g = derivs[last] * g
         g_sum = None  # the first layer's gradient summed over each respondent's t rows
         for l in range(last, -1, -1):
             w, b, _ = layers[l]
@@ -753,15 +739,20 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                 if w.requires_grad:
                     if l == 0 and x is not None:
                         g_sum = _respondent_sums(g, B, t)
-                        _accum(w, np.vstack([x.data.T @ g_sum, _weight_grad(acts[0], g)]))
+                        _accum(w, np.vstack([x.data.T @ g_sum, _split_matmul(acts[0].T, g)]))
                     else:
-                        _accum(w, _weight_grad(acts[l], g))
+                        _accum(w, _split_matmul(acts[l].T, g))
             if l > 0:
-                g = _backprop_rows(g, w.data.T, derivs[l - 1])
+                d = derivs[l - 1]
+
+                def times_d(out, lo, hi):  # the GELU derivative below layer l
+                    np.multiply(d[lo:hi], out[lo:hi], out=out[lo:hi])
+
+                g = _split_matmul(g, w.data.T, None if d is None else times_d)
         if to_inputs:
             w = layers[0][0].data
             if h.requires_grad:
-                _accum(h, _backprop_rows(g, w[F:].T, None))
+                _accum(h, _split_matmul(g, w[F:].T))
             if x is not None and x.requires_grad:
                 if g_sum is None:
                     g_sum = _respondent_sums(g, B, t)

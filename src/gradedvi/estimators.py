@@ -45,11 +45,13 @@ the loss.
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
 functions the training objectives use.  Only the GRM likelihood has a
-separate plain-array form there (`grm.joint_logprob_values`): per block it
-computes only each draw's observed-category probabilities, from two
-boundary sigmoids per item, and logs those.  That likelihood and the
-networks' layers, matmul and exact GELU included, run on two threads when
-they are large (`diffkernel._split_rows`), with the same bits as on one.
+separate plain-array form there (`grm.joint_logprob_values`): like the
+training likelihood, it takes one response row per respondent for its
+R_eval draws, and it computes only each draw's observed-category
+probabilities, from two boundary sigmoids per item, and logs those.  That
+likelihood and the networks' layers, matmul and exact GELU included, run
+on two threads when they are large (`diffkernel._split_rows`), with the
+same bits as on one.
 """
 
 from __future__ import annotations
@@ -337,7 +339,9 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
     feature rows once per respondent.  Noise is drawn block by block in
     respondent order, so the estimates do not depend on the block size.
     The report's `ess` is each respondent's effective sample size,
-    1 / sum_r w_tilde_r^2 over its R_eval normalized weights.
+    1 / sum_r w_tilde_r^2 over its R_eval normalized weights.  Adaptive
+    contrast needs R_eval >= 2, since a single draw has no spread; a
+    smaller R_eval raises ValueError before any draw.
     """
     values = params.values()
     x = x_holdout.data
@@ -346,6 +350,9 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
     feats, _ = encode_responses(x, params.categories, encoder.feature_dim > x.shape[1])
     P = values.n_factors
     gaussian = isinstance(encoder, GaussianEncoder)
+    if adaptive_contrast and not gaussian and R_eval < 2:
+        raise ValueError(f"R_eval = {R_eval}: adaptive contrast standardises each "
+                         f"respondent's draws by their own moments and needs R_eval >= 2")
     block = max(1, _HELDOUT_BLOCK_ROWS // R_eval)
     per_resp = np.empty(H)
     ess = np.empty(H)
@@ -372,9 +379,9 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
                                      sigma_hat, R_eval).data[:, 0]
             else:  # plain AVB: log p(z) cancels from log p(x, z) - (T + log p(z))
                 logq = disc.forward_values(fb, z)[:, 0]
-        x_rows = tile_rows(x[start:stop], R_eval)
-        logp = (grm_mod.joint_logprob_values(x_rows, z, values) if gaussian or adaptive_contrast
-                else grm_mod.conditional_loglik_values(x_rows, z, values))
+        loglik = (grm_mod.joint_logprob_values if gaussian or adaptive_contrast
+                  else grm_mod.conditional_loglik_values)
+        logp = loglik(x[start:stop], z, values, R_eval)
         log_w = (logp - logq).reshape(nb, R_eval)
         per_resp[start:stop] = logmeanexp(log_w, axis=1)
         w = normalized_weights(log_w)

@@ -16,12 +16,13 @@ boundaries once and broadcasts them over that respondent's latent draws.
 The plain-array likelihood (`*_values` functions plus
 `category_probs`/`category_logprob`) backs data generation, quadrature
 oracles and heldout evaluation.  Both read their boundaries from
-`diffkernel.boundary_table`, and a parity test keeps them equal.
-`category_probs` runs the sigmoid only on the inner boundary levels,
-level-major and in cache-sized row chunks, which a large table shares out
-between two threads (`diffkernel._split_rows`).  Given the observed
-categories, it computes only their probabilities, two boundary sigmoids
-per cell, which is all `conditional_loglik_values` logs.  Both give the
+`diffkernel.boundary_table`, and a parity test keeps them equal.  The
+full `category_probs` table is a sigmoid of the inner boundary levels and
+their differences.  Given one row of observed categories per respondent,
+as the training selectors hold, `category_probs` gathers each
+respondent's two boundaries once and computes only those categories'
+probabilities, two sigmoids per cell, in row chunks that a large call
+shares between two threads (`diffkernel._split_rows`).  Both give the
 same bits as the plain full-table forms, which the tests keep as oracles.
 """
 
@@ -41,7 +42,6 @@ MISSING = -1
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _PROB_FLOOR = 1e-300
 _GAP = 1e-6  # strict minimum spacing between consecutive intercepts
-_CHUNK_VALUES = 1 << 16  # boundary sigmoids per category_probs chunk (512 KB each)
 
 
 class DataError(ValueError):
@@ -276,8 +276,8 @@ def simple_structure_mask(n_items: int, n_factors: int) -> np.ndarray:
 # plain-array evaluation
 
 
-def category_probs(z: np.ndarray, values: GrmValues,
-                   observed: np.ndarray | None = None) -> np.ndarray:
+def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None = None,
+                   tile: int = 1) -> np.ndarray:
     """(n, M, maxC) category probabilities, padded categories 0; with
     `observed`, only the (n, M) probabilities of those categories.
 
@@ -285,19 +285,18 @@ def category_probs(z: np.ndarray, values: GrmValues,
     `diffkernel.boundary_table`, category k has probability s_k - s_{k+1}.
     Level 0 is +inf and levels from C_j on are -inf, whose sigmoids are
     exactly 1 and 0, so category 0 is 1 - s_1 and the last is s_K to the
-    bit.  The work runs in row chunks of about `_CHUNK_VALUES` values,
-    through scratch buffers the calling thread allocates, and a large call
-    splits between two threads (`diffkernel._split_rows`).
+    bit.  Without `observed` the sigmoid runs on the K inner levels only,
+    level-major so every pass runs over contiguous items, and the result is
+    an (n, M, maxC) view of the level-major array.
 
-    Without `observed` the sigmoid runs only on the K inner levels, level-
-    major as (rows, K, M) so every pass runs over contiguous item rows; the
-    result is an (n, M, maxC) view of the level-major array.
-
-    observed is an (n, M) integer array of categories in [0, C_j), with
-    MISSING entries already mapped to any valid category; an entry outside
-    that range raises DataError naming its item.  Each cell then takes its
-    two boundaries with one `take` from the flattened table and runs two
-    sigmoids, where the full table runs one per level.
+    observed is a (n / tile, M) integer array of categories in [0, C_j),
+    one row per respondent for its `tile` rows of z, with MISSING entries
+    already mapped to any valid category; an entry outside that range
+    raises DataError naming its item.  Each respondent's two boundaries
+    are gathered once, and each cell runs two sigmoids, in row chunks of
+    about `diffkernel._CHUNK_VALUES` values through scratch buffers the
+    calling thread allocates; a large call splits between two threads
+    (`diffkernel._split_rows`).
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cats = np.array([len(a) + 1 for a in values.intercepts])
@@ -307,60 +306,44 @@ def category_probs(z: np.ndarray, values: GrmValues,
     cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
     table = dk.boundary_table(cuts, cats)                            # (M, K + 2)
     if observed is not None:
-        return _observed_probs(z @ values.loadings.T, table, cats, observed)
-    n = z.shape[0]
-    levels = table[:, 1:-1].T                                        # (K, M)
-    logits = (z @ values.loadings.T)[:, None, :]                     # (n, 1, M)
-    probs = np.empty((n, K + 1, M))
-    step = max(1, _CHUNK_VALUES // (K * M))
-    t_buf = np.empty((min(n, 2 * step), K, M))
+        return _observed_probs(z @ values.loadings.T, table, cats, observed, tile)
+    t = (z @ values.loadings.T)[:, None, :] + table[:, 1:-1].T       # (n, K, M)
+    s = dk._sigmoid_values(t, scratch=t)
+    probs = np.empty((z.shape[0], K + 1, M))
+    np.subtract(1.0, s[:, 0], out=probs[:, 0])
+    np.subtract(s[:, :-1], s[:, 1:], out=probs[:, 1:K])
+    probs[:, K] = s[:, K - 1]
+    return probs.transpose(0, 2, 1)
+
+
+def _observed_probs(logits: np.ndarray, table: np.ndarray, cats: np.ndarray,
+                    observed: np.ndarray, tile: int) -> np.ndarray:
+    """`category_probs` at the observed categories: (n, M) logits, the
+    (M, K + 2) boundary table and (n / tile, M) categories.  The chunks
+    run by rows, which may cut a respondent's tile rows: a heldout block
+    can hold a single respondent."""
+    n, M = logits.shape
+    observed = np.asarray(observed)
+    if observed.ndim != 2 or observed.shape[0] * tile != n or observed.shape[1] != M:
+        raise dk.ShapeError(f"category_probs: observed {observed.shape} x tile {tile} vs "
+                            f"{n} rows and {M} items")
+    if observed.size and (observed.min() < 0 or (observed.max(axis=0) >= cats).any()):
+        i, j = np.argwhere((observed < 0) | (observed >= cats))[0]
+        raise DataError(f"item {j}: category {observed[i, j]} outside [0, {cats[j]})")
+    items = np.arange(M)[None, :]
+    upper, lower = table[items, observed], table[items, observed + 1]
+    probs = np.empty((n, M))
+    step = max(1, dk._CHUNK_VALUES // M)
+    t_buf = np.empty((min(n, 2 * step), M))
     s_buf = np.empty_like(t_buf)
 
     def chunks(lo, hi):
         for a in range(lo, hi, step):
             b = min(a + step, hi)
-            t = np.add(logits[a:b], levels, out=dk._chunk_slot(t_buf, lo, b - a))
-            s = dk._sigmoid_values(t, out=dk._chunk_slot(s_buf, lo, b - a), scratch=t)
-            out = probs[a:b]
-            np.subtract(1.0, s[:, 0], out=out[:, 0])
-            np.subtract(s[:, :-1], s[:, 1:], out=out[:, 1:K])
-            out[:, K] = s[:, K - 1]
-
-    dk._split_rows(chunks, n, n * K * M, grain=step)
-    return probs.transpose(0, 2, 1)
-
-
-def _observed_probs(logits: np.ndarray, table: np.ndarray, cats: np.ndarray,
-                    observed: np.ndarray) -> np.ndarray:
-    """`category_probs` at the observed categories: (n, M) logits, the
-    (M, K + 2) boundary table and (n, M) categories."""
-    n, M = logits.shape
-    observed = np.asarray(observed)
-    if observed.shape != (n, M):
-        raise dk.ShapeError(f"category_probs: observed {observed.shape} vs {n} rows "
-                            f"and {M} items")
-    if n and (observed.min() < 0 or (observed.max(axis=0) >= cats).any()):
-        i, j = np.argwhere((observed < 0) | (observed >= cats))[0]
-        raise DataError(f"item {j}: category {observed[i, j]} outside [0, {cats[j]})")
-    flat = table.ravel()  # table[j, x] is flat[j * (K + 2) + x], table[j, x + 1] one on
-    base = np.arange(M) * table.shape[1]
-    probs = np.empty((n, M))
-    step = max(1, _CHUNK_VALUES // M)
-    rows = min(n, 2 * step)
-    cell_buf = np.empty((rows, M), dtype=np.int64)
-    t_buf = np.empty((rows, M))
-    s_buf = np.empty((rows, M))
-
-    def chunks(lo, hi):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            cell = np.add(observed[a:b], base, out=dk._chunk_slot(cell_buf, lo, b - a))
-            # mode="clip": the range is checked above, and "raise" buffers out
-            t = np.take(flat, cell, out=dk._chunk_slot(t_buf, lo, b - a), mode="clip")
-            t += logits[a:b]
+            t = dk._chunk_slot(t_buf, lo, b - a)
+            dk._add_per_respondent(t, logits[a:b], upper, tile, a)
             s_hi = dk._sigmoid_values(t, out=dk._chunk_slot(s_buf, lo, b - a), scratch=t)
-            np.take(flat[1:], cell, out=t, mode="clip")
-            t += logits[a:b]
+            dk._add_per_respondent(t, logits[a:b], lower, tile, a)
             s_lo = dk._sigmoid_values(t, out=probs[a:b], scratch=t)
             np.subtract(s_hi, s_lo, out=s_lo)
 
@@ -374,23 +357,26 @@ def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
     return np.log(np.maximum(probs, _PROB_FLOOR))
 
 
-def conditional_loglik_values(x: np.ndarray, z: np.ndarray, values: GrmValues) -> np.ndarray:
-    """Sum over items of log p_{i,j,x_ij}; MISSING entries contribute 0.
+def conditional_loglik_values(x: np.ndarray, z: np.ndarray, values: GrmValues,
+                              tile: int = 1) -> np.ndarray:
+    """Sum over items of log p_{i,j,x_ij} per row of z; MISSING entries
+    contribute 0.
 
-    Computes only each observed category's probability
-    (`category_probs(..., observed=)`) and logs that (n, M) selection.  x
-    must be (n, M) for n rows of z, each entry MISSING or in [0, C_j);
-    any other entry raises DataError naming its item.
+    x holds one (M,) response row per respondent and z `tile` rows per
+    respondent, respondent-major, as in `conditional_loglik`; each entry of
+    x is MISSING or in [0, C_j), and any other raises DataError naming its
+    item.  Computes only each observed category's probability
+    (`category_probs(..., observed=)`) and logs that (n, M) selection.
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if x.shape != (z.shape[0], values.n_items):
-        raise dk.ShapeError(f"conditional_loglik_values: responses {x.shape} vs latents "
-                            f"{z.shape} and {values.n_items} items")
+    if x.ndim != 2 or x.shape[0] * tile != z.shape[0] or x.shape[1] != values.n_items:
+        raise dk.ShapeError(f"conditional_loglik_values: responses {x.shape} x tile {tile} "
+                            f"vs latents {z.shape} and {values.n_items} items")
     mask = x != MISSING
-    p = category_probs(z, values, observed=np.where(mask, x, 0))
-    sel = np.log(np.maximum(p, _PROB_FLOOR))
-    return (sel * mask).sum(axis=1)
+    p = category_probs(z, values, observed=np.where(mask, x, 0), tile=tile)
+    sel = np.log(np.maximum(p, _PROB_FLOOR)).reshape(x.shape[0], tile, x.shape[1])
+    return (sel * mask[:, None, :]).reshape(p.shape).sum(axis=1)
 
 
 def prior_logpdf_values(z: np.ndarray, values: GrmValues) -> np.ndarray:
@@ -404,8 +390,9 @@ def prior_logpdf_values(z: np.ndarray, values: GrmValues) -> np.ndarray:
     return -0.5 * quad - 0.5 * logdet - 0.5 * P * _LOG_2PI
 
 
-def joint_logprob_values(x: np.ndarray, z: np.ndarray, values: GrmValues) -> np.ndarray:
-    return conditional_loglik_values(x, z, values) + prior_logpdf_values(z, values)
+def joint_logprob_values(x: np.ndarray, z: np.ndarray, values: GrmValues,
+                         tile: int = 1) -> np.ndarray:
+    return conditional_loglik_values(x, z, values, tile) + prior_logpdf_values(z, values)
 
 
 # ---------------------------------------------------------------------------

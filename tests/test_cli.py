@@ -727,6 +727,25 @@ class TestHeldout:
                      "--fraction", "0.25", "--r-eval", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["high_variance"]
 
+    def test_iwavb_r_eval_one_exits_2(self, dataset, tmp_path, capsys):
+        """Adaptive contrast standardises each respondent's draws by their
+        own moments, so a single draw per respondent is an input error, not
+        a numerical failure."""
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg, estimator="IWAVB", max_iterations=5)
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--responses", str(resp_path),
+                     "--out", str(fit_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "heldout.json"
+        code = main(["heldout", "--fit", str(fit_dir / "fit.json"), "--responses",
+                     str(resp_path), "--fraction", "0.25", "--r-eval", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: R_eval = 1: adaptive contrast") and "Traceback" not in err
+        assert not out.exists()
+
     def test_same_seed_shares_split(self, big_fit, tmp_path):
         resp_path, fit_path = big_fit
         out1, out2 = tmp_path / "h1.json", tmp_path / "h2.json"
@@ -856,6 +875,11 @@ class TestScree:
         # the dataset has 6 items: P=2 divides them, P=4 does not
         self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, "2,4", "P | M",
                                            loading_structure="simple")
+
+    def test_iwavb_r_eval_one_exits_2(self, dataset, tmp_path, capsys):
+        # adaptive contrast needs two draws per respondent to standardise them
+        self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, "1,2",
+                                           "R_eval >= 2", estimator="IWAVB", r_eval=1)
 
     def test_no_successful_fit_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         resp_path, _ = dataset

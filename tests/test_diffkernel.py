@@ -448,7 +448,7 @@ for n, fan_in, fan_out in json.loads(sys.argv[1]):
     rng = np.random.default_rng(13)
     a, g = rng.normal(size=(n, fan_in)), rng.normal(size=(n, fan_out))
     split += dk._matmul_splits_exactly(fan_in, n, fan_out)
-    if dk._weight_grad(a, g).tobytes() != (a.T @ g).tobytes():
+    if dk._split_matmul(a.T, g).tobytes() != (a.T @ g).tobytes():
         differ.append([n, fan_in, fan_out])
 print(json.dumps({"differ": differ, "split": split}))
 """
@@ -571,8 +571,8 @@ class TestSplitRows:
         real = dk._split_rows
         monkeypatch.setattr(dk, "_split_rows", lambda fn, *args, **kw: (calls.append(args),
                                                                         real(fn, *args, **kw)))
-        np.testing.assert_allclose(dk._weight_grad(a, g), a.T @ g, rtol=1e-13, atol=1e-12)
-        assert calls == ([(fan_in, a.size + g.size)] if splits else [])
+        np.testing.assert_allclose(dk._split_matmul(a.T, g), a.T @ g, rtol=1e-13, atol=1e-12)
+        assert calls == ([(fan_in, a.size + fan_in * fan_out)] if splits else [])
 
     def test_weight_grad_fan_in_split_matches_whole_on_one_blas_thread(self):
         """The split weight gradients of the guard test have the bits of

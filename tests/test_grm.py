@@ -5,6 +5,7 @@ import json
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -243,14 +244,15 @@ class TestPlainArrayBitIdentity:
     @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), binary=st.booleans(),
            n=st.integers(1, 40), z_scale=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
            missing=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
-           chunk=st.sampled_from([1, 50, grm._CHUNK_VALUES]))
+           chunk=st.sampled_from([1, 50, dk._CHUNK_VALUES]))
     @example(cats=[2, 2, 2], binary=True, n=1, z_scale=1e3, missing=0.3, seed=0,
-             chunk=grm._CHUNK_VALUES)
+             chunk=dk._CHUNK_VALUES)
     @example(cats=[6, 2, 4], binary=False, n=1, z_scale=1.0, missing=0.0, seed=1,
-             chunk=grm._CHUNK_VALUES)
+             chunk=dk._CHUNK_VALUES)
     def test_matches_full_table_oracle(self, cats, binary, n, z_scale, missing, seed, chunk):
-        """chunk sets how many sigmoids category_probs takes per row chunk:
-        1 gives one row per chunk, 50 a few rows and a short last chunk."""
+        """chunk sets how many values category_probs(observed=) takes per row
+        chunk: 1 gives one row per chunk, 50 a few rows and a short last
+        chunk."""
         rng = np.random.default_rng(seed)
         cats = np.full(len(cats), 2) if binary else np.asarray(cats)
         M, P = len(cats), 2
@@ -263,36 +265,18 @@ class TestPlainArrayBitIdentity:
         x = np.stack([rng.integers(0, c, size=n) for c in cats], axis=1)
         x[rng.random(x.shape) < missing] = MISSING
 
-        with mock.patch.object(grm, "_CHUNK_VALUES", chunk):
+        with mock.patch.object(dk, "_CHUNK_VALUES", chunk):
             probs = category_probs(z, values)
             loglik = conditional_loglik_values(x, z, values)
         assert probs.shape == (n, M, cats.max())
         assert_same_bits(probs, _category_probs_oracle(z, values))
         assert_same_bits(loglik, _conditional_loglik_oracle(x, z, values))
 
-    @pytest.mark.parametrize("M, n, chunk", [(3, 9, 24), (50, 1500, grm._CHUNK_VALUES)])
-    def test_category_probs_split_matches_serial(self, monkeypatch, M, n, chunk):
-        """Five row chunks, an odd count: of 2 rows at M=3, and of 327 rows
-        at the study's M=50, with four boundaries per item."""
-        rng = np.random.default_rng(16)
-        raw = rng.normal(0.0, 3.0, size=(M, 4))
-        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, 2)),
-                           intercepts=list(dk.ordered_cuts(None, dk.const(raw), 1e-6).data),
-                           factor_corr=np.eye(2))
-        z = rng.normal(size=(n, 2))
-        monkeypatch.setattr(grm, "_CHUNK_VALUES", chunk)
-        got = []
-        for threshold in (1, 1 << 62):  # every table split, then none
-            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
-            got.append(category_probs(z, values))
-        assert_same_bits(got[0], got[1])
-        assert_same_bits(got[0], _category_probs_oracle(z, values))
-
     @settings(max_examples=120, deadline=None)
     @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), n=st.integers(1, 40),
            z_max=st.sampled_from([1.0, 10.0, 40.0]), missing=st.sampled_from([0.0, 0.3]),
-           seed=st.integers(0, 2 ** 32 - 1), chunk=st.sampled_from([1, 50, grm._CHUNK_VALUES]))
-    @example(cats=[2, 6, 3], n=2, z_max=40.0, missing=0.0, seed=2, chunk=grm._CHUNK_VALUES)
+           seed=st.integers(0, 2 ** 32 - 1), chunk=st.sampled_from([1, 50, dk._CHUNK_VALUES]))
+    @example(cats=[2, 6, 3], n=2, z_max=40.0, missing=0.0, seed=2, chunk=dk._CHUNK_VALUES)
     def test_observed_probs_split_match_table_gather(self, cats, n, z_max, missing, seed, chunk):
         """category_probs(observed=...) equals the full table's gather bit
         for bit, split or serial: mixed category counts, MISSING entries
@@ -316,7 +300,7 @@ class TestPlainArrayBitIdentity:
         want = np.take_along_axis(_category_probs_oracle(z, values), observed[:, :, None],
                                   axis=2)[:, :, 0]
         for threshold in (1, 1 << 62):  # every call split, then none
-            with mock.patch.object(grm, "_CHUNK_VALUES", chunk), \
+            with mock.patch.object(dk, "_CHUNK_VALUES", chunk), \
                     mock.patch.object(dk, "_SPLIT_MIN_VALUES", threshold):
                 assert_same_bits(category_probs(z, values, observed=observed), want)
 
@@ -337,6 +321,76 @@ class TestPlainArrayBitIdentity:
         assert_same_bits(got[0], got[1])
         assert_same_bits(got[0], np.take_along_axis(_category_probs_oracle(z, values),
                                                     x[:, :, None], axis=2)[:, :, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), n_resp=st.integers(1, 5),
+           tile=st.integers(1, 9), missing=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2 ** 32 - 1), chunk=st.sampled_from([1, 12, dk._CHUNK_VALUES]))
+    @example(cats=[3, 5, 2], n_resp=3, tile=7, missing=0.3, seed=3, chunk=12)
+    def test_per_respondent_split_matches_tiled_rows(self, cats, n_resp, tile, missing, seed,
+                                                     chunk):
+        """One response row per respondent for `tile` draws each gives the
+        bits of the same rows repeated `tile` times, split and serial.  In
+        the example, 3 respondents x 7 draws of three items, the split cut
+        falls at row 10 and a 12-value chunk holds 4 rows, so both cut
+        through a respondent's draws."""
+        rng = np.random.default_rng(seed)
+        cats = np.asarray(cats)
+        M, P = len(cats), 2
+        raw = rng.normal(0.0, 3.0, size=(M, cats.max() - 1))
+        cuts = dk.ordered_cuts(None, dk.const(raw), 1e-6).data
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(M, P)),
+                           intercepts=[row[:c - 1] for row, c in zip(cuts, cats)],
+                           factor_corr=np.eye(P))
+        z = rng.normal(0.0, 3.0, size=(n_resp * tile, P))
+        x = np.stack([rng.integers(0, c, size=n_resp) for c in cats], axis=1)
+        x[rng.random(x.shape) < missing] = MISSING
+        x_rows = np.repeat(x, tile, axis=0)
+        observed = np.where(x == MISSING, 0, x)
+        want_probs = np.take_along_axis(_category_probs_oracle(z, values),
+                                        np.repeat(observed, tile, axis=0)[:, :, None],
+                                        axis=2)[:, :, 0]
+        want = _conditional_loglik_oracle(x_rows, z, values)
+        for threshold in (1, 1 << 62):  # every call split, then none
+            with mock.patch.object(dk, "_CHUNK_VALUES", chunk), \
+                    mock.patch.object(dk, "_SPLIT_MIN_VALUES", threshold):
+                assert_same_bits(category_probs(z, values, observed=observed, tile=tile),
+                                 want_probs)
+                assert_same_bits(conditional_loglik_values(x, z, values, tile=tile), want)
+                assert_same_bits(joint_logprob_values(x, z, values, tile=tile),
+                                 joint_logprob_values(x_rows, z, values))
+
+    def test_per_respondent_split_at_heldout_block(self, monkeypatch):
+        """A heldout block at R_eval = 5,000: one respondent's response row
+        for 5,000 draws of 50 five-category items, on two threads and on
+        one, with the bits of the row repeated 5,000 times."""
+        rng = np.random.default_rng(18)
+        raw = rng.normal(0.0, 3.0, size=(50, 4))
+        values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(50, 5)),
+                           intercepts=list(dk.ordered_cuts(None, dk.const(raw), 1e-6).data),
+                           factor_corr=np.eye(5))
+        z = rng.normal(size=(5000, 5))
+        x = rng.integers(0, 5, size=(1, 50))
+        x[0, 7] = MISSING
+        want = joint_logprob_values(np.repeat(x, 5000, axis=0), z, values)
+        for threshold in (1, 1 << 62):
+            monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
+            assert_same_bits(joint_logprob_values(x, z, values, tile=5000), want)
+
+    @pytest.mark.parametrize("x_rows, z_rows, tile", [(2, 5, 3), (2, 7, 3), (1, 3, 1)],
+                             ids=["z-short", "z-long", "tile-1"])
+    def test_per_respondent_split_row_mismatch_raises(self, x_rows, z_rows, tile):
+        """z must hold exactly `tile` rows per response row."""
+        vals = random_values(np.random.default_rng(19))
+        x = np.zeros((x_rows, 4), dtype=np.int64)
+        z = np.zeros((z_rows, 2))
+        pattern = rf"\({x_rows}, 4\) x tile {tile}.*{z_rows}"
+        with pytest.raises(dk.ShapeError, match=pattern):
+            conditional_loglik_values(x, z, vals, tile=tile)
+        with pytest.raises(dk.ShapeError, match=pattern):
+            joint_logprob_values(x, z, vals, tile=tile)
+        with pytest.raises(dk.ShapeError, match=pattern):
+            category_probs(z, vals, observed=x, tile=tile)
 
     @pytest.mark.parametrize("item, value", [(0, 2), (1, 4), (1, -2), (2, 9)],
                              ids=["at-C_j", "past-max", "negative", "past-table"])
@@ -474,24 +528,56 @@ class TestGraphPath:
             assert np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
 
 
-def _fd(f, x0, h=1e-5):
-    g = np.zeros_like(x0)
-    for idx in np.ndindex(*x0.shape):
-        xp, xm = x0.copy(), x0.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+def _mp_central_differences(logits, cuts, selectors, tile, weights, h="1e-20"):
+    """Central differences of sum_r weights[r] * (ordinal log-likelihood of
+    row r), `ordinal_loglik`'s formula with the floor, in 50-digit mpmath:
+    (gradient in logits, gradient in cuts).  Each difference takes only the
+    terms that depend on the perturbed entry, since the others cancel
+    exactly, and at 50 digits a step of 1e-20 leaves about 30 digits after
+    the cancellation between two sigmoids near 1 that a float64 difference
+    loses."""
+    levels, missing, cats = (selectors[k] for k in ("levels", "missing", "categories"))
+    with mpmath.workdps(50):
+        step = mpmath.mpf(h)
+        floor = mpmath.mpf(grm._PROB_FLOOR)
+
+        def term(r, j, logit, cut_row):
+            i = r // tile
+            if missing[i, j]:
+                return mpmath.mpf(0)
+            k = levels[i, j]
+            s_hi = 1 if k == 0 else 1 / (1 + mpmath.exp(-(logit + cut_row[k - 1])))
+            s_lo = 0 if k + 1 >= cats[j] else 1 / (1 + mpmath.exp(-(logit + cut_row[k])))
+            return mpmath.mpf(weights[r, 0]) * mpmath.log(max(s_hi - s_lo, floor))
+
+        mp_logits = [[mpmath.mpf(v) for v in row] for row in logits]
+        mp_cuts = [[mpmath.mpf(v) for v in row] for row in cuts]
+        g_logits = np.zeros(logits.shape)
+        for r, j in np.ndindex(*logits.shape):
+            l0 = mp_logits[r][j]
+            diff = term(r, j, l0 + step, mp_cuts[j]) - term(r, j, l0 - step, mp_cuts[j])
+            g_logits[r, j] = float(diff / (2 * step))
+        g_cuts = np.zeros(cuts.shape)
+        for j, k in np.ndindex(*cuts.shape):
+            plus, minus = list(mp_cuts[j]), list(mp_cuts[j])
+            plus[k] += step
+            minus[k] -= step
+            diff = sum(term(r, j, mp_logits[r][j], plus) - term(r, j, mp_logits[r][j], minus)
+                       for r in range(logits.shape[0]))
+            g_cuts[j, k] = float(diff / (2 * step))
+    return g_logits, g_cuts
 
 
 class TestFusedLikelihoodOp:
     """dk.ordinal_loglik, the training-path likelihood, against the array
-    twin and against central differences."""
+    twin and against central differences in 50-digit arithmetic: float64
+    ones lose about 2e-5 where two sigmoids near 1 cancel (the example)."""
 
     @settings(max_examples=30, deadline=None)
     @given(cats=st.lists(st.integers(2, 5), min_size=1, max_size=4),
            n_resp=st.integers(1, 3), tile=st.sampled_from([1, 3]),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(cats=[2, 4, 4, 4], n_resp=1, tile=3, seed=638838)
     def test_matches_array_path_and_finite_differences(self, cats, n_resp, tile, seed):
         rng = np.random.default_rng(seed)
         cats = np.asarray(cats)
@@ -522,9 +608,6 @@ class TestFusedLikelihoodOp:
                                     grm._PROB_FLOOR, tile=tile)
             return dk.tsum(tape, dk.mul(tape, out, dk.const(weights)))
 
-        def objective(logits, cuts):
-            return forward(None, dk.const(logits), dk.const(cuts)).item()
-
         def gradients(selectors):
             tape = dk.Tape()
             logits = dk.parameter(logits0)
@@ -536,16 +619,15 @@ class TestFusedLikelihoodOp:
         got = grm.conditional_loglik(None, {"beta": dk.const(values.loadings),
                                             "alpha": dk.const(cuts0)},
                                      dk.const(z), sel, tile=tile).data[:, 0]
-        expected = conditional_loglik_values(np.repeat(x, tile, axis=0), z, values)
+        expected = conditional_loglik_values(x, z, values, tile=tile)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
         g_logits, g_cuts = gradients(sel)
         # the floored entry contributes exactly zero gradient
         assert np.all(g_logits[:tile, 0] == 0.0)
-        fd = _fd(lambda a: objective(a, cuts0), logits0)
-        np.testing.assert_allclose(g_logits, fd, rtol=1e-5, atol=1e-6)
-        fd = _fd(lambda a: objective(logits0, a), cuts0)
-        np.testing.assert_allclose(g_cuts, fd, rtol=1e-5, atol=1e-6)
+        fd_logits, fd_cuts = _mp_central_differences(logits0, cuts0, sel, tile, weights)
+        np.testing.assert_allclose(g_logits, fd_logits, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(g_cuts, fd_cuts, rtol=1e-5, atol=1e-6)
 
         # ... and the same zero to the intercepts: marking it missing changes no gradient
         sel_m = dict(sel, missing=sel["missing"].copy())
