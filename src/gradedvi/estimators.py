@@ -28,7 +28,7 @@ and the discriminator compute the feature part of their first layer once per
 respondent and add it to each draw's noise or latent part; and the decoder
 gathers each respondent's category boundaries once for all of its draws.
 
-Training builds one tape per step.  The root is -mean(IW-ELBO) (for
+Training builds one main tape per step.  The root is -mean(IW-ELBO) (for
 AVB/IWAVB plus the discriminator's classification loss), so the decoder
 receives sum_r w_tilde dlog w/dtheta and the encoder the plain
 reparameterized gradient.  DReG (`dreg_phi_surrogate`) stops the explicit
@@ -39,8 +39,10 @@ discriminator runs once on the encoder draws, as one split forward: the
 weight path's log q takes the output whose gradient reaches only the draws,
 and the classification loss takes the output whose gradient reaches only
 the discriminator's weights, so psi trains on that loss alone and the loss
-never moves the encoder.  A second forward, on the prior draws, completes
-the loss.
+never moves the encoder.  A second forward, on the prior draws
+(`avb_prior_loss`), completes the loss; it reads only psi, the features and
+the noise, so training runs it first, on its own tape, back-propagates it
+at once and hands the main tape its value as a constant.
 
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
@@ -73,6 +75,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # (draws, hidden) layer outputs near 10 MB and its (draws, items) likelihood
 # arrays near 2 MB, instead of hundreds of MB.
 _HELDOUT_BLOCK_ROWS = 5_000
+# Values per chunk of the quadrature oracle's (items, respondents, nodes)
+# gather: 2 MB, where the whole gather takes 20 MB for 40 respondents at P=2
+# and 2 GB at the study size.
+_QUADRATURE_CHUNK_VALUES = 1 << 18
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -224,23 +230,30 @@ def avb_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
     return {"z": z, "log_w": dk.sub(tape, logp, logq), "z_std": z_std, "t_q": t_q}
 
 
-def avb_discriminator_loss(tape: Tape | None, disc: Discriminator,
-                           feats: np.ndarray | None, t_q: Tensor2,
-                           zeta: np.ndarray) -> Tensor2:
+def avb_prior_loss(tape: Tape | None, disc: Discriminator, feats: np.ndarray | None,
+                   zeta: np.ndarray) -> Tensor2:
+    """The prior-draw half of the discriminator's loss, mean softplus(T(x, zeta)).
+
+    zeta holds the same whole number of prior draws per respondent as the
+    encoder draws, and feats one row per respondent.  The pass depends on
+    neither the encoder nor the decoder, so training back-propagates it on
+    its own tape before the main graph is built.
+    """
+    t_p = disc.forward(tape, None if feats is None else dk.const(feats), dk.const(zeta))
+    return dk.tmean(tape, dk.log1p_exp(tape, t_p))
+
+
+def avb_discriminator_loss(tape: Tape | None, t_q: Tensor2, loss_p: Tensor2) -> Tensor2:
     """Binary-classification loss (to minimize) on encoder vs prior samples.
 
     t_q holds the discriminator's logits on the encoder draws, and its
     gradient must not reach the encoder: the "t_q" of `avb_log_weights`, or
-    a forward on constant draws.  The discriminator runs here on the prior
-    draws zeta, which hold the same whole number of rows per respondent;
-    feats holds one row per respondent.  Per pair the loss is
-    softplus(-T_q) + softplus(T_p), which is log 4 at T = 0 and tends to 0
-    under perfect separation.
+    a forward on constant draws.  loss_p is `avb_prior_loss` on the prior
+    draws: on this tape, or a constant when its own tape has already been
+    back-propagated.  Per pair the loss is softplus(-T_q) + softplus(T_p),
+    which is log 4 at T = 0 and tends to 0 under perfect separation.
     """
-    x_t = dk.const(feats) if feats is not None and disc.response_dim > 0 else None
-    t_p = disc.forward(tape, x_t, dk.const(zeta))
     loss_q = dk.tmean(tape, dk.log1p_exp(tape, dk.mul(tape, t_q, -1.0)))
-    loss_p = dk.tmean(tape, dk.log1p_exp(tape, t_p))
     return dk.add(tape, loss_q, loss_p)
 
 
@@ -285,7 +298,13 @@ def logmeanexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def marginal_loglik_quadrature(x: ResponseMatrix | np.ndarray, values: GrmValues,
                                nodes: int = 101) -> np.ndarray:
-    """Gauss-Hermite log marginal likelihood per respondent; P <= 2 only."""
+    """Gauss-Hermite log marginal likelihood per respondent; P <= 2 only.
+
+    Each response is MISSING or a category in [0, C_j); any other raises
+    DataError naming its item.  Each node's log-likelihood sums the
+    observed categories' log probabilities, gathered for chunks of about
+    `_QUADRATURE_CHUNK_VALUES` (item, respondent, node) cells at a time.
+    """
     P = values.n_factors
     if P > 2:
         raise UnsupportedDimensionError(f"quadrature oracle supports P <= 2, got P={P}")
@@ -302,14 +321,28 @@ def marginal_loglik_quadrature(x: ResponseMatrix | np.ndarray, values: GrmValues
         grid = (math.sqrt(2.0) * tt) @ chol.T
         ww = np.outer(w, w).reshape(-1)
         logw = np.log(ww) - math.log(math.pi)
-    logp_grid = grm_mod.category_logprob(grid, values)      # (G, M, C)
-    M = data.shape[1]
-    sel = logp_grid[:, np.arange(M)[None, :], np.maximum(data, 0)]  # (G, N, M)
-    sel = np.where((data != grm_mod.MISSING)[None, :, :], sel, 0.0)
-    ll = sel.sum(axis=2)                                    # (G, N)
-    total = ll + logw[:, None]
-    m = total.max(axis=0)
-    return m + np.log(np.exp(total - m).sum(axis=0))
+    missing = data == grm_mod.MISSING
+    levels = np.where(missing, 0, data)
+    grm_mod.check_categories(levels, values.categories)
+    # (M, C, G): item-major, so each chunk's gather is (M, N, nodes) and
+    # sums over items in order, and each respondent's G node values are
+    # contiguous for the sum over nodes
+    logp_grid = np.ascontiguousarray(grm_mod.category_logprob(grid, values).transpose(1, 2, 0))
+    M, _, G = logp_grid.shape
+    N = data.shape[0]
+    ll = np.empty((N, G))
+    # at least two nodes per chunk, the last one taking the rest: a chunk of
+    # one node and one respondent would sum its items pairwise, not in order
+    step = max(2, _QUADRATURE_CHUNK_VALUES // max(N * M, 1))
+    edges = [*range(0, max(G - step, 1), step), G]
+    items = np.arange(M)[:, None]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = logp_grid[items, levels.T, lo:hi]
+        np.copyto(sel, 0.0, where=missing.T[:, :, None])
+        np.sum(sel, axis=0, out=ll[:, lo:hi])
+    total = ll + logw
+    m = total.max(axis=1)
+    return m + np.log(np.exp(total - m[:, None]).sum(axis=1))
 
 
 @dataclass

@@ -2,17 +2,22 @@
 cyclical learning rates, windowed convergence monitoring, and the FitResult
 artifact.
 
-Each step builds one tape and runs the encoder and the decoder once, and
-(for AVB and IWAVB) the discriminator once on the encoder draws and once on
-the prior draws; the VAE and AVB steps score no prior and so build no factor
-correlation chain.  Its root is the negated batch objective plus, for the
-adversarial estimators, the discriminator's classification loss: theta gets
-the importance-weighted decoder gradient, phi the encoder gradient (DReG's
+Each step builds one main tape and runs the encoder and the decoder once,
+and (for AVB and IWAVB) the discriminator once on the encoder draws; the
+VAE and AVB steps score no prior and so build no factor correlation chain.
+The main root is the negated batch objective plus, for the adversarial
+estimators, the discriminator's classification loss: theta gets the
+importance-weighted decoder gradient, phi the encoder gradient (DReG's
 squared weights through a row scale at z when enabled), and psi only its
 classification loss.  The forward on the encoder draws is split: the output
 the weight path reads sends its gradient to the draws only, and the output
-the loss reads sends its gradient to psi only.  A non-finite objective or
-discriminator loss stops the step before any optimizer moves.
+the loss reads sends its gradient to psi only.  The loss's other half, the
+discriminator on the prior draws, reads only psi, the features and the
+noise, so it runs first, on its own tape, which is back-propagated into psi
+and dropped before the main graph is built: its saved activations are gone
+before the main backward allocates its gradients, and psi's gradient is the
+same sum, added in the same order, as on a single tape.  A non-finite
+objective or discriminator loss stops the step before any optimizer moves.
 
 `FitConfig` is the one settings object for a fit, and `FitConfig.validate`
 checks every estimator rule (VAE needs R = 1).  The estimator alone decides
@@ -34,6 +39,7 @@ from .diffkernel import Tape
 from .estimators import (
     avb_discriminator_loss,
     avb_log_weights,
+    avb_prior_loss,
     dreg_phi_surrogate,
     elbo_gaussian,
     gaussian_log_weights,
@@ -256,9 +262,11 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
                   lr_gen: float, lr_disc: float) -> dict:
     """One optimizer step on a mini-batch; returns diagnostics.
 
-    One tape per step: theta and phi ascend the estimator objective (IW-ELBO
-    or ELBO; with DReG, phi's gradient comes from the row scale at z), and
-    psi descends the discriminator classification loss on the same tape.
+    One main tape per step: theta and phi ascend the estimator objective
+    (IW-ELBO or ELBO; with DReG, phi's gradient comes from the row scale at
+    z), and psi descends the discriminator classification loss, whose
+    prior-draw half was back-propagated on its own tape before the main
+    graph was built and enters the main tape as a constant.
     With zero learning rates the state is a fixed point.  A non-finite
     batch objective or discriminator loss raises NumericalError naming the
     iteration before any optimizer moves.
@@ -294,6 +302,12 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
             moment_eps = None
             if adaptive_contrast and tile < 8:
                 moment_eps = rng.standard_normal((b * (8 - tile), encoder.noise_dim))
+            # the prior-draw pass reads only psi, the features and zeta: its
+            # tape is back-propagated and dropped before the main graph exists
+            prior_tape = Tape()
+            loss_p = avb_prior_loss(prior_tape, state.disc, feats_batch, zeta)
+            prior_tape.backward(loss_p)
+            del prior_tape
             graph = avb_log_weights(tape, x_batch, feats_batch, encoder, state.disc, params,
                                     R, S, adaptive_contrast, eps, moment_eps=moment_eps)
         per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
@@ -304,7 +318,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     _check_finite("objective", diag["iw_elbo"], state.t)
     if state.disc is not None:
         # t_q's gradient reaches only psi, so the loss moves only psi
-        dloss = avb_discriminator_loss(tape, state.disc, feats_batch, graph["t_q"], zeta)
+        dloss = avb_discriminator_loss(tape, graph["t_q"], dk.const(loss_p.data))
         root = dk.add(tape, root, dloss)
         diag["disc_loss"] = float(dloss.item())
         _check_finite("discriminator loss", diag["disc_loss"], state.t)

@@ -110,6 +110,19 @@ class GrmValues:
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
+    @property
+    def categories(self) -> np.ndarray:
+        """(M,) category counts C_j."""
+        return np.array([len(a) + 1 for a in self.intercepts])
+
+
+def check_categories(observed: np.ndarray, categories: np.ndarray) -> None:
+    """DataError naming the first item whose entry of the (n, M) array
+    `observed` lies outside [0, C_j)."""
+    if observed.size and (observed.min() < 0 or (observed.max(axis=0) >= categories).any()):
+        i, j = np.argwhere((observed < 0) | (observed >= categories))[0]
+        raise DataError(f"item {j}: category {observed[i, j]} outside [0, {categories[j]})")
+
 
 class GrmParams:
     """Trainable decoder parameters with structural constraints built in.
@@ -299,7 +312,7 @@ def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None
     (`diffkernel._split_rows`).
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    cats = np.array([len(a) + 1 for a in values.intercepts])
+    cats = values.categories
     K = cats.max() - 1
     M = values.n_items
     cuts = np.zeros((M, K))
@@ -327,9 +340,7 @@ def _observed_probs(logits: np.ndarray, table: np.ndarray, cats: np.ndarray,
     if observed.ndim != 2 or observed.shape[0] * tile != n or observed.shape[1] != M:
         raise dk.ShapeError(f"category_probs: observed {observed.shape} x tile {tile} vs "
                             f"{n} rows and {M} items")
-    if observed.size and (observed.min() < 0 or (observed.max(axis=0) >= cats).any()):
-        i, j = np.argwhere((observed < 0) | (observed >= cats))[0]
-        raise DataError(f"item {j}: category {observed[i, j]} outside [0, {cats[j]})")
+    check_categories(observed, cats)
     items = np.arange(M)[None, :]
     upper, lower = table[items, observed], table[items, observed + 1]
     probs = np.empty((n, M))

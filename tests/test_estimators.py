@@ -6,6 +6,7 @@ self-checks, heldout/objective parity, and training-step mechanics."""
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gradedvi.estimators import (
     UnsupportedDimensionError,
     avb_discriminator_loss,
     avb_log_weights,
+    avb_prior_loss,
     dreg_phi_surrogate,
     elbo_gaussian,
     gaussian_log_weights,
@@ -190,7 +192,8 @@ class TestDiscriminatorLoss:
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(20, 3))
         t_q = disc.forward(None, dk.const(feats), dk.const(rng.normal(size=(20, 2))))
-        loss = avb_discriminator_loss(None, disc, feats, t_q, rng.normal(size=(20, 2)))
+        loss_p = avb_prior_loss(None, disc, feats, rng.normal(size=(20, 2)))
+        loss = avb_discriminator_loss(None, t_q, loss_p)
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_perfect_separation_drives_loss_to_zero(self):
@@ -202,7 +205,7 @@ class TestDiscriminatorLoss:
         z_q = np.full((50, 1), 8.0)
         zeta = np.full((50, 1), -8.0)
         t_q = disc.forward(None, None, dk.const(z_q))
-        loss = avb_discriminator_loss(None, disc, None, t_q, zeta)
+        loss = avb_discriminator_loss(None, t_q, avb_prior_loss(None, disc, None, zeta))
         assert loss.item() < 1e-9
 
     def test_discriminator_step_does_not_move_encoder(self):
@@ -212,7 +215,8 @@ class TestDiscriminatorLoss:
         z_q = dk.parameter(rng.normal(size=(6, 1)))
         tape = dk.Tape()
         _, t_q = disc.forward(tape, dk.const(feats), z_q, split=True)
-        loss = avb_discriminator_loss(tape, disc, feats, t_q, rng.normal(size=(6, 1)))
+        loss_p = avb_prior_loss(tape, disc, feats, rng.normal(size=(6, 1)))
+        loss = avb_discriminator_loss(tape, t_q, loss_p)
         tape.backward(loss)
         assert all(p.grad is not None for p in disc.parameters())
         assert z_q.grad is None
@@ -465,6 +469,55 @@ class TestQuadrature:
             mc.append(m + math.log(np.exp(lw - m).mean()))
         np.testing.assert_allclose(got, mc, atol=0.05)
 
+    @staticmethod
+    def _one_shot(x, vals, nodes):
+        """The oracle's earlier form, kept as the reference: one (G, N, M)
+        gather of every node's observed log probabilities."""
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        chol = np.linalg.cholesky(vals.factor_corr)
+        if vals.n_factors == 1:
+            grid = math.sqrt(2.0) * t.reshape(-1, 1) * chol[0, 0]
+            logw = np.log(w) - 0.5 * math.log(math.pi)
+        else:
+            tt = np.array(np.meshgrid(t, t, indexing="ij")).reshape(2, -1).T
+            grid = (math.sqrt(2.0) * tt) @ chol.T
+            logw = np.log(np.outer(w, w).reshape(-1)) - math.log(math.pi)
+        logp_grid = G.category_logprob(grid, vals)
+        M = x.shape[1]
+        sel = logp_grid[:, np.arange(M)[None, :], np.maximum(x, 0)]
+        sel = np.where((x != G.MISSING)[None, :, :], sel, 0.0)
+        total = sel.sum(axis=2) + logw[:, None]
+        m = total.max(axis=0)
+        return m + np.log(np.exp(total - m).sum(axis=0))
+
+    @pytest.mark.parametrize("P", [1, 2])
+    def test_chunked_gather_matches_one_shot_bit_for_bit(self, P, monkeypatch):
+        rng = np.random.default_rng(26)
+        cats = np.array([2, 3, 4, 4, 3, 2, 4, 3, 4])  # 9 items: a pairwise sum would differ
+        vals = init_params(9, P, cats, seed=26, loading_mask=np.ones((9, P))).values()
+        x = rng.integers(0, cats, size=(13, 9))
+        x[rng.random(x.shape) < 0.2] = G.MISSING
+        x[4] = G.MISSING  # a respondent with no response at all
+        for rows in (x, x[:1]):
+            want = self._one_shot(rows, vals, nodes=23)
+            # five nodes per chunk leave a remainder of 23 and 529 nodes;
+            # one value per chunk is the two-node floor
+            for chunk in (1, 5 * rows.size, estimators_mod._QUADRATURE_CHUNK_VALUES):
+                monkeypatch.setattr(estimators_mod, "_QUADRATURE_CHUNK_VALUES", chunk)
+                got = marginal_loglik_quadrature(rows, vals, nodes=23)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("level", [2, -5, 7])
+    def test_out_of_range_category_raises(self, level):
+        """Before the guard, 2 on a two-category item scored the probability
+        floor, -5 scored as category 0 and 7 raised a bare IndexError."""
+        cats = np.array([2, 3, 4, 4])
+        vals = init_params(4, 1, cats, seed=28, loading_mask=np.ones((4, 1))).values()
+        x = np.array([[1, 2, 3, 0], [0, 1, 2, G.MISSING]])
+        x[1, 0] = level
+        with pytest.raises(G.DataError, match=f"item 0: category {level} outside"):
+            marginal_loglik_quadrature(x, vals)
+
     def test_dimension_guard(self):
         vals = GrmValues(loadings=np.zeros((2, 3)),
                          intercepts=[np.array([0.0])] * 2, factor_corr=np.eye(3))
@@ -688,7 +741,8 @@ def _two_tape_step(state, x, feats, rng):
     if state.disc is not None:
         x_t = dk.const(feats) if state.disc.response_dim else None
         t_q = state.disc.forward(tape, x_t, dk.const(graph["z_std"].data))
-        root = dk.add(tape, root, avb_discriminator_loss(tape, state.disc, feats, t_q, zeta))
+        loss_p = avb_prior_loss(tape, state.disc, feats, zeta)
+        root = dk.add(tape, root, avb_discriminator_loss(tape, t_q, loss_p))
     tape.backward(root)
 
 
@@ -768,6 +822,7 @@ class TestTrainingStep:
 
     @pytest.mark.parametrize("kind", ["AVB", "IWAVB"])
     def test_discriminator_runs_once_on_the_draws_and_once_on_zeta(self, kind, monkeypatch):
+        """Once each, and the prior-draw pass first, on its own tape."""
         state, resp, feats = self._state(kind)
         seen = []
         original = Discriminator.forward
@@ -792,8 +847,41 @@ class TestTrainingStep:
             z = (z - np.repeat(mu, tile, axis=0)) / np.repeat(sigma, tile, axis=0)
         training_step(state, resp.data[:20], feats[:20], 1e-3, 1e-3)
         assert len(seen) == 2
-        np.testing.assert_array_equal(seen[0], z)
-        np.testing.assert_array_equal(seen[1], zeta)
+        np.testing.assert_array_equal(seen[0], zeta)
+        np.testing.assert_array_equal(seen[1], z)
+
+    @pytest.mark.parametrize("kind", ["AVB", "IWAVB"])
+    def test_prior_draw_pass_is_freed_before_the_encoder_draw_pass(self, kind, monkeypatch):
+        """By the discriminator's forward on the encoder draws, psi already
+        holds the prior-draw pass's gradient and the memory held no longer
+        includes that pass's saved activations (several MB here)."""
+        rng = np.random.default_rng(27)
+        resp, _ = sample_toy_data(rng, N=64, M=5, P=2, C=3)
+        b, R, hidden = 64, 25, [256, 128]
+        cfg = FitConfig(estimator=kind, n_factors=2, R=R, batch_size=b,
+                        encoder_hidden=[8], disc_hidden=hidden, seed=27)
+        state, feats, _ = init_state(resp, cfg)
+        # each GELU layer keeps its input and its derivative: about 9.8 MB
+        saved = b * R * sum(hidden) * 8 * 2
+        seen = []
+        original = Discriminator.forward
+
+        def forward(self, tape, x, z, *args, **kwargs):
+            if kwargs.get("split"):
+                seen.append((tracemalloc.get_traced_memory()[0],
+                             all(p.grad is not None for p in state.disc.parameters())))
+            return original(self, tape, x, z, *args, **kwargs)
+
+        monkeypatch.setattr(Discriminator, "forward", forward)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            training_step(state, resp.data[:b], feats[:b], 1e-3, 1e-3)
+        finally:
+            tracemalloc.stop()
+        ((held, psi_has_grad),) = seen
+        assert psi_has_grad
+        assert held - start < saved / 4
 
     def test_nonfinite_discriminator_gradient_moves_no_group(self, monkeypatch):
         # psi steps last; a NaN there must not leave theta and phi half-updated
