@@ -13,6 +13,11 @@ active.  Each start keeps its own step size, iteration count and stopping
 tests, so its arithmetic is the same as iterating it alone; the line search
 runs in lockstep over the starts still pending and evaluates only the
 criterion, and the gradient is taken once at each accepted point.
+
+Only `match_columns` loads scipy.optimize, for `linear_sum_assignment`, and
+only when it is first called: `gradedvi eval` on an exploratory fit with
+P >= 2.  Every other command runs without that module and the scipy.sparse,
+scipy.spatial and scipy.fft it pulls in.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .rngutil import substream
 
@@ -159,6 +163,9 @@ def reflect_signs(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def match_columns(candidate: np.ndarray, reference: np.ndarray) -> tuple[AlignmentMap, np.ndarray]:
     """Exact minimum-cost column assignment, cost = per-column MSE."""
+    # imported here, not at the top: about 16 MB resident and 140-190 ms that only eval needs
+    from scipy.optimize import linear_sum_assignment
+
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if candidate.shape != reference.shape:

@@ -211,6 +211,16 @@ def _parse_bool(text: str) -> bool:
             f"expected one of {'/'.join(_BOOL_WORDS)}, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Mirror every flat FitConfig key as an optional override flag, parsed
     by the field's type (`int | None` parses as int)."""
@@ -499,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate datasets from a design JSON")
     p_sim.add_argument("--design", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_positive_int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one estimator to a responses CSV")
@@ -529,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scree.add_argument("--config", required=True)
     p_scree.add_argument("--factors", required=True, help="comma-separated P values")
     p_scree.add_argument("--out", required=True)
-    p_scree.add_argument("--jobs", type=int, default=1)
+    p_scree.add_argument("--jobs", type=_positive_int, default=1)
     p_scree.set_defaults(func=cmd_scree)
     return parser
 

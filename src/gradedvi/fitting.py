@@ -95,6 +95,11 @@ class FitConfig:
             raise ConfigError("S: must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size: must be >= 1")
+        for name in ("base_lr", "disc_base_lr", "max_lr_factor", "min_delta",
+                     "weight_decay", "eps_stab"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value!r}")
         if self.base_lr < 0 or self.disc_base_lr < 0:
             raise ConfigError("learning rates must be >= 0")
         if self.max_lr_factor < 1:

@@ -1,8 +1,12 @@
 """CLI contract: artifact schemas, determinism, holdout splitting, scree
-output, manifests, and the 0/2/3 exit-code contract."""
+output, manifests, the 0/2/3 exit-code contract, and the modules a command
+loads."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,8 +317,15 @@ class TestFit:
         ({"S": "2"}, [], "S: expected"),
         ({"dreg": 1}, [], "dreg: expected"),
         ({"encoder_hidden": [8.5]}, [], "encoder_hidden: expected"),
+        ({}, ["--base-lr", "nan"], "base_lr: must be finite"),
+        ({}, ["--disc-base-lr", "inf"], "disc_base_lr: must be finite"),
+        ({}, ["--max-lr-factor", "nan"], "max_lr_factor: must be finite"),
+        ({}, ["--min-delta", "nan"], "min_delta: must be finite"),
+        ({}, ["--weight-decay", "inf"], "weight_decay: must be finite"),
+        ({}, ["--eps-stab", "inf"], "eps_stab: must be finite"),
     ], ids=["beta1-high", "beta2-one", "beta1-negative", "eps-negative", "eps-zero",
-            "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "hidden-float"])
+            "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "hidden-float",
+            "lr-nan", "disc-lr-inf", "lr-factor-nan", "min-delta-nan", "decay-inf", "eps-inf"])
     def test_bad_setting_exits_2(self, config, flags, message, dataset, tmp_path, capsys):
         resp_path, _ = dataset
         cfg = tmp_path / "config.json"
@@ -397,6 +408,10 @@ class TestFitConfig:
     @pytest.mark.parametrize("key, value", [
         ("beta1", 1.0), ("beta1", -1e-9), ("beta2", 1.0), ("beta2", float("nan")),
         ("eps_stab", 0.0), ("weight_decay", -1e-3), ("noise_dim", 0),
+        ("base_lr", float("nan")), ("disc_base_lr", float("inf")),
+        ("max_lr_factor", float("nan")), ("min_delta", float("nan")),
+        ("min_delta", float("-inf")), ("weight_decay", float("inf")),
+        ("eps_stab", float("inf")),
     ])
     def test_validate_rejects_out_of_range(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -949,6 +964,16 @@ class TestExitCodes:
         assert f"{bad} holds a JSON list, not an object" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "scree"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, command, jobs, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(_argv_without_out(command, pipeline) + ["--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heldout_malformed_fit_names_the_file(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "fits" / "rep000" / "fit.json").read_text())
         del doc["params"]
@@ -1020,3 +1045,44 @@ class TestMissingIndicatorWidth:
                      "--factors", "1,2", "--out", str(out)]) == 0
         assert "warning" not in capsys.readouterr().err
         assert len((out / "scree.csv").read_text().splitlines()) == 3
+
+
+# Imports the CLI, runs `cli.main` on each (name, argv) of argv[1] in turn and
+# prints, as its last line, whether scipy.optimize was loaded after the
+# import, and each command's exit code and whether it was loaded after it.
+_IMPORT_FLOOR_CHILD = """
+import json, sys
+from gradedvi import cli
+loaded = {"import": "scipy.optimize" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [cli.main(argv), "scipy.optimize" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_eval_loads_scipy_optimize(tmp_path):
+    """scipy.optimize (about 16 MB resident) stays out of a process until an
+    exploratory P=2 eval matches columns.  A fresh interpreter runs the
+    commands, since this one has loaded the module already."""
+    write_design(tmp_path / "design.json")
+    write_config(tmp_path / "config.json", max_iterations=10, r_eval=8)
+    sims, fit_dir = tmp_path / "sims", tmp_path / "fits" / "rep000"
+    responses = str(sims / "responses_rep000.csv")
+    commands = [
+        ("simulate", ["simulate", "--design", str(tmp_path / "design.json"),
+                      "--out", str(sims)]),
+        ("fit", ["fit", "--config", str(tmp_path / "config.json"), "--responses", responses,
+                 "--out", str(fit_dir)]),
+        ("heldout", ["heldout", "--fit", str(fit_dir / "fit.json"), "--responses", responses,
+                     "--r-eval", "4", "--out", str(tmp_path / "heldout.json")]),
+        ("eval", ["eval", "--fits", str(tmp_path / "fits"), "--truths", str(sims),
+                  "--out", str(tmp_path / "eval.json")]),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_FLOOR_CHILD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": False, "simulate": [0, False], "fit": [0, False],
+        "heldout": [0, False], "eval": [0, True]}
+    assert json.loads((tmp_path / "eval.json").read_text())["aligned"] is True
