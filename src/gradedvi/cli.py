@@ -288,11 +288,12 @@ def cmd_eval(args) -> int:
     """MSE and bias of the fits against the one truth their replications
     share; exits 2 when the truth files disagree on the parameters.  An
     exploratory fit is geomin-rotated in its orthogonal form L chol(Sigma),
-    and each rotation is recorded under "rotations"; a non-finite fit or a
-    factor correlation that is not positive definite exits 2, and so does a
-    fit whose category count for some item differs from the truth's, or
-    whose loading structure differs from the first fit's: rotated and
-    unrotated estimates do not average."""
+    and each rotation is recorded under "rotations", with the fit's path
+    relative to --fits so that the report does not depend on the working
+    directory.  A non-finite fit or a factor correlation that is not
+    positive definite exits 2, and so does a fit whose category count for
+    some item differs from the truth's, or whose loading structure differs
+    from the first fit's: rotated and unrotated estimates do not average."""
     fit_files = sorted(Path(args.fits).glob("**/fit*.json"))
     truth_files = sorted(Path(args.truths).glob("**/truth*.json"))
     if not fit_files or len(fit_files) != len(truth_files):
@@ -332,7 +333,8 @@ def cmd_eval(args) -> int:
                 if not rot.converged:
                     print(f"warning: {fit_path}: geomin rotation did not converge",
                           file=sys.stderr)
-                rotations.append({"fit": str(fit_path), "criterion": rot.criterion,
+                rotations.append({"fit": fit_path.relative_to(args.fits).as_posix(),
+                                  "criterion": rot.criterion,
                                   "converged": rot.converged, "start": rot.start})
                 values = GrmValues(loadings=rep.aligned_loadings, intercepts=values.intercepts,
                                    factor_corr=align_correlations(rot.factor_corr, rep.amap))

@@ -9,8 +9,9 @@ stop_gradient, triangular inverse), `feedforward`, which runs a whole
 network as one node (its first layer can repeat per-respondent rows next to
 per-draw rows, and a split forward returns one output per gradient route),
 `ordered_cuts` for the decoder's intercepts, one fused cumulative-logit
-likelihood over the `boundary_table` that `grm.category_probs` shares, and
-`gaussian_kl`, the VAE's closed-form KL against N(0, I) as one node.
+likelihood whose forward, `_observed_probs`, also gives
+`grm.category_probs` at the observed categories, and `gaussian_kl`, the
+VAE's closed-form KL against N(0, I) as one node.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -22,17 +23,16 @@ the rows of a kernel of at least `_SPLIT_MIN_VALUES` values to one
 persistent worker thread while the calling thread does the lower half:
 each layer of `feedforward`, forward (its matmul, per-respondent feature
 add, bias and exact GELU) and backward (the input gradient's matmul and
-GELU-derivative product, the weight gradient split over the fan-in, and
-the first layer's per-respondent sums), `gelu`, `ordinal_loglik` forward
-and backward, and `grm.category_probs` at the observed categories.  Every
-matmul among them runs through `_split_matmul`.  Each output row is
-computed by the same operations either way, so the bits do not depend on
-the number of CPUs; a matmul splits only at a multiple of `_ROW_GRAIN`
-rows and where BLAS takes the same kernel for the halves as for the whole
-(`_matmul_splits_exactly`), and runs whole first otherwise.  The kernels
-work through their rows in cache-sized chunks whose scratch buffers and
-outputs the calling thread allocates, so GELU makes no temporary as large
-as its input and the worker allocates no arrays.
+GELU-derivative product, and the weight gradient split over the fan-in),
+`gelu`, `_observed_probs` by rows, and `ordinal_loglik`'s backward by
+respondents.  Every matmul among them runs through `_split_matmul`.  Each
+output row is computed by the same operations either way, so the bits do
+not depend on the number of CPUs; a matmul splits only at a multiple of
+`_ROW_GRAIN` rows and where BLAS takes the same kernel for the halves as
+for the whole (`_matmul_splits_exactly`), and runs whole first otherwise.
+The kernels work through their rows in cache-sized chunks whose scratch
+buffers and outputs the calling thread allocates, so GELU makes no
+temporary as large as its input and the worker allocates no arrays.
 """
 
 from __future__ import annotations
@@ -286,9 +286,10 @@ def _split_rows(fn, n_rows: int, n_values: int, grain: int = 1) -> None:
 
     The rows are those of the kernel's output: a layer's rows forward and
     for the input gradient, its fan-in for the weight gradient
-    (`_split_matmul`), respondents for per-respondent sums and
-    `ordinal_loglik`.  Rules that keep the results and the process the
-    same:
+    (`_split_matmul`), the GELU's rows (`gelu`), the likelihood's rows for
+    the observed-category probabilities (`_observed_probs`), and
+    respondents for `ordinal_loglik`'s backward.  Rules that keep the
+    results and the process the same:
     - fn must compute each row from its own inputs alone, with the same
       operations whatever [lo, hi) is; then the bits do not depend on
       where, or whether, the rows are split.  A sum over the draws of
@@ -617,7 +618,8 @@ def _add_per_respondent(out: np.ndarray, u: np.ndarray, xw: np.ndarray, t: int,
         np.add(u, xw[lo // t], out=out)
         return
     a, b = first * t - lo, last * t - lo
-    np.add(u[:a], xw[lo // t], out=out[:a])
+    if a:
+        np.add(u[:a], xw[lo // t], out=out[:a])
     shape = (last - first, t, u.shape[1])
     np.add(u[a:b].reshape(shape), xw[first:last, None, :], out=out[a:b].reshape(shape))
     if b < u.shape[0]:
@@ -651,15 +653,6 @@ def _split_matmul(a: np.ndarray, w: np.ndarray, then=None) -> np.ndarray:
             then(out, lo, hi)
 
     _split_rows(rows, n, a.size + out.size, grain=_ROW_GRAIN)
-    return out
-
-
-def _respondent_sums(g: np.ndarray, B: int, t: int) -> np.ndarray:
-    """(B, k) sums of each respondent's t rows of g, split between
-    respondents; zeros when t is 0."""
-    g3 = g.reshape(B, t, g.shape[1])
-    out = np.empty((B, g.shape[1]))
-    _split_rows(lambda lo, hi: np.sum(g3[lo:hi], axis=1, out=out[lo:hi]), B, g.size)
     return out
 
 
@@ -738,7 +731,7 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                     _accum(b, g.sum(axis=0, keepdims=True))
                 if w.requires_grad:
                     if l == 0 and x is not None:
-                        g_sum = _respondent_sums(g, B, t)
+                        g_sum = g.reshape(B, t, g.shape[1]).sum(axis=1)
                         _accum(w, np.vstack([x.data.T @ g_sum, _split_matmul(acts[0].T, g)]))
                     else:
                         _accum(w, _split_matmul(acts[l].T, g))
@@ -755,7 +748,7 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                 _accum(h, _split_matmul(g, w[F:].T))
             if x is not None and x.requires_grad:
                 if g_sum is None:
-                    g_sum = _respondent_sums(g, B, t)
+                    g_sum = g.reshape(B, t, g.shape[1]).sum(axis=1)
                 _accum(x, g_sum @ w[:F].T)
 
     if not split:
@@ -879,6 +872,47 @@ def boundary_table(cuts: np.ndarray, categories: np.ndarray) -> np.ndarray:
     return table
 
 
+def _observed_boundaries(table: np.ndarray, levels: np.ndarray,
+                        missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, M) `boundary_table` levels `levels` and levels + 1 around each
+    observed category, and +inf and -inf at missing cells: their sigmoids
+    are exactly 1 and 0, so a missing cell's probability is exactly 1."""
+    cells = levels + np.arange(0, table.size, table.shape[1])[None, :]
+    upper, lower = table.take(cells), table.take(cells + 1)
+    np.copyto(upper, np.inf, where=missing)
+    np.copyto(lower, -np.inf, where=missing)
+    return upper, lower
+
+
+def _observed_probs(logits: np.ndarray, upper: np.ndarray, lower: np.ndarray, tile: int,
+                    then=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s_hi, s_lo, p = s_hi - s_lo): the sigmoids of the (n, M) logits plus
+    the (n / tile, M) `_observed_boundaries` upper and lower, one row per
+    respondent for its `tile` rows.  Runs by rows, in chunks of about
+    `_CHUNK_VALUES` values, split between two threads when large, so a
+    heldout block of one respondent splits too; then(p, a, b, u) runs after
+    each chunk [a, b), with u a free (b - a, M) scratch chunk."""
+    n, M = logits.shape
+    s_hi, s_lo, p = np.empty((n, M)), np.empty((n, M)), np.empty((n, M))
+    step = max(1, _CHUNK_VALUES // max(M, 1))
+    buf = np.empty((min(n, 2 * step), M))
+
+    def chunks(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            u = _chunk_slot(buf, lo, b - a)
+            _add_per_respondent(u, logits[a:b], upper, tile, a)
+            _sigmoid_values(u, out=s_hi[a:b], scratch=u)
+            _add_per_respondent(u, logits[a:b], lower, tile, a)
+            _sigmoid_values(u, out=s_lo[a:b], scratch=u)
+            np.subtract(s_hi[a:b], s_lo[a:b], out=p[a:b])
+            if then is not None:
+                then(p, a, b, u)
+
+    _split_rows(chunks, n, n * M)
+    return s_hi, s_lo, p
+
+
 def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
                    levels: np.ndarray, missing: np.ndarray, categories: np.ndarray,
                    floor: float, tile: int = 1) -> Tensor2:
@@ -891,13 +925,12 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
     rows per respondent; cuts is (M, K); levels and missing are (B, M), and
     missing entries contribute 0.
 
-    The two boundary intercepts of each observed category are gathered once
-    per respondent from `boundary_table` and broadcast over the tile rows.
-    Entries whose probability sits at the floor get zero gradient.  Forward
-    and backward run in chunks of whole respondents, split between two
-    threads when large (`_split_rows`); each respondent's sums over its
-    tile rows are taken inside the chunks, and the cut gradient's sum over
-    respondents runs on the calling thread.
+    The forward is `_observed_probs` by rows, with the log and the sum over
+    items in each chunk.  Entries whose probability sits at the floor get
+    zero gradient.  The backward runs in chunks of whole respondents, split
+    between two threads when large (`_split_rows`); each respondent's sums
+    over its tile rows are taken inside the chunks, and the cut gradient's
+    sum over respondents runs on the calling thread.
     """
     B, M = levels.shape
     if logits.shape != (B * tile, M):
@@ -907,34 +940,22 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
     missing = np.asarray(missing, dtype=bool)
     observed = ~missing
     upper = np.where(observed, levels, 0)
-    items = np.arange(M)[None, :]
-    hi_cut, lo_cut = table[items, upper], table[items, upper + 1]
-    t = logits.data.reshape(B, tile, M)
-    step = max(1, _CHUNK_VALUES // max(tile * M, 1))  # respondents per chunk
-    scratch = np.empty((min(B, 2 * step), tile, M))
-    s_hi, s_lo, p = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
     out_data = np.empty((B * tile, 1))
 
-    def forward_rows(lo, hi):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            sh, sl, pc = s_hi[a:b], s_lo[a:b], p[a:b]
-            u = np.add(t[a:b], hi_cut[a:b, None, :], out=_chunk_slot(scratch, lo, b - a))
-            _sigmoid_values(u, out=sh, scratch=u)
-            np.add(t[a:b], lo_cut[a:b, None, :], out=u)
-            _sigmoid_values(u, out=sl, scratch=u)
-            np.subtract(sh, sl, out=pc)
-            np.copyto(pc, 1.0, where=missing[a:b, None, :])
-            np.log(np.maximum(pc, floor, out=u), out=u)
-            np.sum(u.reshape(-1, M), axis=1, keepdims=True, out=out_data[a * tile:b * tile])
+    def log_sum(p, a, b, u):
+        np.log(np.maximum(p[a:b], floor, out=u), out=u)
+        np.sum(u, axis=1, keepdims=True, out=out_data[a:b])
 
-    _split_rows(forward_rows, B, t.size)
+    s_hi, s_lo, p = (v.reshape(B, tile, M) for v in _observed_probs(
+        logits.data, *_observed_boundaries(table, upper, missing), tile, then=log_sum))
 
     def backward(g):
         g = g.reshape(B, tile, 1)
-        grad = np.empty(t.shape)  # d_hi - d_lo, the logits' gradient
-        live = np.empty(scratch.shape, dtype=bool)
-        scale, d_hi = np.empty_like(scratch), np.empty_like(scratch)
+        step = max(1, _CHUNK_VALUES // max(tile * M, 1))  # respondents per chunk
+        chunk = (min(B, 2 * step), tile, M)
+        grad = np.empty(p.shape)  # d_hi - d_lo, the logits' gradient
+        live = np.empty(chunk, dtype=bool)
+        scale, d_hi = np.empty(chunk), np.empty(chunk)
         sums = np.empty((2, B, M))  # d_hi and d_lo summed over each respondent's rows
 
         def backward_rows(lo, hi):
@@ -954,7 +975,7 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
                 np.sum(dl, axis=1, out=sums[1, a:b])
                 np.subtract(dh, dl, out=dl)
 
-        _split_rows(backward_rows, B, t.size)
+        _split_rows(backward_rows, B, p.size)
         _accum(logits, grad.reshape(B * tile, M))
         if not cuts.requires_grad:
             return

@@ -47,13 +47,14 @@ at once and hands the main tape its value as a constant.
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
 functions the training objectives use.  Only the GRM likelihood has a
-separate plain-array form there (`grm.joint_logprob_values`): like the
-training likelihood, it takes one response row per respondent for its
-R_eval draws, and it computes only each draw's observed-category
-probabilities, from two boundary sigmoids per item, and logs those.  That
-likelihood and the networks' layers, matmul and exact GELU included, run
-on two threads when they are large (`diffkernel._split_rows`), with the
-same bits as on one.
+separate plain-array form there (`grm.joint_logprob_values`): it takes one
+response row per respondent for its R_eval draws and computes each draw's
+observed-category probabilities by the training likelihood's own kernel
+(`diffkernel._observed_probs`, two boundary sigmoids per item, exactly 1
+at MISSING entries), then logs those.  That kernel works by rows, so a
+block of one respondent's R_eval draws splits too; it and the networks'
+layers, matmul and exact GELU included, run on two threads when they are
+large (`diffkernel._split_rows`), with the same bits as on one.
 """
 
 from __future__ import annotations

@@ -19,11 +19,13 @@ oracles and heldout evaluation.  Both read their boundaries from
 `diffkernel.boundary_table`, and a parity test keeps them equal.  The
 full `category_probs` table is a sigmoid of the inner boundary levels and
 their differences.  Given one row of observed categories per respondent,
-as the training selectors hold, `category_probs` gathers each
-respondent's two boundaries once and computes only those categories'
-probabilities, two sigmoids per cell, in row chunks that a large call
-shares between two threads (`diffkernel._split_rows`).  Both give the
-same bits as the plain full-table forms, which the tests keep as oracles.
+as the training selectors hold, `category_probs` runs the training
+likelihood's own kernel (`diffkernel._observed_boundaries` and
+`diffkernel._observed_probs`): each respondent's two boundaries are
+gathered once, +inf and -inf at MISSING entries, and only those
+categories' probabilities are computed, two sigmoids per cell, in row
+chunks that a large call shares between two threads.  Both give the same
+bits as the plain full-table forms, which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -302,14 +304,12 @@ def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None
     level-major so every pass runs over contiguous items, and the result is
     an (n, M, maxC) view of the level-major array.
 
-    observed is a (n / tile, M) integer array of categories in [0, C_j),
-    one row per respondent for its `tile` rows of z, with MISSING entries
-    already mapped to any valid category; an entry outside that range
-    raises DataError naming its item.  Each respondent's two boundaries
-    are gathered once, and each cell runs two sigmoids, in row chunks of
-    about `diffkernel._CHUNK_VALUES` values through scratch buffers the
-    calling thread allocates; a large call splits between two threads
-    (`diffkernel._split_rows`).
+    observed is a (n / tile, M) integer array of categories in [0, C_j) or
+    MISSING, one row per respondent for its `tile` rows of z; a MISSING
+    entry has probability exactly 1, and any other entry outside that range
+    raises DataError naming its item.  Each respondent's two boundaries are
+    gathered once, and each cell runs two sigmoids, by the kernel the
+    training likelihood runs (`diffkernel._observed_probs`).
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cats = values.categories
@@ -319,7 +319,15 @@ def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None
     cuts[np.arange(K)[None, :] < cats[:, None] - 1] = np.concatenate(values.intercepts)
     table = dk.boundary_table(cuts, cats)                            # (M, K + 2)
     if observed is not None:
-        return _observed_probs(z @ values.loadings.T, table, cats, observed, tile)
+        observed = np.asarray(observed)
+        if observed.ndim != 2 or observed.shape[0] * tile != z.shape[0] or observed.shape[1] != M:
+            raise dk.ShapeError(f"category_probs: responses {observed.shape} x tile {tile} "
+                                f"vs latents {z.shape} and {M} items")
+        missing = observed == MISSING
+        levels = np.where(missing, 0, observed)
+        check_categories(levels, cats)
+        return dk._observed_probs(z @ values.loadings.T,
+                                  *dk._observed_boundaries(table, levels, missing), tile)[2]
     t = (z @ values.loadings.T)[:, None, :] + table[:, 1:-1].T       # (n, K, M)
     s = dk._sigmoid_values(t, scratch=t)
     probs = np.empty((z.shape[0], K + 1, M))
@@ -327,39 +335,6 @@ def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None
     np.subtract(s[:, :-1], s[:, 1:], out=probs[:, 1:K])
     probs[:, K] = s[:, K - 1]
     return probs.transpose(0, 2, 1)
-
-
-def _observed_probs(logits: np.ndarray, table: np.ndarray, cats: np.ndarray,
-                    observed: np.ndarray, tile: int) -> np.ndarray:
-    """`category_probs` at the observed categories: (n, M) logits, the
-    (M, K + 2) boundary table and (n / tile, M) categories.  The chunks
-    run by rows, which may cut a respondent's tile rows: a heldout block
-    can hold a single respondent."""
-    n, M = logits.shape
-    observed = np.asarray(observed)
-    if observed.ndim != 2 or observed.shape[0] * tile != n or observed.shape[1] != M:
-        raise dk.ShapeError(f"category_probs: observed {observed.shape} x tile {tile} vs "
-                            f"{n} rows and {M} items")
-    check_categories(observed, cats)
-    items = np.arange(M)[None, :]
-    upper, lower = table[items, observed], table[items, observed + 1]
-    probs = np.empty((n, M))
-    step = max(1, dk._CHUNK_VALUES // M)
-    t_buf = np.empty((min(n, 2 * step), M))
-    s_buf = np.empty_like(t_buf)
-
-    def chunks(lo, hi):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            t = dk._chunk_slot(t_buf, lo, b - a)
-            dk._add_per_respondent(t, logits[a:b], upper, tile, a)
-            s_hi = dk._sigmoid_values(t, out=dk._chunk_slot(s_buf, lo, b - a), scratch=t)
-            dk._add_per_respondent(t, logits[a:b], lower, tile, a)
-            s_lo = dk._sigmoid_values(t, out=probs[a:b], scratch=t)
-            np.subtract(s_hi, s_lo, out=s_lo)
-
-    dk._split_rows(chunks, n, n * M)
-    return probs
 
 
 def category_logprob(z: np.ndarray, values: GrmValues) -> np.ndarray:
@@ -377,17 +352,11 @@ def conditional_loglik_values(x: np.ndarray, z: np.ndarray, values: GrmValues,
     respondent, respondent-major, as in `conditional_loglik`; each entry of
     x is MISSING or in [0, C_j), and any other raises DataError naming its
     item.  Computes only each observed category's probability
-    (`category_probs(..., observed=)`) and logs that (n, M) selection.
+    (`category_probs(..., observed=)`, exactly 1 at MISSING entries) and
+    logs that (n, M) selection.
     """
-    x = np.asarray(x, dtype=np.int64)
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if x.ndim != 2 or x.shape[0] * tile != z.shape[0] or x.shape[1] != values.n_items:
-        raise dk.ShapeError(f"conditional_loglik_values: responses {x.shape} x tile {tile} "
-                            f"vs latents {z.shape} and {values.n_items} items")
-    mask = x != MISSING
-    p = category_probs(z, values, observed=np.where(mask, x, 0), tile=tile)
-    sel = np.log(np.maximum(p, _PROB_FLOOR)).reshape(x.shape[0], tile, x.shape[1])
-    return (sel * mask[:, None, :]).reshape(p.shape).sum(axis=1)
+    p = category_probs(z, values, observed=np.asarray(x, dtype=np.int64), tile=tile)
+    return np.log(np.maximum(p, _PROB_FLOOR, out=p), out=p).sum(axis=1)
 
 
 def prior_logpdf_values(z: np.ndarray, values: GrmValues) -> np.ndarray:

@@ -531,10 +531,31 @@ class TestEval:
         assert rep["blocks"]["loadings"]["mse"] < 1e-4
         assert rep["blocks"]["correlations"]["mse"] < 1e-4
         [rot] = rep["rotations"]
-        assert rot["fit"] == str(fits / "fit_rep000.json")
+        assert rot["fit"] == "fit_rep000.json"
         assert rot["converged"] is True
         assert 0 <= rot["start"] < 30
         assert rot["criterion"] > 0
+
+    def test_eval_json_bytes_do_not_depend_on_the_working_directory(self, tmp_path,
+                                                                     monkeypatch):
+        """One seeded exploratory simulate -> fit -> eval pipeline, run from
+        the directory above its outputs and from inside them, writes the
+        same eval.json bytes."""
+        write_design(tmp_path / "design.json")
+        write_config(tmp_path / "config.json", max_iterations=10)
+        reports = []
+        for cwd, root in ((tmp_path, "a/"), (tmp_path / "b", "")):
+            cwd.mkdir(exist_ok=True)
+            monkeypatch.chdir(cwd)
+            design, config = str(tmp_path / "design.json"), str(tmp_path / "config.json")
+            assert main(["simulate", "--design", design, "--out", root + "sims"]) == 0
+            assert main(["fit", "--config", config, "--responses",
+                         root + "sims/responses_rep000.csv", "--out", root + "fits/rep000"]) == 0
+            assert main(["eval", "--fits", root + "fits", "--truths", root + "sims",
+                         "--out", root + "eval.json"]) == 0
+            reports.append((cwd / root / "eval.json").read_bytes())
+        assert json.loads(reports[0])["rotations"][0]["fit"] == "rep000/fit.json"
+        assert reports[0] == reports[1]
 
     def _eval_one(self, tmp_path, structure="exploratory", edit=lambda doc: None):
         """eval of one P=2 fit equal to the truth, after `edit` has changed

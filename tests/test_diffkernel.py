@@ -587,22 +587,28 @@ class TestSplitRows:
                               env=env, capture_output=True, text=True, timeout=300, check=True)
         assert json.loads(done.stdout) == {"differ": [], "split": 17}
 
-    @pytest.mark.parametrize("B, tile, chunk", [(128, 25, None), (3, 25, 12), (5, 1, None)],
-                             ids=["study", "cut-in-respondent-rows", "one-row-each"])
+    @pytest.mark.parametrize("B, tile, chunk, blank",
+                             [(128, 25, None, False), (3, 25, 12, False), (5, 1, None, False),
+                              (1, 5000, None, False), (128, 25, None, True)],
+                             ids=["study", "cut-in-respondent-rows", "one-row-each",
+                                  "one-respondent-split", "item-missing-everywhere"])
     def test_ordinal_loglik_split_matches_serial_and_unchunked(self, monkeypatch, B, tile,
-                                                                chunk):
+                                                                chunk, blank):
         """Values and both gradients of `ordinal_loglik` keep their bits split
         and serial, and equal the unchunked arithmetic, with MISSING entries,
-        probabilities at the floor (one logit in 20 scaled by 30), items of
-        2 to 6 categories and the split cut between respondents: at 3 x 25
-        rows it falls at row 50, where a cut by rows would fall at row 38,
-        inside respondent 1, and 12-value chunks hold less than one
-        respondent."""
+        probabilities at the floor (one logit in 20 scaled by 30) and items
+        of 2 to 6 categories.  The forward runs by rows and the backward by
+        respondents: at 3 x 25 rows the forward's cut falls at row 38,
+        inside respondent 1, the backward's at row 50, and 12-value chunks
+        hold less than one respondent; one respondent's 5,000 rows split in
+        the forward only.  With `blank`, item 3 is MISSING for every
+        respondent, and its logits' and cuts' gradients are +0.0."""
         M = 50
         rng = np.random.default_rng(14)
         categories = rng.integers(2, 7, size=M)
         levels = rng.integers(0, categories, size=(B, M))
         missing = rng.random((B, M)) < 0.1
+        missing[:, 3] |= blank
         logits = rng.normal(0.0, 2.0, size=(B * tile, M))
         logits[rng.random(logits.shape) < 0.05] *= 30.0  # both sigmoids round alike
         steps = np.sort(rng.uniform(0.05, 1.5, size=(M, 5)), axis=1)
@@ -621,10 +627,20 @@ class TestSplitRows:
 
         if chunk is not None:
             monkeypatch.setattr(dk, "_CHUNK_VALUES", chunk)
+        calls = []
+        real = dk._split_rows
+        monkeypatch.setattr(dk, "_split_rows", lambda fn, *args, **kw: (calls.append(args),
+                                                                        real(fn, *args, **kw)))
         for threshold in (1, SERIAL):
             monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
-            for got, expected in zip(run(), want[:3], strict=True):
-                _assert_same_bits(got, expected)
+            got = run()
+            for a, b in zip(got, want[:3], strict=True):
+                _assert_same_bits(a, b)
+            if blank:
+                _assert_same_bits(got[1][:, 3], np.zeros(B * tile))
+                _assert_same_bits(got[2][3], np.zeros(5))
+        # the forward's rows, then the backward's respondents, on each pass
+        assert calls == [(B * tile, B * tile * M), (B, B * tile * M)] * 2
 
     @staticmethod
     def _ordinal_unchunked(logits, cuts, levels, missing, categories, tile):

@@ -223,6 +223,14 @@ def _category_probs_oracle(z, values):
     return bnd[:, :, :-1] - bnd[:, :, 1:]
 
 
+def _observed_oracle(z, values, x):
+    """The full table's entry at each row's category of x, and exactly 1.0
+    where x is MISSING."""
+    probs = np.take_along_axis(_category_probs_oracle(z, values),
+                               np.maximum(x, 0)[:, :, None], axis=2)[:, :, 0]
+    return np.where(x == MISSING, 1.0, probs)
+
+
 def _conditional_loglik_oracle(x, z, values):
     """conditional_loglik_values as it was before: log of the whole clamped
     table, then the gather."""
@@ -279,9 +287,9 @@ class TestPlainArrayBitIdentity:
     @example(cats=[2, 6, 3], n=2, z_max=40.0, missing=0.0, seed=2, chunk=dk._CHUNK_VALUES)
     def test_observed_probs_split_match_table_gather(self, cats, n, z_max, missing, seed, chunk):
         """category_probs(observed=...) equals the full table's gather bit
-        for bit, split or serial: mixed category counts, MISSING entries
-        mapped to 0, a row of category 0 and a row of category C_j - 1, and
-        latents up to +-40 where the sigmoids saturate."""
+        for bit, split or serial: mixed category counts, MISSING entries,
+        which give exactly 1.0, a row of category 0 and a row of category
+        C_j - 1, and latents up to +-40 where the sigmoids saturate."""
         rng = np.random.default_rng(seed)
         cats = np.asarray(cats)
         M, P = len(cats), 2
@@ -296,17 +304,15 @@ class TestPlainArrayBitIdentity:
         x[rng.random(x.shape) < missing] = MISSING
         x[0] = 0
         x[-1] = cats - 1
-        observed = np.where(x == MISSING, 0, x)
-        want = np.take_along_axis(_category_probs_oracle(z, values), observed[:, :, None],
-                                  axis=2)[:, :, 0]
+        want = _observed_oracle(z, values, x)
         for threshold in (1, 1 << 62):  # every call split, then none
             with mock.patch.object(dk, "_CHUNK_VALUES", chunk), \
                     mock.patch.object(dk, "_SPLIT_MIN_VALUES", threshold):
-                assert_same_bits(category_probs(z, values, observed=observed), want)
+                assert_same_bits(category_probs(z, values, observed=x), want)
 
     def test_observed_probs_split_at_study_size(self, monkeypatch):
-        """A heldout block's shape, 5,000 draws of 50 five-category items,
-        in row chunks on two threads and on one."""
+        """A heldout block's shape, 5,000 draws of 50 five-category items
+        with 5% MISSING entries, in row chunks on two threads and on one."""
         rng = np.random.default_rng(17)
         raw = rng.normal(0.0, 3.0, size=(50, 4))
         values = GrmValues(loadings=rng.normal(0.0, 2.0, size=(50, 5)),
@@ -314,13 +320,13 @@ class TestPlainArrayBitIdentity:
                            factor_corr=np.eye(5))
         z = rng.normal(size=(5000, 5))
         x = rng.integers(0, 5, size=(5000, 50))
+        x[rng.random(x.shape) < 0.05] = MISSING
         got = []
         for threshold in (1, 1 << 62):
             monkeypatch.setattr(dk, "_SPLIT_MIN_VALUES", threshold)
             got.append(category_probs(z, values, observed=x))
         assert_same_bits(got[0], got[1])
-        assert_same_bits(got[0], np.take_along_axis(_category_probs_oracle(z, values),
-                                                    x[:, :, None], axis=2)[:, :, 0])
+        assert_same_bits(got[0], _observed_oracle(z, values, x))
 
     @settings(max_examples=100, deadline=None)
     @given(cats=st.lists(st.integers(2, 6), min_size=1, max_size=7), n_resp=st.integers(1, 5),
@@ -346,15 +352,12 @@ class TestPlainArrayBitIdentity:
         x = np.stack([rng.integers(0, c, size=n_resp) for c in cats], axis=1)
         x[rng.random(x.shape) < missing] = MISSING
         x_rows = np.repeat(x, tile, axis=0)
-        observed = np.where(x == MISSING, 0, x)
-        want_probs = np.take_along_axis(_category_probs_oracle(z, values),
-                                        np.repeat(observed, tile, axis=0)[:, :, None],
-                                        axis=2)[:, :, 0]
+        want_probs = _observed_oracle(z, values, x_rows)
         want = _conditional_loglik_oracle(x_rows, z, values)
         for threshold in (1, 1 << 62):  # every call split, then none
             with mock.patch.object(dk, "_CHUNK_VALUES", chunk), \
                     mock.patch.object(dk, "_SPLIT_MIN_VALUES", threshold):
-                assert_same_bits(category_probs(z, values, observed=observed, tile=tile),
+                assert_same_bits(category_probs(z, values, observed=x, tile=tile),
                                  want_probs)
                 assert_same_bits(conditional_loglik_values(x, z, values, tile=tile), want)
                 assert_same_bits(joint_logprob_values(x, z, values, tile=tile),
