@@ -123,22 +123,42 @@ def write_manifest(out_dir: Path, command: str, config_doc: dict,
     return path
 
 
+def _fit_model(doc: dict) -> tuple[GrmParams, FitConfig]:
+    """A fit file's GRM parameters and its config, which must pass `FitConfig.validate`."""
+    params = GrmParams.from_dict(doc["params"])
+    config = FitConfig.from_dict(doc["config"])
+    config.validate()
+    return params, config
+
+
 def load_fit_bundle(path: Path):
-    """FitResult JSON -> (params, encoder, disc, config), a null network as
-    None; the stored config must pass `FitConfig.validate` (ConfigError
-    otherwise), and a missing key is a ValueError naming the file."""
+    """FitResult JSON -> (params, encoder, disc, config).  VAE and IWAE fits
+    hold a gaussian encoder and no discriminator, AVB and IWAVB fits a
+    blackbox encoder and a discriminator; other networks, like a missing
+    key, are a ValueError naming the file."""
     doc = _read_json_object(path)
     try:
-        params = GrmParams.from_dict(doc["params"])
+        params, config = _fit_model(doc)
         enc_doc, disc_doc = doc["networks"]["encoder"], doc["networks"]["discriminator"]
-        enc_cls = GaussianEncoder if enc_doc and enc_doc["kind"] == "gaussian" else BlackBoxEncoder
-        encoder = enc_cls.from_dict(enc_doc) if enc_doc is not None else None
-        disc = Discriminator.from_dict(disc_doc) if disc_doc is not None else None
-        config = FitConfig.from_dict(doc["config"])
+        gaussian = config.estimator in ("VAE", "IWAE")
+        kind = enc_doc.get("kind") if isinstance(enc_doc, dict) else None
+        no_disc = disc_doc is None
+        if (kind, no_disc) != (("gaussian", True) if gaussian else ("blackbox", False)):
+            raise ValueError(f"malformed fit file {path}: encoder kind {kind!r} and "
+                             f"{'no' if no_disc else 'a'} discriminator for {config.estimator}")
+        encoder = (GaussianEncoder if gaussian else BlackBoxEncoder).from_dict(enc_doc)
+        disc = None if gaussian else Discriminator.from_dict(disc_doc)
     except KeyError as err:
         raise ValueError(f"malformed fit file {path}: no key {err}") from None
-    config.validate()
     return params, encoder, disc, config
+
+
+def _run_jobs(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, in order: in this process when workers is 1, else in a pool."""
+    if workers == 1:
+        return list(map(fn, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +189,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(doc | {"seed": design.seed}, rep, str(out_dir)) for rep in range(n_reps)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            produced = list(pool.map(_simulate_one, jobs))
-    else:
-        produced = [_simulate_one(j) for j in jobs]
-    artifacts = [p for pair in produced for p in pair]
+    artifacts = [p for pair in _run_jobs(_simulate_one, jobs, args.jobs) for p in pair]
     write_manifest(out_dir, "simulate", doc | {"n_replications": n_reps},
                    {"master": design.seed}, [Path(args.design)],
                    [Path(p) for p in artifacts],
@@ -306,7 +321,7 @@ def cmd_eval(args) -> int:
     for fit_path, truth_path in zip(fit_files, truth_files):
         # LinAlgError, from a factor_corr that is not positive definite, is a ValueError
         try:
-            params, _, _, config = load_fit_bundle(fit_path)
+            params, config = _fit_model(_read_json_object(fit_path))
             values = _fit_values(params)
             t_values, _ = read_truth_json(truth_path)
             if truth_values is None:
@@ -339,7 +354,8 @@ def cmd_eval(args) -> int:
                 values = GrmValues(loadings=rep.aligned_loadings, intercepts=values.intercepts,
                                    factor_corr=align_correlations(rot.factor_corr, rep.amap))
         except (KeyError, ValueError) as err:
-            raise ValueError(f"{fit_path}: {err}") from err
+            missing = "no key " if isinstance(err, KeyError) else ""
+            raise ValueError(f"{fit_path}: {missing}{err}") from err
         estimates.append(values)
     report = mse_bias(estimates, truth_values)
     out_doc = {"schema_version": SCHEMA_VERSION,
@@ -379,8 +395,6 @@ def _holdout_ids(args, config: FitConfig, n: int) -> np.ndarray:
     if args.ids:
         return _read_ids(Path(args.ids), n)
     fraction = args.fraction if args.fraction is not None else config.holdout_fraction
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     _, ids = split_holdout(n, fraction, config.seed)
     if ids.size == 0:
         raise ValueError(f"fraction {fraction} of {n} respondents holds out no one")
@@ -430,21 +444,25 @@ def cmd_heldout(args) -> int:
 
 
 def _scree_one(packed):
+    """(P, heldout total, None), or (P, None, message) on an error scree skips."""
     responses_path, config_doc, p, out_dir = packed
-    config = FitConfig.from_dict(config_doc | {"n_factors": p})
-    responses = read_responses_csv(Path(responses_path))
-    train_idx, hold_idx = split_holdout(responses.n_respondents,
-                                        config.holdout_fraction, config.seed)
-    result = fit(responses.subset(train_idx), config)
-    rng = substream(config.seed, "heldout-eval")
-    report = heldout_loglik(
-        responses.subset(hold_idx), result.params, result.encoder, rng,
-        R_eval=config.r_eval, disc=result.disc,
-        adaptive_contrast=config.estimator == "IWAVB")
-    fit_dir = Path(out_dir) / f"P{p}"
-    fit_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(fit_dir / "fit.json", result.to_json_dict())
-    return p, report.total
+    try:
+        config = FitConfig.from_dict(config_doc | {"n_factors": p})
+        responses = read_responses_csv(Path(responses_path))
+        train_idx, hold_idx = split_holdout(responses.n_respondents,
+                                            config.holdout_fraction, config.seed)
+        result = fit(responses.subset(train_idx), config)
+        rng = substream(config.seed, "heldout-eval")
+        report = heldout_loglik(
+            responses.subset(hold_idx), result.params, result.encoder, rng,
+            R_eval=config.r_eval, disc=result.disc,
+            adaptive_contrast=config.estimator == "IWAVB")
+        fit_dir = Path(out_dir) / f"P{p}"
+        fit_dir.mkdir(parents=True, exist_ok=True)
+        _dump_json(fit_dir / "fit.json", result.to_json_dict())
+    except NUMERICAL_ERRORS + INPUT_ERRORS as err:  # any other is a bug
+        return p, None, str(err)
+    return p, report.total, None
 
 
 def cmd_scree(args) -> int:
@@ -467,25 +485,14 @@ def cmd_scree(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     jobs = [(args.responses, config_doc, p, str(out_dir)) for p in p_list]
-    rows = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_scree_one, j): j[2] for j in jobs}
-            for fut, p in futures.items():
-                try:
-                    rows.append(fut.result())
-                except NUMERICAL_ERRORS + INPUT_ERRORS as err:  # any other is a bug
-                    print(f"warning: P={p} failed: {err}", file=sys.stderr)
-    else:
-        for j in jobs:
-            try:
-                rows.append(_scree_one(j))
-            except NUMERICAL_ERRORS + INPUT_ERRORS as err:
-                print(f"warning: P={j[2]} failed: {err}", file=sys.stderr)
+    results = _run_jobs(_scree_one, jobs, args.jobs)
+    for p, _, error in results:
+        if error is not None:
+            print(f"warning: P={p} failed: {error}", file=sys.stderr)
+    rows = sorted((p, total) for p, total, error in results if error is None)
     if not rows:
         print(f"error: none of the {len(p_list)} fits succeeded", file=sys.stderr)
         return EXIT_NUMERICAL
-    rows.sort()
     csv_path = out_dir / "scree.csv"
     with open(csv_path, "w") as fh:
         fh.write("P,heldout_loglik\n")

@@ -5,7 +5,7 @@ Four estimators share one decoder:
 * VAE    - Gaussian encoder, single-sample ELBO with closed-form KL (one
            `diffkernel.gaussian_kl` node); it scores no prior, so its step
            builds no factor-correlation chain.
-* IWAE   - Gaussian encoder, importance-weighted ELBO (optionally DReG).
+* IWAE   - Gaussian encoder, importance-weighted ELBO.
 * AVB    - implicit encoder, discriminator contrasts q(z|x) against the prior;
            the prior cancels from its weight log p(x|z) - T(x, z), so no
            gradient reaches the factor correlation, which stays the identity.
@@ -30,11 +30,10 @@ gathers each respondent's category boundaries once for all of its draws.
 
 Training builds one main tape per step.  The root is -mean(IW-ELBO) (for
 AVB/IWAVB plus the discriminator's classification loss), so the decoder
-receives sum_r w_tilde dlog w/dtheta and the encoder the plain
-reparameterized gradient.  DReG (`dreg_phi_surrogate`) stops the explicit
-q-parameter paths and scales each row of dL/dz by its w_tilde inside
-`Tape.backward`, which turns the encoder's share into
-sum_r w_tilde^2 dlog w/dz dz/dphi and leaves theta's untouched.  The
+receives sum_r w_tilde dlog w/dtheta.  Every importance-weighted encoder
+gets DReG's gradient (`dreg_phi_surrogate`, a w_tilde row scale at z): its
+log q has no explicit path to phi, as `gaussian_log_weights` detaches mu
+and sigma and an implicit encoder's log q is the discriminator's.  The
 discriminator runs once on the encoder draws, as one split forward: the
 weight path's log q takes the output whose gradient reaches only the draws,
 and the classification loss takes the output whose gradient reaches only
@@ -117,13 +116,8 @@ def moment_estimates(z_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Gaussian-encoder path
 
 
-def gaussian_logq(tape: Tape | None, z: Tensor2, mu: Tensor2, sigma: Tensor2,
-                  stop_params: bool = False) -> Tensor2:
-    """log N(z; mu, diag sigma^2) per row; optionally detach (mu, sigma)
-    so the only encoder dependence left runs through z (DReG path)."""
-    if stop_params:
-        mu = dk.stop_gradient(tape, mu)
-        sigma = dk.stop_gradient(tape, sigma)
+def gaussian_logq(tape: Tape | None, z: Tensor2, mu: Tensor2, sigma: Tensor2) -> Tensor2:
+    """log N(z; mu, diag sigma^2) per row."""
     resid = dk.div(tape, dk.sub(tape, z, mu), sigma)
     quad = dk.sum_rows(tape, dk.square(tape, resid))
     logsig = dk.sum_rows(tape, dk.log(tape, sigma))
@@ -134,15 +128,16 @@ def gaussian_logq(tape: Tape | None, z: Tensor2, mu: Tensor2, sigma: Tensor2,
 
 def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                          encoder: GaussianEncoder, params: GrmParams,
-                         R: int, S: int, u: np.ndarray,
-                         stop_q_params: bool = False) -> dict:
+                         R: int, S: int, u: np.ndarray) -> dict:
     """log w = log p(x, z) - log q(z | x) for reparameterized draws.
 
-    u has B*S*R rows; returns the graph tensors "z" and "log_w".
+    log q reads mu and sigma detached, so the encoder reaches log w only
+    through z, as DReG needs.  u has B*S*R rows; returns the graph tensors
+    "z" and "log_w".
     """
     tile = S * R
     z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
-    logq = gaussian_logq(tape, z, mu, sigma, stop_params=stop_q_params)
+    logq = gaussian_logq(tape, z, dk.stop_gradient(tape, mu), dk.stop_gradient(tape, sigma))
     eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
     logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
@@ -276,8 +271,8 @@ def dreg_phi_surrogate(log_w: Tensor2, R: int) -> np.ndarray:
 
     Back-propagating -mean(IW-ELBO) gives log w the gradient
     -w_tilde / (B*S).  `Tape.backward(root, row_scale=(z, column))`
-    multiplies z's rows by w_tilde once more before the encoder runs, so
-    with the explicit q-parameter paths stopped
+    multiplies z's rows by w_tilde once more before the encoder runs, so,
+    log q having no explicit path to phi,
         dL/dphi = -(1/(B*S)) sum w_tilde^2 dlog w/dz dz/dphi,
     the gradient of the DReG surrogate -sum w_tilde^2 log w / (B*S) with
     w_tilde held constant, while dL/dtheta stays -(1/(B*S)) sum w_tilde

@@ -8,10 +8,10 @@ VAE and AVB steps score no prior and so build no factor correlation chain.
 The main root is the negated batch objective plus, for the adversarial
 estimators, the discriminator's classification loss: theta gets the
 importance-weighted decoder gradient, phi the encoder gradient (DReG's
-squared weights through a row scale at z when enabled), and psi only its
-classification loss.  The forward on the encoder draws is split: the output
-the weight path reads sends its gradient to the draws only, and the output
-the loss reads sends its gradient to psi only.  The loss's other half, the
+squared weights through a row scale at z), and psi only its classification
+loss.  The forward on the encoder draws is split: the output the weight
+path reads sends its gradient to the draws only, and the output the loss
+reads sends its gradient to psi only.  The loss's other half, the
 discriminator on the prior draws, reads only psi, the features and the
 noise, so it runs first, on its own tape, which is back-propagated into psi
 and dropped before the main graph is built: its saved activations are gone
@@ -78,7 +78,6 @@ class FitConfig:
     beta2: float = 0.999
     eps_stab: float = 1e-8
     seed: int = 0
-    dreg: bool = True
     loading_structure: str = "exploratory"
     loading_positivity: bool = False
     holdout_fraction: float = 0.25
@@ -135,11 +134,15 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
-        """The config a JSON document names.  The key "adaptive_contrast" of
-        older files is dropped when null or equal to (estimator == IWAVB),
-        and a ConfigError otherwise."""
+        """The config a JSON document names.  A key of `_RETIRED_KEYS` is dropped
+        when it names what the estimator now always runs, and refused otherwise."""
         doc = dict(doc)
-        contrast = doc.pop("adaptive_contrast", None)
+        estimator = doc.get("estimator", cls.estimator)
+        for key, (allowed, why) in _RETIRED_KEYS.items():
+            if key in doc and not any(doc[key] is v for v in allowed(estimator)):
+                raise ConfigError(f"{key}: {doc[key]!r} is not what estimator {estimator!r} "
+                                  f"runs; {why}, and the key is retired")
+            doc.pop(key, None)
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(doc) - known
         if unknown:
@@ -148,16 +151,17 @@ class FitConfig:
         for name, value in doc.items():
             if not _has_type(value, hints[name]):
                 raise ConfigError(f"{name}: expected {hints[name]}, got {value!r}")
-        if not _has_type(contrast, bool | None):
-            raise ConfigError(f"adaptive_contrast: expected bool | None, got {contrast!r}")
-        estimator = doc.get("estimator", cls.estimator)
-        if not (contrast is None or contrast is (estimator == "IWAVB")):
-            raise ConfigError(f"adaptive_contrast: {contrast!r} disagrees with estimator "
-                              f"{estimator!r}; only IWAVB uses adaptive contrast")
         # an int in a float field becomes a float, so equal configs serialize
         # (and hash) the same
         return cls(**{name: float(value) if hints[name] is float else value
                       for name, value in doc.items()})
+
+
+# keys of older files: key -> (the values naming what an estimator now runs, the rule)
+_RETIRED_KEYS = {
+    "adaptive_contrast": (lambda est: (None, est == "IWAVB"), "only IWAVB uses adaptive contrast"),
+    "dreg": (lambda est: (True,), "every importance-weighted estimator uses DReG"),
+}
 
 
 def _has_type(value, hint) -> bool:
@@ -218,7 +222,7 @@ class FitResult:
 def split_holdout(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic train/holdout split; |holdout| = round(fraction * n)."""
     if not 0.0 < fraction < 1.0:
-        raise ConfigError("holdout fraction must be in (0, 1)")
+        raise ConfigError(f"holdout fraction must be in (0, 1), got {fraction}")
     perm = substream(seed, "holdout").permutation(n)
     k = int(round(fraction * n))
     return np.sort(perm[k:]), np.sort(perm[:k])
@@ -265,14 +269,9 @@ def init_state(responses: ResponseMatrix, config: FitConfig) -> tuple[FitState, 
 
 def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
                   lr_gen: float, lr_disc: float) -> dict:
-    """One optimizer step on a mini-batch; returns diagnostics.
-
-    One main tape per step: theta and phi ascend the estimator objective
-    (IW-ELBO or ELBO; with DReG, phi's gradient comes from the row scale at
-    z), and psi descends the discriminator classification loss, whose
-    prior-draw half was back-propagated on its own tape before the main
-    graph was built and enters the main tape as a constant.
-    With zero learning rates the state is a fixed point.  A non-finite
+    """One optimizer step on a mini-batch, built as the module docstring
+    says; returns diagnostics.  With zero learning rates the state is a
+    fixed point.  A non-finite
     batch objective or discriminator loss raises NumericalError naming the
     iteration before any optimizer moves.
     """
@@ -298,8 +297,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
     else:
         if config.estimator == "IWAE":
             u = rng.standard_normal((b * tile, P))
-            graph = gaussian_log_weights(tape, x_batch, feats_batch, encoder, params,
-                                         R, S, u, stop_q_params=config.dreg)
+            graph = gaussian_log_weights(tape, x_batch, feats_batch, encoder, params, R, S, u)
         else:  # AVB / IWAVB
             eps = rng.standard_normal((b * tile, encoder.noise_dim))
             zeta = rng.standard_normal((b * tile, P))
@@ -316,8 +314,7 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
             graph = avb_log_weights(tape, x_batch, feats_batch, encoder, state.disc, params,
                                     R, S, adaptive_contrast, eps, moment_eps=moment_eps)
         per = iw_elbo_from_log_w(tape, graph["log_w"], b, R, S)
-        if config.dreg:
-            row_scale = (graph["z"], dreg_phi_surrogate(graph["log_w"], R))
+        row_scale = (graph["z"], dreg_phi_surrogate(graph["log_w"], R))
     root = dk.mul(tape, dk.tmean(tape, per), -1.0)
     diag = {"iw_elbo": float(per.data.mean()), "disc_loss": math.nan}
     _check_finite("objective", diag["iw_elbo"], state.t)

@@ -30,6 +30,9 @@ from gradedvi.simlab import (
 )
 
 
+PARENT_FIT = Path(__file__).parent / "data" / "parent_fit"
+
+
 def write_design(path, **kw):
     doc = {"n_respondents": 60, "n_items": 6, "n_factors": 2, "categories": 3,
            "structure": "simple", "seed": 5}
@@ -315,7 +318,8 @@ class TestFit:
         ({}, ["--weight-decay", "-0.01"], "weight_decay"),
         ({"estimator": "IWAVB"}, ["--noise-dim", "0"], "noise_dim"),
         ({"S": "2"}, [], "S: expected"),
-        ({"dreg": 1}, [], "dreg: expected"),
+        ({"dreg": 1}, [], "dreg: 1 is not what"),
+        ({"dreg": False}, [], "dreg: False is not what estimator 'IWAE' runs"),
         ({"encoder_hidden": [8.5]}, [], "encoder_hidden: expected"),
         ({}, ["--base-lr", "nan"], "base_lr: must be finite"),
         ({}, ["--disc-base-lr", "inf"], "disc_base_lr: must be finite"),
@@ -324,8 +328,9 @@ class TestFit:
         ({}, ["--weight-decay", "inf"], "weight_decay: must be finite"),
         ({}, ["--eps-stab", "inf"], "eps_stab: must be finite"),
     ], ids=["beta1-high", "beta2-one", "beta1-negative", "eps-negative", "eps-zero",
-            "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "hidden-float",
-            "lr-nan", "disc-lr-inf", "lr-factor-nan", "min-delta-nan", "decay-inf", "eps-inf"])
+            "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "dreg-false",
+            "hidden-float", "lr-nan", "disc-lr-inf", "lr-factor-nan", "min-delta-nan",
+            "decay-inf", "eps-inf"])
     def test_bad_setting_exits_2(self, config, flags, message, dataset, tmp_path, capsys):
         resp_path, _ = dataset
         cfg = tmp_path / "config.json"
@@ -343,11 +348,12 @@ class TestFitConfig:
     def test_flags_parse_by_field_type(self):
         parser = cli.build_parser()
         args = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o",
-                                  "--noise-dim", "3", "--beta1", "0.5", "--dreg", "false",
+                                  "--noise-dim", "3", "--beta1", "0.5",
+                                  "--loading-positivity", "false",
                                   "--encoder-hidden", "8,4", "--estimator", "AVB"])
         assert args.noise_dim == 3 and isinstance(args.noise_dim, int)
         assert args.beta1 == 0.5 and isinstance(args.beta1, float)
-        assert args.dreg is False
+        assert args.loading_positivity is False
         assert args.encoder_hidden == [8, 4]
         assert args.estimator == "AVB"
         bare = parser.parse_args(["fit", "--responses", "r.csv", "--out", "o"])
@@ -358,10 +364,11 @@ class TestFitConfig:
     ])
     def test_bool_flag_spellings(self, text, value):
         args = cli.build_parser().parse_args(["fit", "--responses", "r.csv", "--out", "o",
-                                              "--dreg", text, "--loading-positivity", text])
-        assert args.dreg is value and args.loading_positivity is value
+                                              "--loading-positivity", text])
+        assert args.loading_positivity is value
 
-    # --adaptive-contrast is gone, so every value of it is refused the same way
+    # --dreg and --adaptive-contrast are gone, so every value of them is
+    # refused the same way
     @pytest.mark.parametrize("flag", ["--dreg", "--loading-positivity", "--adaptive-contrast"])
     @pytest.mark.parametrize("text", ["banana", "on", "off", "y", "2", ""])
     def test_bad_bool_flag_exits_2(self, flag, text, tmp_path, capsys):
@@ -381,6 +388,15 @@ class TestFitConfig:
         assert "unrecognized arguments: --adaptive-contrast" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_dreg_flag_is_gone(self, tmp_path, capsys):
+        # every importance-weighted estimator trains with DReG
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--responses", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o"),
+                  "--dreg", "true"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dreg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_from_dict_makes_ints_in_float_fields_floats(self):
         config = FitConfig.from_dict({"base_lr": 1, "weight_decay": 0, "R": 4})
         assert type(config.base_lr) is float and type(config.weight_decay) is float
@@ -390,7 +406,7 @@ class TestFitConfig:
 
     def test_from_dict_accepts_every_declared_type(self):
         doc = {"R": 4, "base_lr": 1, "noise_dim": None, "encoder_hidden": [8, 4],
-               "dreg": False, "estimator": "IWAE", "min_delta": 0.5}
+               "loading_positivity": False, "estimator": "IWAE", "min_delta": 0.5}
         config = FitConfig.from_dict(doc)
         config.validate()
         assert config.base_lr == 1 and config.encoder_hidden == [8, 4]
@@ -804,11 +820,42 @@ class TestHeldout:
         assert err.startswith("error: numerical failure: injected")
         assert "Traceback" not in err
 
-    def test_bad_fraction_exits_2(self, big_fit, tmp_path):
+    def test_bad_fraction_exits_2(self, big_fit, tmp_path, capsys):
         resp_path, fit_path = big_fit
         code = main(["heldout", "--fit", str(fit_path), "--responses", str(resp_path),
                      "--fraction", "1.5", "--r-eval", "4"])
         assert code == 2
+        assert capsys.readouterr().err == ("error: holdout fraction must be in (0, 1), "
+                                           "got 1.5\n")
+
+    @pytest.mark.parametrize("estimator, networks, found", [
+        ("iwavb", {"discriminator": None}, "encoder kind 'blackbox' and no discriminator"),
+        ("iwae", {"encoder": None}, "encoder kind None and no discriminator"),
+        ("iwae", {"encoder": "iwavb"}, "encoder kind 'blackbox' and no discriminator"),
+        ("iwavb", {"encoder": "iwae"}, "encoder kind 'gaussian' and a discriminator"),
+        ("iwae", {"discriminator": "iwavb"}, "encoder kind 'gaussian' and a discriminator"),
+        ("iwae", {"encoder": {"kind": "flow"}}, "encoder kind 'flow' and no discriminator"),
+    ], ids=["iwavb-null-disc", "iwae-null-encoder", "iwae-blackbox-encoder",
+            "iwavb-gaussian-encoder", "iwae-with-disc", "unknown-kind"])
+    def test_networks_that_are_not_the_estimators_exit_2(self, estimator, networks, found,
+                                                         tmp_path, capsys):
+        # copies of an older fit file whose networks do not match its estimator;
+        # a string names the fit file to take that network from
+        doc = json.loads((PARENT_FIT / f"fit_{estimator}.json").read_text())
+        for name, value in networks.items():
+            if isinstance(value, str):
+                value = json.loads((PARENT_FIT / f"fit_{value}.json").read_text())[
+                    "networks"][name]
+            doc["networks"][name] = value
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "heldout.json"
+        code = main(["heldout", "--fit", str(bad), "--responses",
+                     str(PARENT_FIT / "responses.csv"), "--r-eval", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: malformed fit file {bad}: {found} for {estimator.upper()}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("ids, flags, message", [
         ("-1 -2", [], "id -1 outside 0..499"),
@@ -916,6 +963,45 @@ class TestScree:
         # adaptive contrast needs two draws per respondent to standardise them
         self._scree_exits_2_before_any_fit(dataset[0], tmp_path, capsys, "1,2",
                                            "R_eval >= 2", estimator="IWAVB", r_eval=1)
+
+    def test_two_workers_write_the_serial_bytes(self, dataset, tmp_path):
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg, max_iterations=20, r_eval=8)
+        found = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["scree", "--responses", str(resp_path), "--config", str(cfg),
+                         "--factors", "2,1", "--out", str(out), "--jobs", jobs]) == 0
+            found.append((out / "scree.csv").read_bytes())
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("blocked, code", [(["P2"], 0), (["P1", "P2"], 3)],
+                             ids=["one-fails", "all-fail"])
+    def test_failed_factor_count_is_skipped(self, blocked, code, jobs, dataset, tmp_path,
+                                            capsys):
+        # a file where a factor count's fit directory goes makes its write
+        # fail with an OSError, in this process or in a worker
+        resp_path, _ = dataset
+        cfg = tmp_path / "config.json"
+        write_config(cfg, max_iterations=20, r_eval=8)
+        out = tmp_path / "s"
+        out.mkdir()
+        for name in blocked:
+            (out / name).write_text("")
+        assert main(["scree", "--responses", str(resp_path), "--config", str(cfg),
+                     "--factors", "1,2", "--out", str(out), "--jobs", jobs]) == code
+        err = capsys.readouterr().err
+        assert [line.split(" failed:")[0] for line in err.splitlines()
+                if line.startswith("warning:")] == [f"warning: P={n[1:]}" for n in blocked]
+        assert "Traceback" not in err
+        if code:
+            assert "error: none of the 2 fits succeeded" in err
+            assert not (out / "scree.csv").exists()
+        else:
+            lines = (out / "scree.csv").read_text().splitlines()
+            assert len(lines) == 2 and lines[1].startswith("1,")
 
     def test_no_successful_fit_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         resp_path, _ = dataset

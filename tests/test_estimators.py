@@ -1,6 +1,7 @@
 """Objective correctness: closed-form KL values, IW bounds against quadrature,
 weight normalization and shift invariance, the analytic-discriminator
-substitution, DReG against a conjugate linear-Gaussian oracle, quadrature
+substitution, DReG against a conjugate linear-Gaussian oracle and, for an
+implicit encoder, against the exact importance-weighted gradient, quadrature
 self-checks, heldout/objective parity, and training-step mechanics."""
 
 import copy
@@ -62,7 +63,7 @@ def sample_toy_data(rng, N=100, M=8, P=1, C=3):
 
 class TestEstimatorConfig:
     """The estimator rules of FitConfig.validate, and how FitConfig.from_dict
-    reads the adaptive_contrast key of older files."""
+    reads the retired adaptive_contrast and dreg keys of older files."""
 
     def test_vae_requires_single_sample(self):
         with pytest.raises(ConfigError, match="R:"):
@@ -103,6 +104,19 @@ class TestEstimatorConfig:
         else:
             with pytest.raises(ConfigError, match="adaptive_contrast.*only IWAVB"):
                 FitConfig.from_dict(doc | {"adaptive_contrast": setting})
+
+    @pytest.mark.parametrize("setting", [True, False, None, 1, "true"])
+    @pytest.mark.parametrize("kind", ["VAE", "IWAE", "AVB", "IWAVB"])
+    def test_retired_dreg_key(self, kind, setting):
+        # every importance-weighted step runs DReG, so only true loads
+        doc = {"estimator": kind, "R": 1}
+        if setting is True:
+            cfg = FitConfig.from_dict(doc | {"dreg": setting})
+            assert cfg == FitConfig.from_dict(doc)
+            assert "dreg" not in cfg.to_dict()
+        else:
+            with pytest.raises(ConfigError, match="^dreg: .*uses DReG"):
+                FitConfig.from_dict(doc | {"dreg": setting})
 
 
 def _zeroed_gaussian_encoder(feat_dim, P, mean_bias=0.0):
@@ -340,6 +354,65 @@ class TestAvbLogWeights:
         z = np.zeros((2, 5, 1))
         with pytest.raises(DegeneratePosteriorError):
             moment_estimates(z)
+
+    def test_row_scale_makes_the_implicit_encoder_gradient_unbiased(self):
+        # An implicit encoder's log q reaches log w only through z, so the
+        # unscaled backward drops the w_tilde-weighted score term and is
+        # biased at R > 1; DReG's row scale restores it.  The reference is
+        # the reparameterized IW gradient with the exact Gaussian log q and
+        # its phi path: for z = b + x W_x + eps W_eps that log q is
+        # log N(eps; 0, I) - log|det W_eps| whatever phi is, so the
+        # reference is the IW gradient of log p(x, z) - log N(eps; 0, I)
+        # plus d log|det W_eps| / dW_eps = W_eps^-T.
+        B, M, P, C, R, n_rep = 8, 4, 2, 3, 16, 100
+        rng = np.random.default_rng(30)
+        resp, _ = sample_toy_data(rng, N=B, M=M, P=P, C=C)
+        params = init_params(M, P, C, seed=4)
+        feats, _ = encode_responses(resp.data, resp.categories)
+        F = feats.shape[1]
+        mu_q, sigma_q = np.array([0.7, -0.4]), np.array([1.3, 0.8])
+        enc = _affine_blackbox_encoder(F, P, mu_q, sigma_q)
+        mu_hat, sigma_hat = np.tile([0.3, 0.1], (B, 1)), np.tile([1.7, 1.1], (B, 1))
+        disc = _AnalyticContrastDisc((mu_q - mu_hat[0]) / sigma_hat[0],
+                                     sigma_q / sigma_hat[0])
+        log_det_grad = np.zeros((F + P, P))
+        log_det_grad[F:] = np.linalg.inv(enc.net.layers[0].weight.data[F:]).T
+        sel = G.response_selectors(resp.data, params.categories)
+
+        def encoder_grad(eps, how):
+            tape = dk.Tape()
+            row_scale = None
+            if how == "reference":
+                z = enc.encode(tape, dk.const(feats), dk.const(eps))
+                logp = G.joint_logprob(tape, params.effective(None), z, sel, tile=R)
+                log_n = -0.5 * (eps ** 2).sum(axis=1, keepdims=True)
+                log_w = dk.sub(tape, logp, dk.const(log_n))
+            else:
+                graph = avb_log_weights(tape, resp.data, feats, enc, disc, params, R, 1,
+                                        True, eps, moments=(mu_hat, sigma_hat))
+                log_w = graph["log_w"]
+                if how == "dreg":
+                    row_scale = (graph["z"], dreg_phi_surrogate(log_w, R))
+            per = iw_elbo_from_log_w(tape, log_w, B, R, 1)
+            tape.backward(dk.tmean(tape, per), row_scale=row_scale)
+            weight, bias = enc.parameters()
+            grad = [weight.grad + (log_det_grad if how == "reference" else 0.0), bias.grad]
+            weight.grad = bias.grad = None
+            return np.concatenate([g.ravel() for g in grad])
+
+        est = {how: np.empty((n_rep, (F + P + 1) * P)) for how in ("dreg", "plain", "reference")}
+        for k in range(n_rep):
+            eps = rng.standard_normal((B * R, P))
+            for how, out in est.items():
+                out[k] = encoder_grad(eps, how)
+
+        def z_scores(how):
+            d = est[how] - est["reference"]
+            return d.mean(axis=0) / (d.std(axis=0, ddof=1) / math.sqrt(n_rep))
+
+        assert np.abs(z_scores("dreg")).max() < 4
+        # the mean parameters' gradients, the last P entries, miss by far more
+        assert (np.abs(z_scores("plain")[-P:]) > 4).all()
 
 
 class TestDreg:
@@ -698,8 +771,8 @@ def _constant_copy(obj):
 def _two_tape_step(state, x, feats, rng):
     """Gradients of one training step from two tapes, as a reference: a phi
     pass with the decoder as constants (the DReG surrogate
-    sum w_tilde^2 log w / (B*S) when enabled), then a theta + psi pass on the
-    same draws with the encoder as constants.  The weight path sees a
+    sum w_tilde^2 log w / (B*S)), then a theta + psi pass on the same draws
+    with the encoder as constants.  The weight path sees a
     constant copy of the discriminator, and psi's loss runs it afresh on the
     draws as constants, so no gradient here depends on a split forward."""
     config = state.config
@@ -709,8 +782,7 @@ def _two_tape_step(state, x, feats, rng):
         u = rng.standard_normal((b * tile, state.encoder.latent_dim))
 
         def log_weights(tape, encoder, params):
-            return gaussian_log_weights(tape, x, feats, encoder, params, R, S, u,
-                                        stop_q_params=config.dreg)
+            return gaussian_log_weights(tape, x, feats, encoder, params, R, S, u)
     else:
         eps = rng.standard_normal((b * tile, state.encoder.noise_dim))
         zeta = rng.standard_normal((b * tile, state.encoder.latent_dim))
@@ -727,11 +799,8 @@ def _two_tape_step(state, x, feats, rng):
 
     tape = dk.Tape()
     lw = log_weights(tape, state.encoder, _constant_copy(state.params))["log_w"]
-    if config.dreg:
-        w2 = normalized_weights(lw.data.reshape(b * S, R)).reshape(-1, 1) ** 2
-        obj = dk.mul(tape, dk.tsum(tape, dk.mul(tape, lw, dk.const(w2))), 1.0 / (b * S))
-    else:
-        obj = dk.tmean(tape, iw_elbo_from_log_w(tape, lw, b, R, S))
+    w2 = normalized_weights(lw.data.reshape(b * S, R)).reshape(-1, 1) ** 2
+    obj = dk.mul(tape, dk.tsum(tape, dk.mul(tape, lw, dk.const(w2))), 1.0 / (b * S))
     tape.backward(dk.mul(tape, obj, -1.0))
 
     tape = dk.Tape()
@@ -750,13 +819,12 @@ class TestSingleTapeParity:
     """One training step on one tape gives every parameter group the
     gradient the two-pass construction gives it."""
 
-    @pytest.mark.parametrize("dreg", [True, False])
     @pytest.mark.parametrize("kind", ["IWAE", "AVB", "IWAVB"])
-    def test_gradients_match_two_tape_reference(self, kind, dreg):
+    def test_gradients_match_two_tape_reference(self, kind):
         rng = np.random.default_rng(25)
         resp, _ = sample_toy_data(rng, N=40, M=5, P=2, C=3)
         cfg = FitConfig(estimator=kind, n_factors=2, R=3, S=2, batch_size=20,
-                        encoder_hidden=[8], disc_hidden=[8], seed=25, dreg=dreg)
+                        encoder_hidden=[8], disc_hidden=[8], seed=25)
         state, feats, _ = init_state(resp, cfg)
         x, f = resp.data[:20], feats[:20]
         groups = {"theta": state.params.parameters(), "phi": state.encoder.parameters(),

@@ -1,7 +1,7 @@
-"""fit.json files from before adaptive contrast followed the estimator, and
-before layers lost their activation tags, still load and evaluate the same;
-and every network's output follows from its fit.json weights by the layer
-position rule.
+"""fit.json files from before adaptive contrast followed the estimator,
+before the dreg switch was retired, and before layers lost their activation
+tags, still load and evaluate the same; and every network's output follows
+from its fit.json weights by the layer position rule.
 
 tests/data/parent_fit holds what commit 06973a1 wrote:
 * responses.csv: SimDesign(n_respondents=24, n_items=6, n_factors=2,
@@ -9,9 +9,9 @@ tests/data/parent_fit holds what commit 06973a1 wrote:
 * fit_iwae.json and fit_iwavb.json: `cli.run_fit` on it with
   FitConfig(estimator=..., n_factors=2, R=3, batch_size=12, max_iterations=6,
   window=100, patience=10, encoder_hidden=[6], disc_hidden=[6], seed=11).
-  Their configs hold "adaptive_contrast": null, and every layer an
-  "activation" tag; the Gaussian trunk's last layer is tagged "identity",
-  though GELU ran there;
+  Their configs hold "adaptive_contrast": null and "dreg": true, and every
+  layer an "activation" tag; the Gaussian trunk's last layer is tagged
+  "identity", though GELU ran there;
 * heldout_per_respondent.json: `heldout_loglik` of each fit on all 24
   respondents at R_eval=64 with the fit's "heldout-eval" substream.
 """
@@ -54,7 +54,7 @@ def _by_position(layers: list[dict], h: np.ndarray, gelu_output: bool = False) -
 @ESTIMATORS
 def test_old_file_gives_bit_identical_heldout(estimator):
     doc = json.loads(_fit_path(estimator).read_text())
-    assert doc["config"]["adaptive_contrast"] is None
+    assert doc["config"]["adaptive_contrast"] is None and doc["config"]["dreg"] is True
     enc = doc["networks"]["encoder"]
     assert all("activation" in layer
                for layer in enc["trunk" if enc["kind"] == "gaussian" else "net"]["layers"])
