@@ -131,11 +131,22 @@ def _fit_model(doc: dict) -> tuple[GrmParams, FitConfig]:
     return params, config
 
 
+def _typed(label: str, parse, *args):
+    """parse(*args) on a JSON document, where the TypeError that a value of
+    the wrong type raises (a number for a network, say) is a ValueError
+    whose message starts with label."""
+    try:
+        return parse(*args)
+    except TypeError as err:
+        raise ValueError(f"{label}wrong JSON type: {err}") from None
+
+
 def load_fit_bundle(path: Path):
     """FitResult JSON -> (params, encoder, disc, config).  VAE and IWAE fits
     hold a gaussian encoder and no discriminator, AVB and IWAVB fits a
     blackbox encoder and a discriminator; other networks, like a missing
-    key, are a ValueError naming the file."""
+    key or a value of the wrong JSON type, are a ValueError naming the
+    file."""
     doc = _read_json_object(path)
     try:
         params, config = _fit_model(doc)
@@ -150,6 +161,8 @@ def load_fit_bundle(path: Path):
         disc = None if gaussian else Discriminator.from_dict(disc_doc)
     except KeyError as err:
         raise ValueError(f"malformed fit file {path}: no key {err}") from None
+    except TypeError as err:
+        raise ValueError(f"malformed fit file {path}: wrong JSON type: {err}") from None
     return params, encoder, disc, config
 
 
@@ -321,9 +334,9 @@ def cmd_eval(args) -> int:
     for fit_path, truth_path in zip(fit_files, truth_files):
         # LinAlgError, from a factor_corr that is not positive definite, is a ValueError
         try:
-            params, config = _fit_model(_read_json_object(fit_path))
+            params, config = _typed("", _fit_model, _read_json_object(fit_path))
             values = _fit_values(params)
-            t_values, _ = read_truth_json(truth_path)
+            t_values, _ = _typed(f"{truth_path}: ", read_truth_json, truth_path)
             if truth_values is None:
                 truth_values = t_values
             elif not _same_values(t_values, truth_values):

@@ -5,13 +5,15 @@ record once in reverse and accumulates exact gradients into every leaf tensor
 that requires them.  The op set is exactly what the variational estimators
 need: dense matrix algebra, stable elementwise nonlinearities, row
 reductions, a handful of structural helpers (reshape, repeat_rows,
-stop_gradient, triangular inverse), `feedforward`, which runs a whole
-network as one node (its first layer can repeat per-respondent rows next to
-per-draw rows, and a split forward returns one output per gradient route),
-`ordered_cuts` for the decoder's intercepts, one fused cumulative-logit
-likelihood whose forward, `_observed_probs`, also gives
-`grm.category_probs` at the observed categories, and `gaussian_kl`, the
-VAE's closed-form KL against N(0, I) as one node.
+stop_gradient), `feedforward`, which runs a whole network as one node (its
+first layer can repeat per-respondent rows next to per-draw rows, and a
+split forward returns one output per gradient route), `ordered_cuts` for
+the decoder's intercepts, one fused cumulative-logit likelihood whose
+forward, `_observed_probs`, also gives `grm.category_probs` at the observed
+categories, `gaussian_kl`, the VAE's closed-form KL against N(0, I) as one
+node, and `correlated_normal_logpdf`, the prior N(0, Sigma) under the
+factor correlation (`correlation_factor`) as one node.  Elementwise ops
+take operands of one shape, or a Python scalar as the second.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -47,6 +49,7 @@ import numpy as np
 from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_2PI = float(np.log(2.0 * np.pi))
 _SPLIT_MIN_VALUES = 1 << 16  # smallest kernel _split_rows runs on two threads
 _CHUNK_VALUES = 1 << 16  # values per row chunk of a chunked kernel (512 KB of float64)
 _ROW_GRAIN = 64  # rows: a split fn that calls BLAS cuts at a multiple of this
@@ -196,20 +199,10 @@ def _make(tape: Tape | None, op: str, inputs, out_data, backward) -> Tensor2:
     return out
 
 
-def _as_pair(b) -> tuple[Tensor2 | None, bool]:
-    """Return (b_tensor_or_none, is_scalar)."""
-    if isinstance(b, Tensor2):
-        return b, False
-    return None, True
-
-
-def _binary_shapes(op: str, a: Tensor2, b: Tensor2) -> bool:
-    """Validate elementwise operand shapes; True if b broadcasts as 1x1."""
-    if a.shape == b.shape:
-        return False
-    if b.shape == (1, 1):
-        return True
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _binary_shapes(op: str, a: Tensor2, b: Tensor2) -> None:
+    """Elementwise operands must have the same shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,83 +354,63 @@ def transpose(tape: Tape | None, x: Tensor2) -> Tensor2:
     return _make(tape, "transpose", (x,), out_data, backward)
 
 
-def tril_inverse(tape: Tape | None, x: Tensor2) -> Tensor2:
-    """Inverse of a lower-triangular matrix with nonzero diagonal."""
-    if x.rows != x.cols:
-        raise ShapeError(f"tril_inverse: square matrix required, got {x.shape}")
-    k = np.linalg.inv(x.data)
-
-    def backward(g):
-        _accum(x, -k.T @ g @ k.T)
-
-    return _make(tape, "tril_inverse", (x,), k, backward)
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(b)
-    if is_scalar:
+    if not isinstance(b, Tensor2):
         def backward(g):
             _accum(a, g, own=False)
 
         return _make(tape, "add", (a,), a.data + float(b), backward)
-    bcast = _binary_shapes("add", a, bt)
+    _binary_shapes("add", a, b)
 
     def backward(g):
         _accum(a, g, own=False)
-        if bcast:
-            _accum(bt, g.sum().reshape(1, 1))
-        else:
-            _accum(bt, g, own=False)
+        _accum(b, g, own=False)
 
-    return _make(tape, "add", (a, bt), a.data + bt.data, backward)
+    return _make(tape, "add", (a, b), a.data + b.data, backward)
 
 
 def sub(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(b)
-    if is_scalar:
+    if not isinstance(b, Tensor2):
         def backward(g):
             _accum(a, g, own=False)
 
         return _make(tape, "sub", (a,), a.data - float(b), backward)
-    bcast = _binary_shapes("sub", a, bt)
+    _binary_shapes("sub", a, b)
 
     def backward(g):
         _accum(a, g, own=False)
-        _accum(bt, -g.sum().reshape(1, 1) if bcast else -g)
+        _accum(b, -g)
 
-    return _make(tape, "sub", (a, bt), a.data - bt.data, backward)
+    return _make(tape, "sub", (a, b), a.data - b.data, backward)
 
 
 def mul(tape: Tape | None, a: Tensor2, b) -> Tensor2:
-    bt, is_scalar = _as_pair(b)
-    if is_scalar:
+    if not isinstance(b, Tensor2):
         c = float(b)
 
         def backward(g):
             _accum(a, g * c)
 
         return _make(tape, "mul", (a,), a.data * c, backward)
-    bcast = _binary_shapes("mul", a, bt)
+    _binary_shapes("mul", a, b)
 
     def backward(g):
-        _accum(a, g * bt.data)
-        gb = g * a.data
-        _accum(bt, gb.sum().reshape(1, 1) if bcast else gb)
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    return _make(tape, "mul", (a, bt), a.data * bt.data, backward)
+    return _make(tape, "mul", (a, b), a.data * b.data, backward)
 
 
 def div(tape: Tape | None, a: Tensor2, b: Tensor2) -> Tensor2:
-    bcast = _binary_shapes("div", a, b)
+    _binary_shapes("div", a, b)
 
     def backward(g):
         _accum(a, g / b.data)
-        gb = -g * a.data / (b.data * b.data)
-        _accum(b, gb.sum().reshape(1, 1) if bcast else gb)
+        _accum(b, -g * a.data / (b.data * b.data))
 
     return _make(tape, "div", (a, b), a.data / b.data, backward)
 
@@ -447,16 +420,6 @@ def square(tape: Tape | None, x: Tensor2) -> Tensor2:
         _accum(x, 2.0 * x.data * g)
 
     return _make(tape, "square", (x,), x.data * x.data, backward)
-
-
-def pow_const(tape: Tape | None, x: Tensor2, p: float) -> Tensor2:
-    """x**p elementwise; x must be strictly positive for non-integer p."""
-    out_data = np.power(x.data, p)
-
-    def backward(g):
-        _accum(x, p * np.power(x.data, p - 1.0) * g)
-
-    return _make(tape, "pow_const", (x,), out_data, backward)
 
 
 def exp(tape: Tape | None, x: Tensor2) -> Tensor2:
@@ -600,6 +563,55 @@ def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
         _accum(mu, 2.0 * m * g)
 
     return _make(tape, "gaussian_kl", (mu, sigma), out_data, backward)
+
+
+def correlation_factor(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, s): the Cholesky factor of the factor correlation L L^T that a
+    (P, P) raw matrix parameterizes, and its (P, 1) inverse row norms.
+
+    U is raw's strict lower triangle with softplus(raw_pp) on the diagonal,
+    and row p of L is U_p * s_p with s_p = ||U_p||^-1, so L L^T has a unit
+    diagonal; raw's upper triangle is ignored."""
+    unnorm = np.diag(_softplus_values(np.diag(raw))) + np.tril(raw, -1)
+    scale = np.power((unnorm * unnorm).sum(axis=1, keepdims=True), -0.5)
+    return unnorm * scale, scale
+
+
+def correlated_normal_logpdf(tape: Tape | None, z: Tensor2, chol_raw: Tensor2) -> Tensor2:
+    """Per-row log N(z; 0, L L^T), L = `correlation_factor(chol_raw)`, as one
+    node; (n, P) -> (n, 1).  With K = L^-1 and w = z K^T, the value is
+    -0.5 ||w_i||^2 - sum_p log L_pp - (P/2) log 2pi, computed by the numpy
+    operations, in order, of the equivalent chain of generic nodes, so its
+    bits are that chain's.  The backward is closed form, with gw = -g w:
+    dz = gw K (the chain's bits); dL = -K^T (gw^T z) K^T, minus sum(g) / L_pp
+    on the diagonal; dU_p = (dL_p - L_p (dL_p . L_p)) s_p through the row
+    normalization; and softplus' derivative on the diagonal.
+    """
+    P = z.cols
+    if chol_raw.shape != (P, P):
+        raise ShapeError(f"correlated_normal_logpdf: factor {chol_raw.shape} vs z {z.shape}")
+    chol, scale = correlation_factor(chol_raw.data)
+    kt = np.ascontiguousarray(np.linalg.inv(chol).T)  # K^T
+    w = z.data @ kt
+    out_data = (w * w).sum(axis=1, keepdims=True)
+    out_data *= -0.5
+    out_data -= np.log(np.diag(chol)).sum()
+    out_data += -0.5 * P * _LOG_2PI
+
+    def backward(g):
+        gw = w * -g
+        _accum(z, gw @ kt.T)
+        if not chol_raw.requires_grad:
+            return
+        d_chol = -kt @ (gw.T @ z.data) @ kt
+        d_chol[np.diag_indices(P)] -= g.sum() / np.diag(chol)
+        d_chol -= chol * (d_chol * chol).sum(axis=1, keepdims=True)
+        d_chol *= scale  # now dU
+        d_raw = np.tril(d_chol, -1)
+        d_raw[np.diag_indices(P)] = np.diag(d_chol) * _sigmoid_values(np.diag(chol_raw.data))
+        _accum(chol_raw, d_raw)
+
+    return _make(tape, "correlated_normal_logpdf", (z, chol_raw), out_data, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -805,18 +817,6 @@ def logsumexp_rows(tape: Tape | None, x: Tensor2) -> Tensor2:
         _accum(x, g * (shifted / total))
 
     return _make(tape, "logsumexp_rows", (x,), out_data, backward)
-
-
-def mul_colvec(tape: Tape | None, x: Tensor2, c: Tensor2) -> Tensor2:
-    """Scale row i of x by c[i, 0]."""
-    if c.cols != 1 or c.rows != x.rows:
-        raise ShapeError(f"mul_colvec: col vector {c.shape} vs x {x.shape}")
-
-    def backward(g):
-        _accum(x, g * c.data)
-        _accum(c, (g * x.data).sum(axis=1, keepdims=True))
-
-    return _make(tape, "mul_colvec", (x, c), x.data * c.data, backward)
 
 
 def reshape(tape: Tape | None, x: Tensor2, rows: int, cols: int) -> Tensor2:

@@ -4,7 +4,7 @@ Four estimators share one decoder:
 
 * VAE    - Gaussian encoder, single-sample ELBO with closed-form KL (one
            `diffkernel.gaussian_kl` node); it scores no prior, so its step
-           builds no factor-correlation chain.
+           records no prior node.
 * IWAE   - Gaussian encoder, importance-weighted ELBO.
 * AVB    - implicit encoder, discriminator contrasts q(z|x) against the prior;
            the prior cancels from its weight log p(x|z) - T(x, z), so no

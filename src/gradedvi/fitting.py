@@ -4,7 +4,7 @@ artifact.
 
 Each step builds one main tape and runs the encoder and the decoder once,
 and (for AVB and IWAVB) the discriminator once on the encoder draws; the
-VAE and AVB steps score no prior and so build no factor correlation chain.
+VAE and AVB steps score no prior and so record no prior node.
 The main root is the negated batch objective plus, for the adversarial
 estimators, the discriminator's classification loss: theta gets the
 importance-weighted decoder gradient, phi the encoder gradient (DReG's
@@ -123,6 +123,10 @@ class FitConfig:
             raise ConfigError("weight_decay: must be >= 0")
         if self.noise_dim is not None and self.noise_dim < 1:
             raise ConfigError("noise_dim: must be >= 1 when set")
+        for name in ("encoder_hidden", "disc_hidden"):
+            widths = getattr(self, name) or []
+            if any(width < 1 for width in widths):
+                raise ConfigError(f"{name}: every width must be >= 1, got {widths}")
 
     def resolved_encoder_hidden(self) -> list[int]:
         if self.encoder_hidden is not None:
@@ -271,9 +275,8 @@ def training_step(state: FitState, x_batch: np.ndarray, feats_batch: np.ndarray,
                   lr_gen: float, lr_disc: float) -> dict:
     """One optimizer step on a mini-batch, built as the module docstring
     says; returns diagnostics.  With zero learning rates the state is a
-    fixed point.  A non-finite
-    batch objective or discriminator loss raises NumericalError naming the
-    iteration before any optimizer moves.
+    fixed point.  A non-finite batch objective or discriminator loss raises
+    NumericalError naming the iteration before any optimizer moves.
     """
     config = state.config
     params = state.params

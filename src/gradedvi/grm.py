@@ -3,11 +3,11 @@ joint log-likelihoods, and the constrained trainable parameterization.
 
 The constrained map from raw leaves to loadings and intercepts exists once,
 as `GrmParams.effective` on the tape, and the factor correlation's Cholesky
-factor and log determinant once, as `GrmParams.factor_cholesky`;
-`GrmParams.values` runs both without a tape.  Only the prior
-(`prior_logpdf`) builds the factor chain on the tape, once per effective
-dict, so a step that scores no prior, such as the VAE step with its
-closed-form KL, records none of it.  The intercepts are one (M, K)
+factor once, as `diffkernel.correlation_factor`; `GrmParams.values` runs
+both without a tape.  The prior (`prior_logpdf`) is one
+`diffkernel.correlated_normal_logpdf` node that maps the raw factor leaf
+itself, so a step that scores no prior, such as the VAE step with its
+closed-form KL, records no prior node.  The intercepts are one (M, K)
 matrix throughout: one raw leaf, one `diffkernel.ordered_cuts` node, and one
 (M, K) input to the likelihood.  The training likelihood
 (`conditional_loglik`, `joint_logprob`) is a logit matmul plus one fused
@@ -41,7 +41,6 @@ from .rngutil import substream
 
 MISSING = -1
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 _PROB_FLOOR = 1e-300
 _GAP = 1e-6  # strict minimum spacing between consecutive intercepts
 
@@ -167,41 +166,24 @@ class GrmParams:
     # -- effective values ------------------------------------------------
 
     def values(self) -> GrmValues:
-        """`effective` and `factor_cholesky` without a tape, as plain arrays."""
+        """`effective` and the factor correlation without a tape, as plain arrays."""
         eff = self.effective(None)
         intercepts = [row[:c - 1] for row, c in zip(eff["alpha"].data, self.categories)]
-        chol = self.factor_cholesky(None)["chol"].data
+        chol, _ = dk.correlation_factor(self.chol_raw.data)
         return GrmValues(loadings=eff["beta"].data, intercepts=intercepts,
                          factor_corr=chol @ chol.T)
 
     def effective(self, tape: Tape | None) -> dict:
-        """Loadings "beta" and intercepts "alpha" on the tape.
-
-        The factor correlation is not built here: "params" lets
-        `prior_logpdf` build `factor_cholesky` on the first prior it scores
-        from this dict, so a likelihood without a prior records none of it.
-        """
+        """Loadings "beta" and intercepts "alpha" on the tape, and the raw
+        factor leaf "chol_raw", whose map to the factor correlation runs
+        inside the prior's one node (`prior_logpdf`), so a likelihood
+        without a prior records no prior node."""
         raw = self.loadings_raw
         if self.loading_positivity:
             raw = dk.log1p_exp(tape, raw)
         beta = dk.mul(tape, raw, dk.const(self.loading_mask))
         alpha = dk.ordered_cuts(tape, self.intercept_raw, _GAP)
-        return {"beta": beta, "alpha": alpha, "params": self}
-
-    def factor_cholesky(self, tape: Tape | None) -> dict:
-        """Cholesky factor "chol" of the factor correlation and its
-        "logdet" = log det Sigma on the tape."""
-        P = self.n_factors
-        raw_l = self.chol_raw
-        eye = np.eye(P)
-        diag_part = dk.mul(tape, dk.log1p_exp(tape, raw_l), dk.const(eye))
-        off_part = dk.mul(tape, raw_l, dk.const(np.tril(np.ones((P, P)), -1)))
-        unnorm = dk.add(tape, diag_part, off_part)
-        norm2 = dk.sum_rows(tape, dk.square(tape, unnorm))
-        chol = dk.mul_colvec(tape, unnorm, dk.pow_const(tape, norm2, -0.5))
-        diag_vec = dk.sum_rows(tape, dk.mul(tape, chol, dk.const(eye)))
-        logdet = dk.mul(tape, dk.tsum(tape, dk.log(tape, diag_vec)), 2.0)
-        return {"chol": chol, "logdet": logdet}
+        return {"beta": beta, "alpha": alpha, "chol_raw": self.chol_raw}
 
     # -- serialization ----------------------------------------------------
 
@@ -367,7 +349,7 @@ def prior_logpdf_values(z: np.ndarray, values: GrmValues) -> np.ndarray:
     w = solve_triangular(chol, z.T, lower=True).T
     quad = (w * w).sum(axis=1)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * quad - 0.5 * logdet - 0.5 * P * _LOG_2PI
+    return -0.5 * quad - 0.5 * logdet - 0.5 * P * dk._LOG_2PI
 
 
 def joint_logprob_values(x: np.ndarray, z: np.ndarray, values: GrmValues,
@@ -410,18 +392,8 @@ def conditional_loglik(tape: Tape | None, eff: dict, z: Tensor2,
 
 
 def prior_logpdf(tape: Tape | None, eff: dict, z: Tensor2) -> Tensor2:
-    """log N(z; 0, Sigma) per row, (n, 1) on the tape.  The first call on
-    an `effective` dict adds its `factor_cholesky` to it, so later priors
-    scored from the same dict share one factor chain."""
-    if "chol" not in eff:
-        eff.update(eff["params"].factor_cholesky(tape))
-    P = z.cols
-    kinv = dk.tril_inverse(tape, eff["chol"])
-    w = dk.matmul(tape, z, dk.transpose(tape, kinv))
-    quad = dk.sum_rows(tape, dk.square(tape, w))
-    out = dk.mul(tape, quad, -0.5)
-    out = dk.sub(tape, out, dk.mul(tape, eff["logdet"], 0.5))
-    return dk.add(tape, out, -0.5 * P * _LOG_2PI)
+    """log N(z; 0, Sigma) per row, (n, 1), as one tape node."""
+    return dk.correlated_normal_logpdf(tape, z, eff["chol_raw"])
 
 
 def joint_logprob(tape: Tape | None, eff: dict, z: Tensor2,

@@ -327,10 +327,15 @@ class TestFit:
         ({}, ["--min-delta", "nan"], "min_delta: must be finite"),
         ({}, ["--weight-decay", "inf"], "weight_decay: must be finite"),
         ({}, ["--eps-stab", "inf"], "eps_stab: must be finite"),
+        ({}, ["--encoder-hidden", "0"], "encoder_hidden: every width must be >= 1, got [0]"),
+        ({}, ["--encoder-hidden=-3"], "encoder_hidden: every width must be >= 1, got [-3]"),
+        ({"estimator": "IWAVB"}, ["--disc-hidden", "8,0"],
+         "disc_hidden: every width must be >= 1, got [8, 0]"),
     ], ids=["beta1-high", "beta2-one", "beta1-negative", "eps-negative", "eps-zero",
             "decay-negative", "noise-dim-zero", "S-string", "dreg-int", "dreg-false",
             "hidden-float", "lr-nan", "disc-lr-inf", "lr-factor-nan", "min-delta-nan",
-            "decay-inf", "eps-inf"])
+            "decay-inf", "eps-inf", "encoder-hidden-zero", "encoder-hidden-negative",
+            "disc-hidden-zero"])
     def test_bad_setting_exits_2(self, config, flags, message, dataset, tmp_path, capsys):
         resp_path, _ = dataset
         cfg = tmp_path / "config.json"
@@ -444,6 +449,13 @@ class TestFitConfig:
 # the failure classes training and evaluation can raise on bad numerics;
 # DomainError is a ValueError and DegeneratePosteriorError a RuntimeError
 NUMERICAL_FAILURES = [NumericalError, dk.DomainError, DegeneratePosteriorError]
+
+
+class _NetworkOf:
+    """An edit's value: the same network, taken from another estimator's fit."""
+
+    def __init__(self, estimator):
+        self.estimator = estimator
 
 
 def _raise(cls):
@@ -573,9 +585,10 @@ class TestEval:
         assert json.loads(reports[0])["rotations"][0]["fit"] == "rep000/fit.json"
         assert reports[0] == reports[1]
 
-    def _eval_one(self, tmp_path, structure="exploratory", edit=lambda doc: None):
+    def _eval_one(self, tmp_path, structure="exploratory", edit=lambda doc: None,
+                  edit_truth=lambda doc: None):
         """eval of one P=2 fit equal to the truth, after `edit` has changed
-        its fit document."""
+        its fit document and `edit_truth` the truth document."""
         truth = simulate(SimDesign(n_items=12, n_factors=2, categories=3, seed=5))
         fits = tmp_path / "fits"
         truths = tmp_path / "truths"
@@ -586,7 +599,11 @@ class TestEval:
         edit(doc)
         fit_path = fits / "fit_rep000.json"
         fit_path.write_text(json.dumps(doc))
-        write_truth_json(truths / "truth_rep000.json", truth)
+        truth_path = truths / "truth_rep000.json"
+        write_truth_json(truth_path, truth)
+        truth_doc = json.loads(truth_path.read_text())
+        edit_truth(truth_doc)
+        truth_path.write_text(json.dumps(truth_doc))
         out = tmp_path / "report.json"
         code = main(["eval", "--fits", str(fits), "--truths", str(truths), "--out", str(out)])
         return code, fit_path, out
@@ -616,6 +633,24 @@ class TestEval:
         assert err.startswith(f"error: {fit_path}: ")
         assert "finite" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document, found", [
+        ("fit", "wrong JSON type: 'int' object is not subscriptable"),
+        ("truth", "{truths}: wrong JSON type: 'int' object is not iterable"),
+    ], ids=["fit", "truth"])
+    def test_wrong_json_type_exits_2(self, document, found, tmp_path, capsys):
+        def edit(doc):
+            doc["params"]["raw"] = 4
+
+        def edit_truth(doc):
+            doc["intercepts"] = 5
+        code, fit_path, out = self._eval_one(
+            tmp_path, **({"edit": edit} if document == "fit" else {"edit_truth": edit_truth}))
+        err = capsys.readouterr().err
+        assert code == 2
+        truth_path = tmp_path / "truths" / "truth_rep000.json"
+        assert err == f"error: {fit_path}: {found.format(truths=truth_path)}\n"
         assert not out.exists()
 
     def test_singular_factor_corr_exits_2(self, tmp_path, capsys):
@@ -828,25 +863,45 @@ class TestHeldout:
         assert capsys.readouterr().err == ("error: holdout fraction must be in (0, 1), "
                                            "got 1.5\n")
 
-    @pytest.mark.parametrize("estimator, networks, found", [
-        ("iwavb", {"discriminator": None}, "encoder kind 'blackbox' and no discriminator"),
-        ("iwae", {"encoder": None}, "encoder kind None and no discriminator"),
-        ("iwae", {"encoder": "iwavb"}, "encoder kind 'blackbox' and no discriminator"),
-        ("iwavb", {"encoder": "iwae"}, "encoder kind 'gaussian' and a discriminator"),
-        ("iwae", {"discriminator": "iwavb"}, "encoder kind 'gaussian' and a discriminator"),
-        ("iwae", {"encoder": {"kind": "flow"}}, "encoder kind 'flow' and no discriminator"),
+    @pytest.mark.parametrize("estimator, edits, found", [
+        ("iwavb", {"networks.discriminator": None},
+         "encoder kind 'blackbox' and no discriminator for IWAVB"),
+        ("iwae", {"networks.encoder": None}, "encoder kind None and no discriminator for IWAE"),
+        ("iwae", {"networks.encoder": _NetworkOf("iwavb")},
+         "encoder kind 'blackbox' and no discriminator for IWAE"),
+        ("iwavb", {"networks.encoder": _NetworkOf("iwae")},
+         "encoder kind 'gaussian' and a discriminator for IWAVB"),
+        ("iwae", {"networks.discriminator": _NetworkOf("iwavb")},
+         "encoder kind 'gaussian' and a discriminator for IWAE"),
+        ("iwae", {"networks.encoder": {"kind": "flow"}},
+         "encoder kind 'flow' and no discriminator for IWAE"),
+        ("iwavb", {"networks.discriminator": 5},
+         "wrong JSON type: 'int' object is not subscriptable"),
+        ("iwavb", {"networks.encoder.net.layers": 7},
+         "wrong JSON type: 'int' object is not iterable"),
+        ("iwavb", {"networks.discriminator.net.layers.0": "layer"},
+         "wrong JSON type: string indices must be integers"
+         + (", not 'str'" if sys.version_info >= (3, 11) else "")),
+        ("iwavb", {"params": []}, "wrong JSON type: list indices must be integers or "
+                                  "slices, not str"),
+        ("iwavb", {"config": 3}, "wrong JSON type: 'int' object is not iterable"),
     ], ids=["iwavb-null-disc", "iwae-null-encoder", "iwae-blackbox-encoder",
-            "iwavb-gaussian-encoder", "iwae-with-disc", "unknown-kind"])
-    def test_networks_that_are_not_the_estimators_exit_2(self, estimator, networks, found,
+            "iwavb-gaussian-encoder", "iwae-with-disc", "unknown-kind", "number-disc",
+            "number-layers", "string-layer", "list-params", "number-config"])
+    def test_networks_that_are_not_the_estimators_exit_2(self, estimator, edits, found,
                                                          tmp_path, capsys):
-        # copies of an older fit file whose networks do not match its estimator;
-        # a string names the fit file to take that network from
+        # copies of an older fit file whose networks do not match its estimator,
+        # or whose values have the wrong JSON type; each edit sets a dotted path
         doc = json.loads((PARENT_FIT / f"fit_{estimator}.json").read_text())
-        for name, value in networks.items():
-            if isinstance(value, str):
-                value = json.loads((PARENT_FIT / f"fit_{value}.json").read_text())[
-                    "networks"][name]
-            doc["networks"][name] = value
+        for path, value in edits.items():
+            *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+            if isinstance(value, _NetworkOf):
+                value = json.loads((PARENT_FIT / f"fit_{value.estimator}.json").read_text())[
+                    "networks"][last]
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
         bad = tmp_path / "fit.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "heldout.json"
@@ -854,7 +909,7 @@ class TestHeldout:
                      str(PARENT_FIT / "responses.csv"), "--r-eval", "4", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: malformed fit file {bad}: {found} for {estimator.upper()}\n"
+        assert err == f"error: malformed fit file {bad}: {found}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("ids, flags, message", [

@@ -502,7 +502,17 @@ class TestGraphPath:
         assert np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-6
 
     def test_gradient_wrt_chol_and_intercepts_matches_fd(self):
-        params, x, z = self._setup(seed=11)
+        """At init's diagonal raw factor (P=2) and at a raw factor with nonzero
+        off-diagonal entries (P=3)."""
+        correlated = np.tril(np.random.default_rng(12).uniform(-1.5, 1.5, size=(3, 3)))
+        for P, chol_raw in ((2, None), (3, correlated)):
+            params, x, z = self._setup(seed=11, P=P)
+            if chol_raw is not None:
+                params.chol_raw.data = chol_raw
+            self._check_chol_and_intercept_gradients(params, x, z)
+
+    @staticmethod
+    def _check_chol_and_intercept_gradients(params, x, z):
         sel = response_selectors(x, params.categories)
         leaves = [params.chol_raw, params.intercept_raw]
 
