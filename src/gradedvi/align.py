@@ -1,6 +1,6 @@
 """Exploratory-solution post-processing: geomin oblique rotation by gradient
-projection, sign reflection, optimal column matching, Tucker congruence, and
-factor-correlation realignment.
+projection, sign reflection, optimal column matching and factor-correlation
+realignment.
 
 The rotation solves min_T Q(L (T')^{-1}) over oblique T (unit-length
 columns), following the gradient-projection iteration of Jennrich (2002):
@@ -183,29 +183,6 @@ def match_columns(candidate: np.ndarray, reference: np.ndarray) -> tuple[Alignme
     return amap, aligned
 
 
-def tucker_congruence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-column congruence sum(ab) / sqrt(sum(a^2) sum(b^2)); a zero
-    column yields NaN."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    num = (a * b).sum(axis=0)
-    den = np.sqrt((a ** 2).sum(axis=0) * (b ** 2).sum(axis=0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-    return out
-
-
-def congruence_verdict(coefficients: np.ndarray, threshold: float = 0.98) -> bool:
-    """Solutions count as equivalent when the minimum coefficient clears the
-    threshold; NaN (zero column) fails."""
-    coefficients = np.asarray(coefficients)
-    if np.isnan(coefficients).any():
-        return False
-    return bool(coefficients.min() > threshold)
-
-
 def align_correlations(corr: np.ndarray, amap: AlignmentMap) -> np.ndarray:
     """Apply the signed permutation to both rows and columns."""
     corr = np.asarray(corr, dtype=np.float64)
@@ -218,15 +195,12 @@ def align_correlations(corr: np.ndarray, amap: AlignmentMap) -> np.ndarray:
 class AlignmentReport:
     amap: AlignmentMap
     aligned_loadings: np.ndarray
-    congruence: np.ndarray
-    equivalent: bool
-    post_mse: float
 
 
 def align_to_reference(candidate: np.ndarray, reference: np.ndarray) -> AlignmentReport:
-    """Sign reflection, optimal column matching and congruence against a
-    reference (both matrices sign-canonicalized first); rotate an
-    exploratory candidate with `geomin_rotate` before aligning it."""
+    """Sign reflection and optimal column matching against a reference (both
+    matrices sign-canonicalized first); rotate an exploratory candidate with
+    `geomin_rotate` before aligning it."""
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     ref_c, _ = reflect_signs(reference)
@@ -234,9 +208,4 @@ def align_to_reference(candidate: np.ndarray, reference: np.ndarray) -> Alignmen
     amap, aligned = match_columns(cand_c, ref_c)
     total = AlignmentMap(permutation=amap.permutation,
                          signs=cand_signs[amap.permutation])
-    cong = tucker_congruence(aligned, ref_c)
-    post_mse = float(((aligned - ref_c) ** 2).mean())
-    return AlignmentReport(amap=total, aligned_loadings=aligned,
-                           congruence=cong,
-                           equivalent=congruence_verdict(cong),
-                           post_mse=post_mse)
+    return AlignmentReport(amap=total, aligned_loadings=aligned)

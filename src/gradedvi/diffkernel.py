@@ -4,16 +4,16 @@ Forward evaluation records operation nodes on a Tape; Tape.backward walks the
 record once in reverse and accumulates exact gradients into every leaf tensor
 that requires them.  The op set is exactly what the variational estimators
 need: dense matrix algebra, stable elementwise nonlinearities, row
-reductions, a handful of structural helpers (reshape, repeat_rows,
-stop_gradient), `feedforward`, which runs a whole network as one node (its
-first layer can repeat per-respondent rows next to per-draw rows, and a
+reductions, reshape, `feedforward`, which runs a whole network as one node
+(its first layer reads per-respondent rows next to per-draw rows, and a
 split forward returns one output per gradient route), `ordered_cuts` for
 the decoder's intercepts, one fused cumulative-logit likelihood whose
 forward, `_observed_probs`, also gives `grm.category_probs` at the observed
-categories, `gaussian_kl`, the VAE's closed-form KL against N(0, I) as one
-node, and `correlated_normal_logpdf`, the prior N(0, Sigma) under the
-factor correlation (`correlation_factor`) as one node.  Elementwise ops
-take operands of one shape, or a Python scalar as the second.
+categories, and Gaussians as one node each: the encoder's draws and log q
+(`gaussian_draws`, `diag_normal_logpdf`, one mu and sigma row per
+respondent for all of its draws), the VAE's KL (`gaussian_kl`) and the
+prior N(0, Sigma) under the factor correlation (`correlated_normal_logpdf`).
+Elementwise ops take operands of one shape, or a Python scalar as the second.
 
 Everything is float64 and row-major.  Tapes are cheap and rebuilt for every
 training step; they are never shared between workers.  Every op also runs
@@ -431,10 +431,15 @@ def exp(tape: Tape | None, x: Tensor2) -> Tensor2:
     return _make(tape, "exp", (x,), out_data, backward)
 
 
+def _check_positive(op: str, what: str, a: np.ndarray) -> None:
+    """DomainError naming the first entry of a that is not positive."""
+    if np.any(a <= 0.0):
+        idx = tuple(int(v) for v in np.argwhere(a <= 0.0)[0])
+        raise DomainError(f"{op}: non-positive {what} {a[idx]!r} at index {idx}")
+
+
 def log(tape: Tape | None, x: Tensor2) -> Tensor2:
-    if np.any(x.data <= 0.0):
-        idx = tuple(int(v) for v in np.argwhere(x.data <= 0.0)[0])
-        raise DomainError(f"log: non-positive entry {x.data[idx]!r} at index {idx}")
+    _check_positive("log", "entry", x.data)
 
     def backward(g):
         _accum(x, g / x.data)
@@ -533,6 +538,45 @@ def gelu(tape: Tape | None, x: Tensor2) -> Tensor2:
     return _make(tape, "gelu", (x,), out, backward)
 
 
+def gaussian_draws(tape: Tape | None, mu: Tensor2, sigma: Tensor2, u: np.ndarray) -> Tensor2:
+    """Draws z = mu + sigma * u as one node: row i of the (B, P) mu and sigma
+    serves, uncopied, the d rows of respondent i in the (B*d, P) noise u,
+    with the bits of repeated rows; backward sums each respondent's rows."""
+    B, P = mu.shape
+    if sigma.shape != (B, P) or u.shape[1] != P or u.shape[0] % B:
+        raise ShapeError(f"gaussian_draws: noise {u.shape} is not a multiple of the rows, "
+                         f"or lacks the columns, of mu {mu.shape} and sigma {sigma.shape}")
+    u3 = u.reshape(B, -1, P)
+    z = sigma.data[:, None, :] * u3 + mu.data[:, None, :]
+
+    def backward(g):
+        _accum(mu, g.reshape(u3.shape).sum(axis=1))
+        _accum(sigma, (g.reshape(u3.shape) * u3).sum(axis=1))
+
+    return _make(tape, "gaussian_draws", (mu, sigma), z.reshape(u.shape), backward)
+
+
+def diag_normal_logpdf(tape: Tape | None, z: Tensor2, mu: np.ndarray,
+                       sigma: np.ndarray) -> Tensor2:
+    """Per-row log N(z; mu, diag sigma^2), (B*d, P) -> (B*d, 1), as one node:
+    row i of the plain (B, P) mu and sigma > 0 serves respondent i's d rows,
+    so only z gets a gradient (DReG's log q), with the generic chain's bits."""
+    B, P = mu.shape
+    if sigma.shape != (B, P) or z.cols != P or z.rows % B:
+        raise ShapeError(f"diag_normal_logpdf: mu {mu.shape}, sigma {sigma.shape}, z {z.shape}")
+    _check_positive("diag_normal_logpdf", "sigma", sigma)
+    resid = (z.data.reshape(B, -1, P) - mu[:, None, :]) / sigma[:, None, :]
+    out_data = (resid * resid).reshape(z.shape).sum(axis=1, keepdims=True) * -0.5
+    out_data.reshape(B, -1)[...] -= np.log(sigma).sum(axis=1, keepdims=True)
+    out_data += -0.5 * P * _LOG_2PI
+
+    def backward(g):
+        dz = (2.0 * resid * (g.reshape(B, -1, 1) * -0.5)) / sigma[:, None, :]
+        _accum(z, dz.reshape(z.shape))
+
+    return _make(tape, "diag_normal_logpdf", (z,), out_data, backward)
+
+
 def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
     """Per-row KL(N(mu, diag sigma^2) || N(0, I)),
         0.5 * sum_p (mu^2 + sigma^2 - 1 - 2 log sigma),
@@ -546,9 +590,7 @@ def gaussian_kl(tape: Tape | None, mu: Tensor2, sigma: Tensor2) -> Tensor2:
     if mu.shape != sigma.shape:
         raise ShapeError(f"gaussian_kl: mu {mu.shape} vs sigma {sigma.shape}")
     m, s = mu.data, sigma.data
-    if np.any(s <= 0.0):
-        idx = tuple(int(v) for v in np.argwhere(s <= 0.0)[0])
-        raise DomainError(f"gaussian_kl: non-positive sigma {s[idx]!r} at index {idx}")
+    _check_positive("gaussian_kl", "sigma", s)
     terms = m * m
     terms += s * s
     terms -= 1.0
@@ -674,9 +716,9 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
 
     layers is a sequence of (weight, bias, gelu) triples: each layer maps
     its input a to u = a @ weight + bias, followed by GELU when gelu is
-    true.  The first input is h, or [repeat_rows(x, t), h] with
-    t = h.rows // x.rows when x is given; then x @ weight[:F] is computed
-    once per row of x and added to each of its t rows of h @ weight[F:].
+    true.  The first input is h, or, with x given, each row of x next to its
+    t = h.rows // x.rows rows of h: x @ weight[:F] is computed once per row
+    of x and added to each of its t rows of h @ weight[F:].
     Each layer of a large net runs its rows in two halves on two threads
     (`_split_rows`), with the same bits as on one, forward and backward;
     backward splits the weight gradient over the layer's fan-in instead
@@ -830,21 +872,6 @@ def reshape(tape: Tape | None, x: Tensor2, rows: int, cols: int) -> Tensor2:
     return _make(tape, "reshape", (x,), out_data, backward)
 
 
-def repeat_rows(tape: Tape | None, x: Tensor2, times: int) -> Tensor2:
-    """Repeat every row `times` times back to back, (B, k) -> (B*times, k);
-    backward sums each group of repeated rows."""
-    if times < 1:
-        raise ShapeError(f"repeat_rows: repeat count must be >= 1, got {times}")
-    if times == 1:
-        return x
-    B, k = x.shape
-
-    def backward(g):
-        _accum(x, g.reshape(B, times, k).sum(axis=1))
-
-    return _make(tape, "repeat_rows", (x,), np.repeat(x.data, times, axis=0), backward)
-
-
 def ordered_cuts(tape: Tape | None, raw: Tensor2, min_gap: float) -> Tensor2:
     """Strictly decreasing intercepts from one raw (M, K) matrix: column 0 is
     the first intercept, and cut_k = cut_{k-1} - (softplus(raw_k) + min_gap)
@@ -885,32 +912,37 @@ def _observed_boundaries(table: np.ndarray, levels: np.ndarray,
 
 
 def _observed_probs(logits: np.ndarray, upper: np.ndarray, lower: np.ndarray, tile: int,
-                    then=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s_hi, s_lo, p = s_hi - s_lo): the sigmoids of the (n, M) logits plus
-    the (n / tile, M) `_observed_boundaries` upper and lower, one row per
-    respondent for its `tile` rows.  Runs by rows, in chunks of about
-    `_CHUNK_VALUES` values, split between two threads when large, so a
-    heldout block of one respondent splits too; then(p, a, b, u) runs after
-    each chunk [a, b), with u a free (b - a, M) scratch chunk."""
+                    then=None, keep_sigmoids: bool = False):
+    """p = s_hi - s_lo, or (s_hi, s_lo, p) with keep_sigmoids: the sigmoids
+    of the (n, M) logits plus the (n / tile, M) `_observed_boundaries` upper
+    and lower, one row per respondent for its `tile` rows.  Runs by rows, in
+    chunks of about `_CHUNK_VALUES` values, split between two threads when
+    large, so a heldout block of one respondent splits too; then(p, a, b, u)
+    runs after each chunk [a, b), with u a free (b - a, M) scratch chunk.
+    Unless kept, s_hi is computed in p and s_lo in a chunk's scratch."""
     n, M = logits.shape
-    s_hi, s_lo, p = np.empty((n, M)), np.empty((n, M)), np.empty((n, M))
     step = max(1, _CHUNK_VALUES // max(M, 1))
-    buf = np.empty((min(n, 2 * step), M))
+    chunk = (min(n, 2 * step), M)
+    p = np.empty((n, M))
+    s_hi = np.empty((n, M)) if keep_sigmoids else p
+    s_lo = np.empty((n, M) if keep_sigmoids else chunk)
+    buf = np.empty(chunk)
 
     def chunks(lo, hi):
         for a in range(lo, hi, step):
             b = min(a + step, hi)
             u = _chunk_slot(buf, lo, b - a)
+            s = s_lo[a:b] if keep_sigmoids else _chunk_slot(s_lo, lo, b - a)
             _add_per_respondent(u, logits[a:b], upper, tile, a)
             _sigmoid_values(u, out=s_hi[a:b], scratch=u)
             _add_per_respondent(u, logits[a:b], lower, tile, a)
-            _sigmoid_values(u, out=s_lo[a:b], scratch=u)
-            np.subtract(s_hi[a:b], s_lo[a:b], out=p[a:b])
+            _sigmoid_values(u, out=s, scratch=u)
+            np.subtract(s_hi[a:b], s, out=p[a:b])
             if then is not None:
                 then(p, a, b, u)
 
     _split_rows(chunks, n, n * M)
-    return s_hi, s_lo, p
+    return (s_hi, s_lo, p) if keep_sigmoids else p
 
 
 def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
@@ -946,8 +978,13 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
         np.log(np.maximum(p[a:b], floor, out=u), out=u)
         np.sum(u, axis=1, keepdims=True, out=out_data[a:b])
 
-    s_hi, s_lo, p = (v.reshape(B, tile, M) for v in _observed_probs(
-        logits.data, *_observed_boundaries(table, upper, missing), tile, then=log_sum))
+    # the sigmoids are kept only for a backward
+    keep = tape is not None and (logits.requires_grad or cuts.requires_grad)
+    probs = _observed_probs(logits.data, *_observed_boundaries(table, upper, missing), tile,
+                            then=log_sum, keep_sigmoids=keep)
+    if not keep:
+        return _make(tape, "ordinal_loglik", (logits, cuts), out_data, None)
+    s_hi, s_lo, p = (v.reshape(B, tile, M) for v in probs)
 
     def backward(g):
         g = g.reshape(B, tile, 1)
@@ -987,7 +1024,3 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
 
     return _make(tape, "ordinal_loglik", (logits, cuts), out_data, backward)
 
-
-def stop_gradient(tape: Tape | None, x: Tensor2) -> Tensor2:
-    """Forward identity; contributes nothing to any gradient."""
-    return Tensor2(x.data, requires_grad=False)

@@ -23,25 +23,26 @@ Row layout is respondent-major everywhere: sample (i, s, r) lives at row
 (i*S + s)*R + r, so reshaping to (B*S, R) lines importance samples up per
 respondent/MC draw.  Every network takes the B distinct feature rows, one
 per respondent, and never a tiled copy: the Gaussian encoder's trunk and
-heads run on them and repeat mu and sigma to the draws; the implicit encoder
-and the discriminator compute the feature part of their first layer once per
-respondent and add it to each draw's noise or latent part; and the decoder
-gathers each respondent's category boundaries once for all of its draws.
+heads run on them, and its draws, log q and KL read one row of mu and sigma
+per respondent; the implicit encoder and the discriminator compute the
+feature part of their first layer once per respondent and add it to each
+draw's noise or latent part; and the decoder gathers each respondent's
+category boundaries once for all of its draws.
 
 Training builds one main tape per step.  The root is -mean(IW-ELBO) (for
 AVB/IWAVB plus the discriminator's classification loss), so the decoder
 receives sum_r w_tilde dlog w/dtheta.  Every importance-weighted encoder
 gets DReG's gradient (`dreg_phi_surrogate`, a w_tilde row scale at z): its
-log q has no explicit path to phi, as `gaussian_log_weights` detaches mu
-and sigma and an implicit encoder's log q is the discriminator's.  The
-discriminator runs once on the encoder draws, as one split forward: the
-weight path's log q takes the output whose gradient reaches only the draws,
-and the classification loss takes the output whose gradient reaches only
-the discriminator's weights, so psi trains on that loss alone and the loss
-never moves the encoder.  A second forward, on the prior draws
-(`avb_prior_loss`), completes the loss; it reads only psi, the features and
-the noise, so training runs it first, on its own tape, back-propagates it
-at once and hands the main tape its value as a constant.
+log q has no explicit path to phi, as `gaussian_log_weights` hands it mu
+and sigma as constants and an implicit encoder's log q is the
+discriminator's.  The discriminator runs once on the encoder draws, as one
+split forward: the weight path's log q takes the output whose gradient
+reaches only the draws, and the classification loss takes the output whose
+gradient reaches only the discriminator's weights, so psi trains on that
+loss alone and the loss never moves the encoder.  A second forward, on the
+prior draws (`avb_prior_loss`), completes the loss; it reads only psi, the
+features and the noise, so training runs it first, on its own tape,
+back-propagates it at once and hands the main tape its value as a constant.
 
 Evaluation runs the same code without a tape: `heldout_loglik` takes its
 encoder outputs, its Gaussian log q and its adaptive-contrast log q from the
@@ -116,46 +117,34 @@ def moment_estimates(z_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Gaussian-encoder path
 
 
-def gaussian_logq(tape: Tape | None, z: Tensor2, mu: Tensor2, sigma: Tensor2) -> Tensor2:
-    """log N(z; mu, diag sigma^2) per row."""
-    resid = dk.div(tape, dk.sub(tape, z, mu), sigma)
-    quad = dk.sum_rows(tape, dk.square(tape, resid))
-    logsig = dk.sum_rows(tape, dk.log(tape, sigma))
-    out = dk.mul(tape, quad, -0.5)
-    out = dk.sub(tape, out, logsig)
-    return dk.add(tape, out, -0.5 * z.cols * _LOG_2PI)
-
-
 def gaussian_log_weights(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                          encoder: GaussianEncoder, params: GrmParams,
                          R: int, S: int, u: np.ndarray) -> dict:
     """log w = log p(x, z) - log q(z | x) for reparameterized draws.
 
-    log q reads mu and sigma detached, so the encoder reaches log w only
-    through z, as DReG needs.  u has B*S*R rows; returns the graph tensors
-    "z" and "log_w".
+    log q takes each respondent's mu and sigma as plain arrays, so the
+    encoder reaches log w only through z, as DReG needs.  u has B*S*R rows;
+    returns the graph tensors "z" and "log_w".
     """
-    tile = S * R
     z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
-    logq = gaussian_logq(tape, z, dk.stop_gradient(tape, mu), dk.stop_gradient(tape, sigma))
+    logq = dk.diag_normal_logpdf(tape, z, mu.data, sigma.data)
     eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
-    logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=tile)
+    logp = grm_mod.joint_logprob(tape, eff, z, sel, tile=S * R)
     return {"z": z, "log_w": dk.sub(tape, logp, logq)}
 
 
 def elbo_gaussian(tape: Tape | None, x: np.ndarray, feats: np.ndarray,
                   encoder: GaussianEncoder, params: GrmParams,
                   u: np.ndarray, S: int = 1) -> Tensor2:
-    """Per-respondent ELBO (B, 1) with the analytic KL against N(0, I)."""
+    """Per-respondent ELBO (B, 1), its one analytic KL against N(0, I)."""
     B = x.shape[0]
     z, mu, sigma = encoder.encode(tape, dk.const(feats), dk.const(u))
     eff = params.effective(tape)
     sel = response_selectors(x, params.categories)
-    recon = grm_mod.conditional_loglik(tape, eff, z, sel, tile=S)
-    per_draw = dk.sub(tape, recon, dk.gaussian_kl(tape, mu, sigma))
-    per_resp = dk.reshape(tape, per_draw, B, S)
-    return dk.mul(tape, dk.sum_rows(tape, per_resp), 1.0 / S)
+    recon = dk.reshape(tape, grm_mod.conditional_loglik(tape, eff, z, sel, tile=S), B, S)
+    recon = dk.mul(tape, dk.sum_rows(tape, recon), 1.0 / S)
+    return dk.sub(tape, recon, dk.gaussian_kl(tape, mu, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +379,9 @@ def heldout_loglik(x_holdout: ResponseMatrix, params: GrmParams, encoder,
         nb = stop - start
         if gaussian:
             mu, sigma = encoder.heads_values(feats[start:stop])
-            u = rng.standard_normal((nb * R_eval, P))
-            mu = dk.const(tile_rows(mu, R_eval))
-            sigma = dk.const(tile_rows(sigma, R_eval))
-            z = dk.add(None, mu, dk.mul(None, sigma, dk.const(u)))
-            logq = gaussian_logq(None, z, mu, sigma).data[:, 0]
+            z = dk.gaussian_draws(None, dk.const(mu), dk.const(sigma),
+                                  rng.standard_normal((nb * R_eval, P)))
+            logq = dk.diag_normal_logpdf(None, z, mu, sigma).data[:, 0]
             z = z.data
         else:
             fb = feats[start:stop]

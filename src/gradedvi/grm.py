@@ -88,9 +88,6 @@ class ResponseMatrix:
     def n_items(self) -> int:
         return self.data.shape[1]
 
-    def has_missing(self) -> bool:
-        return bool((self.data == MISSING).any())
-
     def subset(self, rows) -> "ResponseMatrix":
         return ResponseMatrix(self.data[rows], self.categories)
 
@@ -309,7 +306,7 @@ def category_probs(z: np.ndarray, values: GrmValues, observed: np.ndarray | None
         levels = np.where(missing, 0, observed)
         check_categories(levels, cats)
         return dk._observed_probs(z @ values.loadings.T,
-                                  *dk._observed_boundaries(table, levels, missing), tile)[2]
+                                  *dk._observed_boundaries(table, levels, missing), tile)
     t = (z @ values.loadings.T)[:, None, :] + table[:, 1:-1].T       # (n, K, M)
     s = dk._sigmoid_values(t, scratch=t)
     probs = np.empty((z.shape[0], K + 1, M))

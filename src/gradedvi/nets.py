@@ -7,9 +7,9 @@ draws.
 
 Every network runs through one tape op, `dk.feedforward`, which records a
 whole chain of layers as a single node; the `*_values` methods call it
-without a tape, on plain arrays.  The implicit encoder and the
-discriminator take one feature row per respondent: the op computes the
-feature part of their first layer once per respondent, and the weight stays
+without a tape, on plain arrays.  Every network takes one feature row per
+respondent, the Gaussian encoder keeps one mu and sigma row each, and the
+others' first layers compute their feature part once each; the weight is
 one matrix, as serialized.  A large forward runs each layer's rows in two
 halves on two threads, and so does its backward, which splits each
 weight gradient between the halves of the layer's fan-in; the bits are
@@ -99,8 +99,8 @@ class FeedForwardNet:
 
     def forward(self, tape: Tape | None, h: Tensor2, x: Tensor2 | None = None,
                 split: bool = False):
-        """The net at h, or at [repeat_rows(x, t), h] when x is given; with
-        split, the (to_inputs, to_weights) pair of `dk.feedforward`."""
+        """The net at h, or at each row of x next to each of its rows of h;
+        with split, the (to_inputs, to_weights) pair of `dk.feedforward`."""
         return dk.feedforward(tape, h, _chain(self.layers), x=x, split=split)
 
     def parameters(self) -> list[Tensor2]:
@@ -158,21 +158,11 @@ class GaussianEncoder:
     def encode(self, tape: Tape | None, x: Tensor2, u: Tensor2):
         """Reparameterized draw z = mu(x) + sigma(x) * u; returns (z, mu, sigma).
 
-        u may hold several draws per row of x (respondent-major, the same
-        count for every row): the heads run once per row of x, and mu and
-        sigma are repeated to the rows of u.
+        u holds a multiple of x's rows, respondent-major: the heads run once
+        per row of x, and mu and sigma keep that row for all of its draws.
         """
-        if u.cols != self.latent_dim:
-            raise dk.ShapeError(f"noise has {u.cols} columns, latent dim is {self.latent_dim}")
-        if u.rows % x.rows:
-            raise dk.ShapeError(f"noise has {u.rows} rows, not a multiple of the "
-                                f"{x.rows} input rows")
         mu, sigma = self.heads(tape, x)
-        draws = u.rows // x.rows
-        mu = dk.repeat_rows(tape, mu, draws)
-        sigma = dk.repeat_rows(tape, sigma, draws)
-        z = dk.add(tape, mu, dk.mul(tape, sigma, u))
-        return z, mu, sigma
+        return dk.gaussian_draws(tape, mu, sigma, u.data), mu, sigma
 
     def heads_values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`heads` without a tape, on plain arrays."""

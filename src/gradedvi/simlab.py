@@ -267,15 +267,36 @@ def write_responses_csv(path, responses: ResponseMatrix) -> None:
 
 
 def read_responses_csv(path, categories=None) -> ResponseMatrix:
-    """Read a responses CSV; category counts default to max+1 per item."""
+    """Read a responses CSV; category counts default to max+1 per item.
+
+    A missing header, a row whose width is not the header's, a cell that is
+    neither empty nor an integer, or no rows at all raises ValueError naming
+    the file and the line, and the column for a cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[MISSING if cell == "" else int(cell) for cell in row]
-                for row in reader if row]
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"malformed responses CSV {path}, line 1: no header")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"malformed responses CSV {path}, line {reader.line_num}: "
+                                 f"{len(row)} cells, the header has {len(header)}")
+            try:
+                rows.append([MISSING if cell == "" else int(cell) for cell in row])
+            except ValueError:
+                for j, cell in enumerate(row):
+                    try:
+                        int(cell or 0)
+                    except ValueError:
+                        raise ValueError(f"malformed responses CSV {path}, line "
+                                         f"{reader.line_num}, column {j + 1}: {cell!r} is "
+                                         f"not an integer") from None
+    if not rows:
+        raise ValueError(f"malformed responses CSV {path}: no rows after the header")
     data = np.asarray(rows, dtype=np.int64)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"malformed responses CSV {path}")
     if categories is None:
         categories = np.maximum(data.max(axis=0) + 1, 2)
     return ResponseMatrix(data, categories)

@@ -273,14 +273,24 @@ class TestFit:
             hashes.append(manifest["config_hash"])
         assert hashes[0] == hashes[1] == hashes[2]
 
-    def test_unreadable_csv_exits_2(self, tmp_path):
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys):
+        """A malformed responses file exits 2, and stderr names the file and
+        the line, and the column for a bad cell."""
         cfg = tmp_path / "config.json"
         write_config(cfg)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("item_1,item_2\n0,not_an_int\n")
-        code = main(["fit", "--config", str(cfg), "--responses", str(bad),
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
+        cases = {"not_an_int": ("item_1,item_2\n0,not_an_int\n", "line 2, column 2"),
+                 "fraction": ("item_1,item_2\n0,1\n1.5,0\n", "line 3, column 1"),
+                 "ragged": ("item_1,item_2\n0,1\n1\n", "line 3: 1 cells"),
+                 "empty": ("", "line 1: no header"),
+                 "header_only": ("item_1,item_2\n", "no rows")}
+        for name, (text, where) in cases.items():
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text(text)
+            code = main(["fit", "--config", str(cfg), "--responses", str(bad),
+                         "--out", str(tmp_path / "o")])
+            assert code == 2, name
+            err = capsys.readouterr().err
+            assert f"malformed responses CSV {bad}" in err and where in err, name
 
     def test_missing_csv_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from gradedvi import diffkernel as dk
 
@@ -66,13 +66,24 @@ OPS = {
     "sum_rows": (1, lambda tape, a: dk.sum_rows(tape, a), None),
     "logsumexp_rows": (1, lambda tape, a: dk.logsumexp_rows(tape, a), None),
     "reshape": (1, lambda tape, a: dk.reshape(tape, a, 6, 2), None),
-    "repeat_rows": (1, lambda tape, a: dk.repeat_rows(tape, a, 3), None),
     "ordinal_loglik": (2, None, None),
     "ordered_cuts": (1, lambda tape, a: dk.ordered_cuts(tape, a, 1e-6), None),
     "gaussian_kl": (2, lambda tape, mu, sigma: dk.gaussian_kl(tape, mu, sigma), None),
+    "gaussian_draws": (2, lambda tape, mu, sigma: dk.gaussian_draws(tape, mu, sigma, GAUSS_U),
+                       None),
+    "diag_normal_logpdf": (1, lambda tape, z: dk.diag_normal_logpdf(tape, z, GAUSS_MU,
+                                                                    GAUSS_SIGMA), None),
     "correlated_normal_logpdf": (2, lambda tape, z, raw: dk.correlated_normal_logpdf(tape, z, raw),
                                  None),
 }
+
+# gaussian_draws and diag_normal_logpdf fixture: 2 respondents of 3 factors
+# with 3 rows each; the noise, and the mean and scale of the log density, are
+# plain arrays
+_gauss_rng = np.random.default_rng(77)
+GAUSS_U = _gauss_rng.normal(size=(6, 3))
+GAUSS_MU = _gauss_rng.normal(size=(2, 3))
+GAUSS_SIGMA = _shift_pos(_gauss_rng.normal(size=(2, 3)))
 
 # dk.feedforward, one entry per variant "feedforward:<variant>": the layer
 # activations, the rows per feature row (t; 0 for no feature input) and, for
@@ -134,9 +145,12 @@ def _build_inputs(name, rng):
         # logits, then strictly decreasing boundary intercepts per item
         cut1 = rng.uniform(0.2, 1.0, size=(3, 1))
         return [draw((6, 3)), np.hstack([cut1, cut1 - rng.uniform(0.5, 1.5, size=(3, 1))])]
-    if name == "gaussian_kl":
+    if name in ("gaussian_kl", "gaussian_draws"):
         # mu of either sign, sigma strictly positive
-        return [draw((3, 4)), _shift_pos(draw((3, 4)))]
+        shape = (3, 4) if name == "gaussian_kl" else GAUSS_MU.shape
+        return [draw(shape), _shift_pos(draw(shape))]
+    if name == "diag_normal_logpdf":
+        return [draw(GAUSS_U.shape)]
     if name == "correlated_normal_logpdf":
         # draws of 3 factors, and a raw factor over both softplus tails whose
         # upper triangle the prior ignores
@@ -216,7 +230,7 @@ class TestMatmul:
 
 class TestMatmulRepeat:
     """The first layer of `dk.feedforward` with a feature input x computes
-    [repeat_rows(x, t), z] @ w without building the repeat."""
+    [np.repeat(x, t, axis=0), z] @ w without building the repeat."""
 
     def _arrays(self, B, t, seed=0):
         rng = np.random.default_rng(seed)
@@ -834,26 +848,6 @@ class TestLogsumexpRows:
             assert np.all(out <= x.max(axis=1) + math.log(6) + 1e-12)
 
 
-class TestStopGradient:
-    def test_identity_forward(self):
-        x = np.array([[1.0, -2.0]])
-        np.testing.assert_array_equal(dk.stop_gradient(None, dk.const(x)).data, x)
-
-    def test_only_live_factor_contributes(self):
-        tape = dk.Tape()
-        x = dk.parameter([[2.0, -3.0]])
-        frozen = dk.stop_gradient(tape, x)
-        root = dk.tsum(tape, dk.mul(tape, frozen, x))
-        tape.backward(root)
-        np.testing.assert_array_equal(x.grad, x.data)
-
-    def test_nested_idempotent(self):
-        x = dk.parameter([[1.0]])
-        out = dk.stop_gradient(None, dk.stop_gradient(None, x))
-        assert not out.requires_grad
-        assert out.data[0, 0] == 1.0
-
-
 class TestTape:
     def test_each_node_visited_once(self):
         # count backward invocations via gradient magnitude on a diamond graph
@@ -942,26 +936,117 @@ class TestRowScale:
             tape.backward(root, row_scale=(leaves["x"], np.ones((4, 1))))
 
 
-class TestRepeatRows:
-    def test_rows_repeat_back_to_back(self):
-        out = dk.repeat_rows(None, dk.const([[1.0, 2.0], [3.0, 4.0]]), 2)
-        np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [3, 4], [3, 4]])
+class TestGaussianDraws:
+    def test_each_row_serves_its_respondents_draws(self):
+        u = np.array([[1.0, 0.0], [0.0, -1.0], [2.0, 1.0], [-1.0, 0.5]])
+        out = dk.gaussian_draws(None, dk.const([[1.0, 2.0], [3.0, 4.0]]),
+                                dk.const([[1.0, 1.0], [2.0, 4.0]]), u)
+        np.testing.assert_array_equal(out.data, [[2, 2], [1, 1], [7, 8], [1, 6]])
 
-    def test_backward_sums_each_group(self):
+    def test_backward_sums_each_respondents_rows(self):
         tape = dk.Tape()
-        x = dk.parameter([[1.0], [2.0]])
-        out = dk.repeat_rows(tape, x, 3)
+        mu, sigma = dk.parameter([[1.0], [2.0]]), dk.parameter([[1.0], [1.0]])
+        u = np.arange(6.0).reshape(6, 1)
+        out = dk.gaussian_draws(tape, mu, sigma, u)
         w = dk.const(np.arange(6.0).reshape(6, 1))
         tape.backward(dk.tsum(tape, dk.mul(tape, out, w)))
-        np.testing.assert_array_equal(x.grad, [[0 + 1 + 2], [3 + 4 + 5]])
+        np.testing.assert_array_equal(mu.grad, [[0 + 1 + 2], [3 + 4 + 5]])
+        np.testing.assert_array_equal(sigma.grad, [[0 + 1 + 4], [9 + 16 + 25]])
 
-    def test_single_repeat_is_identity(self):
-        x = dk.parameter([[1.0, 2.0]])
-        assert dk.repeat_rows(dk.Tape(), x, 1) is x
+    def test_one_draw_per_respondent_is_mu_plus_sigma_u(self):
+        rng = np.random.default_rng(8)
+        mu0, sigma0 = rng.normal(size=(4, 3)), np.exp(rng.normal(size=(4, 3)))
+        u = rng.normal(size=(4, 3))
+        w = dk.const(rng.normal(size=(4, 3)))
+        results = []
+        for op in (lambda t, m, s: dk.gaussian_draws(t, m, s, u),
+                   lambda t, m, s: dk.add(t, m, dk.mul(t, s, dk.const(u)))):
+            mu, sigma = dk.parameter(mu0), dk.parameter(sigma0)
+            tape = dk.Tape()
+            z = op(tape, mu, sigma)
+            tape.backward(dk.tsum(tape, dk.mul(tape, z, w)))
+            results.append((z.data, mu.grad, sigma.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
-    def test_nonpositive_count_rejected(self):
+    @pytest.mark.parametrize("u_shape", [(7, 2), (6, 3)], ids=["rows", "columns"])
+    def test_noise_not_a_multiple_rejected(self, u_shape):
+        with pytest.raises(dk.ShapeError, match="multiple"):
+            dk.gaussian_draws(None, dk.const(np.zeros((3, 2))), dk.const(np.ones((3, 2))),
+                              np.zeros(u_shape))
+
+
+class TestDiagNormalLogpdf:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(9)
+        mu, sigma = rng.normal(size=(3, 2)), np.exp(rng.normal(size=(3, 2)))
+        z = rng.normal(size=(12, 2))
+        out = dk.diag_normal_logpdf(None, dk.const(z), mu, sigma).data[:, 0]
+        want = stats.norm.logpdf(z, np.repeat(mu, 4, axis=0),
+                                 np.repeat(sigma, 4, axis=0)).sum(axis=1)
+        np.testing.assert_allclose(out, want, rtol=1e-13)
+
+    def test_only_z_gets_a_gradient(self):
+        """mu and sigma are plain arrays, constants of the node: z's gradient
+        is -(z - mu) / sigma^2, the score at fixed mu and sigma."""
+        z = dk.parameter([[2.0, -3.0], [0.5, 1.0]])
+        mu, sigma = np.array([[1.0, -1.0]]), np.array([[2.0, 0.5]])
+        tape = dk.Tape()
+        tape.backward(dk.tsum(tape, dk.diag_normal_logpdf(tape, z, mu, sigma)))
+        np.testing.assert_array_equal(z.grad, -(z.data - mu) / sigma ** 2)
+        assert len(tape) == 2
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_sigma_is_a_domain_error(self, bad):
+        sigma = np.ones((2, 2))
+        sigma[1, 0] = bad
+        with pytest.raises(dk.DomainError, match=r"diag_normal_logpdf.*\(1, 0\)"):
+            dk.diag_normal_logpdf(None, dk.const(np.zeros((4, 2))), np.zeros((2, 2)), sigma)
+
+    def test_shapes_must_match(self):
         with pytest.raises(dk.ShapeError):
-            dk.repeat_rows(None, dk.const([[1.0]]), 0)
+            dk.diag_normal_logpdf(None, dk.const(np.zeros((5, 2))), np.zeros((2, 2)),
+                                  np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("P", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 25])
+def test_gaussian_ops_match_the_tiled_node_chain_bit_for_bit(P, d):
+    """z, log q and the gradients of z, mu and sigma equal, bit for bit, the
+    generic nodes on mu and sigma repeated to the draws: add and mul for z,
+    and for log q the seven-node chain on constant copies of the repeats;
+    the repeats' gradients are summed over each respondent's rows."""
+    rng = np.random.default_rng(40 + P + d)
+    B = 7
+    mu0, sigma0 = rng.normal(size=(B, P)), np.exp(rng.normal(size=(B, P)))
+    u = rng.standard_normal((B * d, P))
+    w = dk.const(rng.uniform(0.5, 1.5, size=(B * d, P)))
+    v = dk.const(rng.uniform(0.5, 1.5, size=(B * d, 1)))
+
+    def backward(tape, z, logq):
+        tape.backward(dk.add(tape, dk.tsum(tape, dk.mul(tape, logq, v)),
+                             dk.tsum(tape, dk.mul(tape, z, w))))
+
+    mu, sigma = dk.parameter(mu0), dk.parameter(sigma0)
+    tape = dk.Tape()
+    z = dk.gaussian_draws(tape, mu, sigma, u)
+    logq = dk.diag_normal_logpdf(tape, z, mu0, sigma0)
+    backward(tape, z, logq)
+
+    mu_t, sigma_t = (dk.parameter(np.repeat(a, d, axis=0)) for a in (mu0, sigma0))
+    tape = dk.Tape()
+    z_c = dk.add(tape, mu_t, dk.mul(tape, sigma_t, dk.const(u)))
+    mu_c, sigma_c = dk.const(mu_t.data), dk.const(sigma_t.data)
+    resid = dk.div(tape, dk.sub(tape, z_c, mu_c), sigma_c)
+    out = dk.mul(tape, dk.sum_rows(tape, dk.square(tape, resid)), -0.5)
+    out = dk.sub(tape, out, dk.sum_rows(tape, dk.log(tape, sigma_c)))
+    logq_c = dk.add(tape, out, -0.5 * P * math.log(2.0 * math.pi))
+    backward(tape, z_c, logq_c)
+
+    summed = [t.grad.reshape(B, d, P).sum(axis=1) for t in (mu_t, sigma_t)]
+    for got, want in zip((z.data, logq.data, z.grad, mu.grad, sigma.grad),
+                         (z_c.data, logq_c.data, z_c.grad, *summed)):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOrdinalLoglik:
@@ -1101,7 +1186,7 @@ class TestGaussianKl:
 def test_every_tape_op_has_a_finite_difference_entry():
     """OPS lists exactly the public diffkernel functions taking `tape` first,
     under the name each records (tsum records "sum", tmean "mean"), with
-    variants of one op as "<op>:<variant>"; stop_gradient records no node."""
+    variants of one op as "<op>:<variant>"."""
     import inspect
 
     recorded = {"tsum": "sum", "tmean": "mean"}
@@ -1109,5 +1194,4 @@ def test_every_tape_op_has_a_finite_difference_entry():
            for name, fn in inspect.getmembers(dk, inspect.isfunction)
            if not name.startswith("_") and fn.__module__ == dk.__name__
            and next(iter(inspect.signature(fn).parameters), None) == "tape"}
-    ops.discard("stop_gradient")
     assert ops == {name.split(":")[0] for name in OPS}

@@ -424,22 +424,22 @@ class TestDreg:
     X = 1.4
 
     def _log_w(self, tape, m, log_s, u, stop_q):
-        # the 1x1 parameters repeated to one row per draw
-        m = dk.repeat_rows(tape, m, u.shape[0])
-        sigma = dk.repeat_rows(tape, dk.exp(tape, log_s), u.shape[0])
-        z = dk.add(tape, dk.mul(tape, dk.const(u), sigma), m)
+        # one respondent: the 1x1 parameters serve every draw
+        sigma = dk.exp(tape, log_s)
+        z = dk.gaussian_draws(tape, m, sigma, u)
         logp = dk.add(tape, dk.mul(tape, dk.square(tape, dk.sub(tape, z, self.X)), -0.5),
                       -0.5 * LOG_2PI)
         logp = dk.add(tape, logp,
                       dk.add(tape, dk.mul(tape, dk.square(tape, z), -0.5), -0.5 * LOG_2PI))
         if stop_q:
-            m_eff = dk.stop_gradient(tape, m)
-            s_eff = dk.stop_gradient(tape, sigma)
+            logq = dk.diag_normal_logpdf(tape, z, m.data, sigma.data)
         else:
-            m_eff, s_eff = m, sigma
-        resid = dk.div(tape, dk.sub(tape, z, m_eff), s_eff)
-        logq = dk.add(tape, dk.mul(tape, dk.square(tape, resid), -0.5), -0.5 * LOG_2PI)
-        logq = dk.sub(tape, logq, dk.log(tape, s_eff))
+            # the parameters repeated to one row per draw, gradient and all
+            ones = dk.const(np.ones((u.shape[0], 1)))
+            m_rep, s_rep = dk.matmul(tape, ones, m), dk.matmul(tape, ones, sigma)
+            resid = dk.div(tape, dk.sub(tape, z, m_rep), s_rep)
+            logq = dk.add(tape, dk.mul(tape, dk.square(tape, resid), -0.5), -0.5 * LOG_2PI)
+            logq = dk.sub(tape, logq, dk.log(tape, s_rep))
         return dk.sub(tape, logp, logq), z
 
     def _analytic(self, m, log_s):

@@ -60,7 +60,7 @@ class TestResponseMatrix:
 
     def test_missing_allowed(self):
         r = ResponseMatrix([[MISSING, 2]], categories=[3, 3])
-        assert r.has_missing()
+        assert r.data[0, 0] == MISSING
 
 
 def sigmoid(t):

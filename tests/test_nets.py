@@ -148,7 +148,9 @@ class TestGaussianEncoder:
             enc.encode(None, dk.const(np.zeros((2, 6))), dk.const(np.zeros((2, 3))))
 
     def test_per_respondent_heads_match_tiled_rows(self):
-        # B rows with R draws each against the same rows repeated R times
+        # B rows with R draws each against the same rows repeated R times:
+        # mu and sigma keep one row per input row, so the tiled run holds R
+        # copies of each, and its sigma * mu term counts R times
         enc = self._encoder()
         rng = np.random.default_rng(6)
         B, R = 4, 5
@@ -159,9 +161,9 @@ class TestGaussianEncoder:
         def run(rows):
             tape = dk.Tape()
             z, mu, sigma = enc.encode(tape, dk.const(rows), u)
-            loss = dk.add(tape, dk.tsum(tape, dk.mul(tape, z, w)),
-                          dk.tsum(tape, dk.mul(tape, sigma, mu)))
-            tape.backward(loss)
+            heads = dk.mul(tape, dk.mul(tape, sigma, mu), B * R / mu.rows)
+            tape.backward(dk.add(tape, dk.tsum(tape, dk.mul(tape, z, w)),
+                                 dk.tsum(tape, heads)))
             grads = [p.grad.copy() for p in enc.parameters()]
             for p in enc.parameters():
                 p.zero_grad()
@@ -169,9 +171,11 @@ class TestGaussianEncoder:
 
         vals, grads = run(x)
         vals_t, grads_t = run(np.repeat(x, R, axis=0))
-        for a, b in zip(vals, vals_t):
-            assert a.shape == (B * R, 2)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert vals[0].shape == (B * R, 2)
+        assert vals[1].shape == vals[2].shape == (B, 2)
+        np.testing.assert_allclose(vals[0], vals_t[0], rtol=0, atol=1e-12)
+        for a, b in zip(vals[1:], vals_t[1:]):
+            np.testing.assert_allclose(np.repeat(a, R, axis=0), b, rtol=0, atol=1e-12)
         for a, b in zip(grads, grads_t):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
