@@ -200,12 +200,14 @@ class AlignmentReport:
 def align_to_reference(candidate: np.ndarray, reference: np.ndarray) -> AlignmentReport:
     """Sign reflection and optimal column matching against a reference (both
     matrices sign-canonicalized first); rotate an exploratory candidate with
-    `geomin_rotate` before aligning it."""
+    `geomin_rotate` before aligning it.  The aligned loadings, and the map's
+    signs, carry the reference's own column signs, so a column of the
+    reference that sums negative is matched as it stands."""
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    ref_c, _ = reflect_signs(reference)
+    ref_c, ref_signs = reflect_signs(reference)
     cand_c, cand_signs = reflect_signs(candidate)
     amap, aligned = match_columns(cand_c, ref_c)
     total = AlignmentMap(permutation=amap.permutation,
-                         signs=cand_signs[amap.permutation])
-    return AlignmentReport(amap=total, aligned_loadings=aligned)
+                         signs=cand_signs[amap.permutation] * ref_signs)
+    return AlignmentReport(amap=total, aligned_loadings=aligned * ref_signs)

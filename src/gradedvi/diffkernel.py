@@ -179,9 +179,10 @@ class Tape:
 def _accum(t: Tensor2, g: np.ndarray, own: bool = True) -> None:
     """Add g into t's gradient buffer.
 
-    own=True promises g is freshly allocated and never reused by the caller,
-    so it can be stored directly on first accumulation; own=False forces a
-    copy there (g may be a view of, or alias, another tensor's gradient).
+    own=True promises g is the caller's to give away, freshly allocated or
+    a buffer that nothing reads again, so it can be stored directly on first
+    accumulation; own=False forces a copy there (g may be a view of, or
+    alias, another tensor's gradient).
     """
     if not t.requires_grad:
         return
@@ -680,9 +681,11 @@ def _add_per_respondent(out: np.ndarray, u: np.ndarray, xw: np.ndarray, t: int,
         np.add(u[b:], xw[last], out=out[b:])
 
 
-def _split_matmul(a: np.ndarray, w: np.ndarray, then=None) -> np.ndarray:
+def _split_matmul(a: np.ndarray, w: np.ndarray, then=None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """a @ w by rows on two threads when large, followed by then(out, lo, hi)
-    on each half's rows [lo, hi) of the result when given.
+    on each half's rows [lo, hi) of the result when given.  The result goes
+    into out, a fresh array when out is None; out must not overlap a or w.
 
     The matmul splits where `_matmul_splits_exactly` allows and otherwise
     runs whole on the calling thread first; a's values and the result's
@@ -691,9 +694,12 @@ def _split_matmul(a: np.ndarray, w: np.ndarray, then=None) -> np.ndarray:
     each value sums, so each value sums all the draws in one BLAS call, as
     in the whole product.  The rules of `_matmul_splits_exactly` hold there
     too: a (128, 5) gradient at 3,200 draws cut at fan-in row 27 differed
-    from the whole by 4e-13."""
+    from the whole by 4e-13.  A layer's input gradient is
+    `_split_matmul(g, weight.T, out=acts[l])`: it goes into the layer's saved
+    input, which its weight gradient has already read (`feedforward`)."""
     n = a.shape[0]
-    out = np.empty((n, w.shape[1]))
+    if out is None:
+        out = np.empty((n, w.shape[1]))
     by_rows = _matmul_splits_exactly(n, *w.shape)
     if not by_rows:
         np.matmul(a, w, out=out)
@@ -729,6 +735,17 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     and only the weights and biases, respectively.  Backward computes only
     the gradients whose targets require them, and each GELU's derivative
     is computed once, in the forward, for both outputs.
+
+    Backward runs in the forward's memory.  A layer's saved input is read
+    only for that layer's weight gradient, and it has the shape of the
+    gradient below the layer, so that gradient, (g @ weight^T) times the
+    GELU derivative, is written over it.  h (the first layer's input) is
+    never written, and the output is not saved.  Route order: the inputs
+    route reads no saved inputs but overwrites them, so it reuses them only
+    once the weights route has read them.  The tape runs to_weights first,
+    because it is recorded after to_inputs; if the inputs route ever runs
+    while the weights route is still to come, it writes fresh arrays
+    instead, so the gradients stay right in either order.
     """
     t = 1
     F = 0
@@ -748,7 +765,8 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
     keep = tape is not None and (inputs_live or any_weights)
 
     # kept for backward only: acts[l] is the input of layer l (acts[0] is
-    # h.data), derivs[l] the GELU derivative at u_l or None for identity
+    # h.data), derivs[l] the GELU derivative at u_l or None for identity;
+    # backward writes the gradients below layers 1.. over acts[1:]
     acts, derivs = [], []
     n = h.rows
     a = h.data
@@ -773,7 +791,14 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
             derivs.append(d)
         a = u
 
+    # whether a recorded weights route has yet to read acts (split only)
+    weights_pending = split and keep and any_weights
+
     def run_backward(g, to_inputs: bool, to_weights: bool):
+        nonlocal weights_pending
+        reuse = to_weights or not weights_pending  # may acts[1:] be overwritten
+        if to_weights:
+            weights_pending = False
         last = len(layers) - 1
         if derivs[last] is not None:
             g = derivs[last] * g
@@ -795,7 +820,8 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
                 def times_d(out, lo, hi):  # the GELU derivative below layer l
                     np.multiply(d[lo:hi], out[lo:hi], out=out[lo:hi])
 
-                g = _split_matmul(g, w.data.T, None if d is None else times_d)
+                g = _split_matmul(g, w.data.T, None if d is None else times_d,
+                                  out=acts[l] if reuse else None)
         if to_inputs:
             w = layers[0][0].data
             if h.requires_grad:
@@ -812,6 +838,8 @@ def feedforward(tape: Tape | None, h: Tensor2, layers, x: Tensor2 | None = None,
         return out
     to_inputs = Tensor2(a, requires_grad=inputs_live)
     to_weights = Tensor2(a, requires_grad=any_weights)
+    # to_weights is recorded last, so its route reads acts before the inputs
+    # route overwrites them (run_backward's `reuse` keeps either order right)
     if keep and inputs_live:
         tape.record("feedforward_to_inputs", to_inputs, lambda g: run_backward(g, True, False))
     if keep and any_weights:
@@ -962,7 +990,9 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
     zero gradient.  The backward runs in chunks of whole respondents, split
     between two threads when large (`_split_rows`); each respondent's sums
     over its tile rows are taken inside the chunks, and the cut gradient's
-    sum over respondents runs on the calling thread.
+    sum over respondents runs on the calling thread.  The logits' gradient
+    is written over the saved probabilities p, chunk by chunk, after the
+    chunk has read them for its floor mask and division.
     """
     B, M = levels.shape
     if logits.shape != (B * tile, M):
@@ -990,7 +1020,7 @@ def ordinal_loglik(tape: Tape | None, logits: Tensor2, cuts: Tensor2,
         g = g.reshape(B, tile, 1)
         step = max(1, _CHUNK_VALUES // max(tile * M, 1))  # respondents per chunk
         chunk = (min(B, 2 * step), tile, M)
-        grad = np.empty(p.shape)  # d_hi - d_lo, the logits' gradient
+        grad = p  # d_hi - d_lo, the logits' gradient, over each chunk of p once read
         live = np.empty(chunk, dtype=bool)
         scale, d_hi = np.empty(chunk), np.empty(chunk)
         sums = np.empty((2, B, M))  # d_hi and d_lo summed over each respondent's rows

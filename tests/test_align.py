@@ -336,7 +336,17 @@ class TestFullPipeline:
             signs = rng.choice([-1.0, 1.0], size=5)
             cand = ref[:, perm] * signs
             rep = align_to_reference(cand, ref)
-            np.testing.assert_array_equal(rep.aligned_loadings, reflect_signs(ref)[0])
+            # in the reference's own column signs, negative-sum columns too
+            np.testing.assert_array_equal(rep.aligned_loadings, ref)
+            amap = rep.amap
+            np.testing.assert_array_equal(cand[:, amap.permutation] * amap.signs, ref)
+
+    def test_reference_aligned_to_itself_is_unchanged(self):
+        ref = np.array([[-0.8, 0.1], [-0.7, 0.6], [0.0, 0.9], [0.1, 0.2]])
+        rep = align_to_reference(ref, ref)
+        np.testing.assert_array_equal(rep.aligned_loadings, ref)
+        np.testing.assert_array_equal(rep.amap.permutation, [0, 1])
+        np.testing.assert_array_equal(rep.amap.signs, [1.0, 1.0])
 
     def test_rotated_signed_permuted_copy_recovered(self):
         rng = np.random.default_rng(20)
@@ -348,7 +358,7 @@ class TestFullPipeline:
         cand = cand[:, perm] * signs
         ref = geomin_rotate(ref, starts=15, seed=21).loadings
         rep = align_to_reference(geomin_rotate(cand, starts=15, seed=21).loadings, ref)
-        assert_same_up_to_column_scale(rep.aligned_loadings, reflect_signs(ref)[0])
+        assert_same_up_to_column_scale(rep.aligned_loadings, ref)
 
     def test_correlation_alignment_consistent_with_loadings(self):
         rng = np.random.default_rng(22)

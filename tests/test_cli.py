@@ -2,6 +2,8 @@
 output, manifests, the 0/2/3 exit-code contract, and the modules a command
 loads."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from gradedvi import cli
+from gradedvi import BLAS_THREAD_VARIABLES, cli
 from gradedvi import diffkernel as dk
 from gradedvi.cli import main
 from gradedvi.estimators import DegeneratePosteriorError
@@ -545,34 +547,44 @@ class TestEval:
     def test_exploratory_equivalent_fit_scores_zero(self, P, tmp_path):
         """The truth re-expressed through an oblique T (loadings L chol(Sigma)
         (T')^-1, factor correlation T'T) is the same model, so eval must
-        score it as exact up to the rotation's convergence."""
-        truth = simulate(SimDesign(n_items=30, n_factors=P, categories=3, seed=5))
-        rng = np.random.default_rng(9)
-        T = rng.standard_normal((P, P))
-        T /= np.sqrt((T ** 2).sum(axis=0))
-        orth = truth.values.loadings @ np.linalg.cholesky(truth.values.factor_corr)
-        equivalent = GrmValues(loadings=orth @ np.linalg.inv(T).T,
-                               intercepts=truth.values.intercepts, factor_corr=T.T @ T)
-        fits = tmp_path / "fits"
-        truths = tmp_path / "truths"
-        fits.mkdir()
-        truths.mkdir()
-        doc = self._fake_fit_doc(equivalent, np.ones((30, P)), truth.responses.categories,
-                                 structure="exploratory")
-        (fits / "fit_rep000.json").write_text(json.dumps(doc))
-        write_truth_json(truths / "truth_rep000.json", truth)
-        out = tmp_path / "report.json"
-        assert main(["eval", "--fits", str(fits), "--truths", str(truths),
-                     "--out", str(out)]) == 0
-        rep = json.loads(out.read_text())
-        assert rep["aligned"]
-        assert rep["blocks"]["loadings"]["mse"] < 1e-4
-        assert rep["blocks"]["correlations"]["mse"] < 1e-4
-        [rot] = rep["rotations"]
-        assert rot["fit"] == "fit_rep000.json"
-        assert rot["converged"] is True
-        assert 0 <= rot["start"] < 30
-        assert rot["criterion"] > 0
+        score it as exact up to the rotation's convergence.  So must it when
+        the truth's first factor is negated: its loading column sums
+        negative and its correlations change sign, and eval scores the fit
+        in the truth's own orientation."""
+        simulated = simulate(SimDesign(n_items=30, n_factors=P, categories=3, seed=5))
+        signs = np.ones(P)
+        signs[0] = -1.0
+        flipped = dataclasses.replace(simulated, values=GrmValues(
+            loadings=simulated.values.loadings * signs, intercepts=simulated.values.intercepts,
+            factor_corr=simulated.values.factor_corr * np.outer(signs, signs)))
+        assert flipped.values.loadings[:, 0].sum() < 0
+        for case, truth in (("simulated", simulated), ("flipped", flipped)):
+            rng = np.random.default_rng(9)
+            T = rng.standard_normal((P, P))
+            T /= np.sqrt((T ** 2).sum(axis=0))
+            orth = truth.values.loadings @ np.linalg.cholesky(truth.values.factor_corr)
+            equivalent = GrmValues(loadings=orth @ np.linalg.inv(T).T,
+                                   intercepts=truth.values.intercepts, factor_corr=T.T @ T)
+            fits = tmp_path / case / "fits"
+            truths = tmp_path / case / "truths"
+            fits.mkdir(parents=True)
+            truths.mkdir()
+            doc = self._fake_fit_doc(equivalent, np.ones((30, P)), truth.responses.categories,
+                                     structure="exploratory")
+            (fits / "fit_rep000.json").write_text(json.dumps(doc))
+            write_truth_json(truths / "truth_rep000.json", truth)
+            out = tmp_path / case / "report.json"
+            assert main(["eval", "--fits", str(fits), "--truths", str(truths),
+                         "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+            assert rep["aligned"], case
+            assert rep["blocks"]["loadings"]["mse"] < 1e-4, case
+            assert rep["blocks"]["correlations"]["mse"] < 1e-4, case
+            [rot] = rep["rotations"]
+            assert rot["fit"] == "fit_rep000.json"
+            assert rot["converged"] is True
+            assert 0 <= rot["start"] < 30
+            assert rot["criterion"] > 0
 
     def test_eval_json_bytes_do_not_depend_on_the_working_directory(self, tmp_path,
                                                                      monkeypatch):
@@ -1258,3 +1270,47 @@ def test_only_eval_loads_scipy_optimize(tmp_path):
         "import": False, "simulate": [0, False], "fit": [0, False],
         "heldout": [0, False], "eval": [0, True]}
     assert json.loads((tmp_path / "eval.json").read_text())["aligned"] is True
+
+
+# The `gradedvi` console command: `[project.scripts]` runs gradedvi.main
+_CONSOLE_CHILD = "import sys; from gradedvi import main; sys.exit(main())"
+
+
+def test_console_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The console command pins BLAS to one thread before numpy loads, so a
+    seeded P=5 VAE fit writes the same fit.json with OPENBLAS_NUM_THREADS
+    unset as set to 1.  Unpinned, on two CPUs, the encoder's weight
+    gradients (100 x 100, over 128 rows) ran on BLAS threads, and the two
+    digests differed."""
+    write_design(tmp_path / "design.json", n_respondents=128, n_items=20, n_factors=5,
+                 categories=5, seed=11)
+    write_config(tmp_path / "config.json", estimator="VAE", n_factors=5, R=1, batch_size=128,
+                 max_iterations=2, encoder_hidden=[100, 100], seed=11)
+    assert main(["simulate", "--design", str(tmp_path / "design.json"),
+                 "--out", str(tmp_path / "sims")]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = src
+    digests, manifests = [], []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", _CONSOLE_CHILD, "fit",
+                        "--config", str(tmp_path / "config.json"),
+                        "--responses", str(tmp_path / "sims" / "responses_rep000.csv"),
+                        "--out", str(out)],
+                       env={**env, **extra}, capture_output=True, text=True, timeout=300,
+                       check=True)
+        digests.append(hashlib.sha256((out / "fit.json").read_bytes()).hexdigest())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert digests[0] == digests[1]
+    assert [m["environment"]["blas_threads"] for m in manifests] == [1, 1]
+
+
+def test_importing_the_cli_leaves_the_blas_variables_alone():
+    code = ("import json, os, gradedvi.cli; "
+            "print(json.dumps([os.environ.get(k) for k in gradedvi.BLAS_THREAD_VARIABLES]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    done = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(done.stdout) == [None, None, None]

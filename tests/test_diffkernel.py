@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent import futures
 from pathlib import Path
 
@@ -600,16 +601,8 @@ class TestSplitRows:
         hold less than one respondent; one respondent's 5,000 rows split in
         the forward only.  With `blank`, item 3 is MISSING for every
         respondent, and its logits' and cuts' gradients are +0.0."""
-        M = 50
-        rng = np.random.default_rng(14)
-        categories = rng.integers(2, 7, size=M)
-        levels = rng.integers(0, categories, size=(B, M))
-        missing = rng.random((B, M)) < 0.1
+        categories, levels, missing, logits, cuts_arr = self._ordinal_case(14, B, tile)
         missing[:, 3] |= blank
-        logits = rng.normal(0.0, 2.0, size=(B * tile, M))
-        logits[rng.random(logits.shape) < 0.05] *= 30.0  # both sigmoids round alike
-        steps = np.sort(rng.uniform(0.05, 1.5, size=(M, 5)), axis=1)
-        cuts_arr = rng.normal(size=(M, 1)) - np.cumsum(steps, axis=1) + steps[:, :1]
         want = self._ordinal_unchunked(logits, cuts_arr, levels, missing, categories, tile)
         floored = want[3]
         assert floored.any() and not floored.all()
@@ -637,7 +630,23 @@ class TestSplitRows:
                 _assert_same_bits(got[1][:, 3], np.zeros(B * tile))
                 _assert_same_bits(got[2][3], np.zeros(5))
         # the forward's rows, then the backward's respondents, on each pass
-        assert calls == [(B * tile, B * tile * M), (B, B * tile * M)] * 2
+        assert calls == [(B * tile, logits.size), (B, logits.size)] * 2
+
+    @staticmethod
+    def _ordinal_case(seed, B, tile, M=50):
+        """(categories, levels, missing, logits, cuts) of B respondents with
+        `tile` rows each: items of 2 to 6 categories, one cell in 10
+        MISSING, and one logit in 20 scaled by 30, so that some observed
+        probabilities sit at the floor."""
+        rng = np.random.default_rng(seed)
+        categories = rng.integers(2, 7, size=M)
+        levels = rng.integers(0, categories, size=(B, M))
+        missing = rng.random((B, M)) < 0.1
+        logits = rng.normal(0.0, 2.0, size=(B * tile, M))
+        logits[rng.random(logits.shape) < 0.05] *= 30.0  # both sigmoids round alike
+        steps = np.sort(rng.uniform(0.05, 1.5, size=(M, 5)), axis=1)
+        cuts = rng.normal(size=(M, 1)) - np.cumsum(steps, axis=1) + steps[:, :1]
+        return categories, levels, missing, logits, cuts
 
     @staticmethod
     def _ordinal_unchunked(logits, cuts, levels, missing, categories, tile):
@@ -789,6 +798,136 @@ class TestSplitRows:
                     proc.kill()
                 raise
         assert got == list(range(8))
+
+
+class TestBackwardInPlace:
+    """Backward writes each layer's input gradient over the layer's saved
+    input, and the likelihood's logits' gradient over its probabilities,
+    with the bits of fresh arrays.  Every test name holds "split", so the
+    one-CPU CI step runs them serially too."""
+
+    ROWS, WIDTHS = 2048, (16, 256, 128, 4)
+
+    def _net(self):
+        rng = np.random.default_rng(41)
+        h = dk.parameter(rng.normal(size=(self.ROWS, self.WIDTHS[0])))
+        layers = [(dk.parameter(rng.normal(0.0, 0.2, size=(a, b))),
+                   dk.parameter(rng.normal(size=(1, b))), gelu_on)
+                  for a, b, gelu_on in zip(self.WIDTHS, self.WIDTHS[1:], (True, True, False))]
+        g_out = np.linspace(-1.0, 2.0, self.ROWS * self.WIDTHS[-1]).reshape(self.ROWS, -1)
+        return h, layers, g_out
+
+    @staticmethod
+    def _fresh_buffer_grads(h, layers, g):
+        """The backward with a fresh array for every gradient, as
+        `feedforward` ran it before reusing its saved inputs: h's gradient
+        and each layer's (weight, bias) gradients."""
+        acts, derivs = [h.data], []
+        for k, (w, b, gelu_on) in enumerate(layers):
+            u = dk.feedforward(None, h, layers[:k] + [(w, b, False)]).data
+            derivs.append(dk._gelu_derivative(u, special.ndtr(u)) if gelu_on else None)
+            acts.append(dk.feedforward(None, h, layers[:k + 1]).data)
+        if derivs[-1] is not None:
+            g = derivs[-1] * g
+        grads = []
+        for l in range(len(layers) - 1, -1, -1):
+            w = layers[l][0].data
+            grads.insert(0, (dk._split_matmul(acts[l].T, g), g.sum(axis=0, keepdims=True)))
+            g = dk._split_matmul(g, w.T)
+            if l > 0 and derivs[l - 1] is not None:
+                g = derivs[l - 1] * g
+        return g, grads
+
+    @staticmethod
+    def _graph(h, layers, g_out, routes, flip=False):
+        """(tape, root) for <out, g_out> summed over the routes' outputs:
+        "whole" is the unsplit node, "inputs" and "weights" the split
+        outputs.  With flip, the two split nodes are recorded in the other
+        order."""
+        tape = dk.Tape()
+        if routes == ("whole",):
+            outs = {"whole": dk.feedforward(tape, h, layers)}
+        else:
+            outs = dict(zip(("inputs", "weights"),
+                            dk.feedforward(tape, h, layers, split=True)))
+            if flip:
+                tape._nodes[-2:] = tape._nodes[-2:][::-1]
+        weight = dk.const(g_out)
+        terms = [dk.tsum(tape, dk.mul(tape, outs[r], weight)) for r in routes]
+        return tape, terms[0] if len(terms) == 1 else dk.add(tape, terms[0], terms[1])
+
+    @pytest.mark.parametrize("routes", [("whole",), ("inputs", "weights"), ("inputs",),
+                                        ("weights",)],
+                             ids=["unsplit", "split-both", "split-inputs", "split-weights"])
+    def test_split_feedforward_backward_matches_fresh_buffers(self, routes):
+        h, layers, g_out = self._net()
+        want_h, want_layers = self._fresh_buffer_grads(h, layers, g_out)
+        tape, root = self._graph(h, layers, g_out, routes)
+        tape.backward(root)
+        if "weights" in routes or "whole" in routes:
+            for (w, b, _), (want_w, want_b) in zip(layers, want_layers, strict=True):
+                _assert_same_bits(w.grad, want_w)
+                _assert_same_bits(b.grad, want_b)
+        else:
+            assert all(w.grad is None and b.grad is None for w, b, _ in layers)
+        if "inputs" in routes or "whole" in routes:
+            _assert_same_bits(h.grad, want_h)
+        else:
+            assert h.grad is None
+
+    def test_split_inputs_route_first_keeps_the_weight_gradients(self):
+        """The tape runs to_weights before to_inputs, because it records it
+        last; the weights route reads the saved inputs that both routes
+        overwrite.  In the other order the inputs route must leave them for
+        the weights route, so every gradient keeps its bits."""
+        h, layers, g_out = self._net()
+        want_h, want_layers = self._fresh_buffer_grads(h, layers, g_out)
+        tape, root = self._graph(h, layers, g_out, ("inputs", "weights"), flip=True)
+        tape.backward(root)
+        for (w, b, _), (want_w, want_b) in zip(layers, want_layers, strict=True):
+            _assert_same_bits(w.grad, want_w)
+            _assert_same_bits(b.grad, want_b)
+        _assert_same_bits(h.grad, want_h)
+
+    @pytest.mark.parametrize("routes", [("whole",), ("inputs", "weights")],
+                             ids=["unsplit", "split-both"])
+    def test_split_feedforward_backward_allocates_no_hidden_sized_array(self, routes):
+        """The gradients below the two GELU layers, 2,048 x 128 and
+        2,048 x 256, go into the saved inputs of the layers above them; a
+        fresh-buffer backward allocates both."""
+        tape, root = self._graph(*self._net(), routes)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(root)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < self.ROWS * min(self.WIDTHS[1:-1]) * 8
+
+    def test_ordinal_loglik_split_backward_reuses_the_probabilities(self):
+        """The logits' gradient is the fresh-array formula's to the bit, with
+        MISSING entries and floored cells, and it is written over the saved
+        probabilities: the backward allocates less than one (rows, M) array."""
+        B, tile = 512, 25
+        categories, levels, missing, logits, cuts_arr = TestSplitRows._ordinal_case(42, B, tile)
+        want = TestSplitRows._ordinal_unchunked(logits, cuts_arr, levels, missing, categories,
+                                                tile)
+        assert want[3].any()  # some observed cells sit at the floor
+        lg, cuts = dk.parameter(logits), dk.parameter(cuts_arr)
+        tape = dk.Tape()
+        out = dk.ordinal_loglik(tape, lg, cuts, levels, missing, categories, 1e-300, tile=tile)
+        root = scalarize(tape, out)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(root)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        _assert_same_bits(lg.grad, want[1])
+        _assert_same_bits(cuts.grad, want[2])
+        assert peak < logits.nbytes
 
 
 class TestElementwise:
